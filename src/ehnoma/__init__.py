@@ -1,19 +1,17 @@
 """Outage probability of an EH MIMO-NOMA downlink with joint antenna selection."""
 
-from .analysis import bessel_k, op_closed_form, op_closed_form_raw, op_numerical
+from .analysis import op_closed_form, op_closed_form_raw, op_numerical
 from .fading import (
-    ETA_TABLE,
-    EtaTable,
+    MAJORITY_RANK_COEFFS,
     NakagamiParams,
-    ThetaTable,
     UnsupportedModelError,
-    build_theta_table,
     cdf_best_first_hop,
     cdf_majority_user,
     cdf_squared_gain,
     pdf_best_first_hop,
     pdf_squared_gain,
     sample_squared_gain,
+    theta,
 )
 from .link import (
     InfeasibleConfigError,

@@ -10,150 +10,124 @@ agreement is a genuine cross-check.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-import numpy as np
 from scipy import integrate, special
 
-from .fading import (
-    ETA_TABLE,
-    NakagamiParams,
-    UnsupportedModelError,
-    build_theta_table,
-)
+from .fading import MAJORITY_RANK_COEFFS, UnsupportedModelError, theta
 from .link import SystemConfig, tau_star
 
-# Unclamped closed-form values outside this band indicate catastrophic
-# cancellation rather than a rounding wobble.
-_SENTINEL = 1e-9
-# Below this magnitude the float accumulation may not carry 1e-6 relative
-# accuracy through the alternating sum; switch to high-precision arithmetic.
-_HIGH_PRECISION_CUTOFF = 1e-5
-_MP_DPS = 40
-
-
-def bessel_k(order: int, x: float) -> float:
-    """Modified Bessel function of the second kind, integer order.
-
-    Uses the symmetry K_{-n} = K_n.  Underflows to 0 for large x.
-    """
-    if x <= 0:
-        raise ValueError(f"bessel_k requires x > 0, got {x}")
-    return float(special.kv(abs(order), x))
+# Every check on an OP in this package compares at this relative tolerance.
+_REL_TOL = 1e-6
+# Each float term is good to a few units in the last place, so a correctly
+# rounded sum errs by about this much times sum|t|.
+_FLOAT_TERM_ERR = 4 * 2.0**-53
+# Decimal digits a double needs to round-trip; the high-precision pass carries
+# this many beyond the digits the cancellation eats.
+_DOUBLE_DIGITS = 17
 
 
 @lru_cache(maxsize=None)
-def _theta(y: int, m: int):
-    """Dimensionless theta coefficients for a power of the truncated series."""
-    table = build_theta_table(y, NakagamiParams(m, 1.0))
-    return table.coeffs
+def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> tuple:
+    """The closed form's six-fold sum, grouped by the Bessel factor its terms share.
 
-
-def _closed_form_terms(k: int, config: SystemConfig):
-    """Yield the six-fold sum's terms as (exact rational factor, index data).
-
-    Each yielded tuple is (rational, p, s, u, v, z) where `rational` collects
-    the eta coefficient, binomials, theta coefficients and the sign.
+    By G&R 3.471.9 each term of the sum over (q, p, s, u, v, z) reduces to
+        c * X^s * Y^j * (p X / ((1+u) Y))^(nu/2) * e^(-(1+u) Y) * K_nu(2 sqrt(p (1+u) X Y))
+    with X = b_ru c2 / c1, Y = b_sr tau*, j = m_sr + v, nu = z - s + 1 and c an
+    exact rational collecting the eta coefficient, the binomials, the theta
+    coefficients, the sign and 2N/(m_sr-1)!.  The Bessel factor depends only on
+    (p, u, nu), so the terms are returned as ((p, u, nu, ((s, j, c), ...)), ...).
     """
-    m_sr = config.sr_fading.int_m
-    m_ru = config.ru_fading.int_m
-    n = config.n_s * config.n_rr
-    n_u = config.n_u
-    for q in range(1, 3 * config.n_rt + 1):
-        e = ETA_TABLE.eta(k, q)
-        if not e:
-            continue
+    groups = {}
+    scale = Fraction(2 * n, math.factorial(m_sr - 1))
+    for q, eta in MAJORITY_RANK_COEFFS[k].items():
         for p in range(1, q * n_u + 1):
-            th_ru = _theta(p, m_ru)
-            for s in range(p * (m_ru - 1) + 1):
-                ths = th_ru[s] if s < len(th_ru) else Fraction(0)
-                if not ths:
-                    continue
+            for s, th_p in enumerate(theta(p, m_ru)):
                 for u in range(n):
-                    th_sr = _theta(u, m_sr)
-                    for v in range(u * (m_sr - 1) + 1):
-                        thv = th_sr[v] if v < len(th_sr) else Fraction(0)
-                        if not thv:
-                            continue
+                    for v, th_u in enumerate(theta(u, m_sr)):
                         big_m = m_sr - 1 + v
-                        base = (
-                            e
-                            * math.comb(q * n_u, p)
-                            * math.comb(n - 1, u)
-                            * (-1) ** (p + u)
-                            * ths
-                            * thv
-                        )
+                        base = (scale * eta * math.comb(q * n_u, p) * math.comb(n - 1, u)
+                                * (-1) ** (p + u) * th_p * th_u)
                         for z in range(big_m + 1):
-                            yield base * math.comb(big_m, z), p, s, u, v, z
+                            poly = groups.setdefault((p, u, z - s + 1), {})
+                            key = (s, m_sr + v)
+                            poly[key] = poly.get(key, 0) + base * math.comb(big_m, z)
+    out = []
+    for (p, u, nu), poly in groups.items():
+        monomials = tuple((s, j, c) for (s, j), c in poly.items() if c)
+        if monomials:
+            out.append((p, u, nu, monomials))
+    return tuple(out)
 
 
-def _closed_form_float(k: int, config: SystemConfig, tau: float) -> float:
-    """Compensated-summation evaluation of the closed form."""
-    m_sr = config.sr_fading.int_m
-    b_sr = config.sr_fading.rate
-    b_ru = config.ru_fading.rate
-    n = config.n_s * config.n_rr
-    ratio = tau * config.c2 / config.c1
-    prefactor = 2.0 * n * b_sr**m_sr / math.gamma(m_sr)
-    terms = [1.0]
-    for rational, p, s, u, v, z in _closed_form_terms(k, config):
-        b1 = p * b_ru * ratio
-        b2 = (1 + u) * b_sr
-        nu = z - s + 1
-        arg = 2.0 * math.sqrt(b1 * b2)
-        # exponentially scaled Bessel keeps the underflow inside one exp()
-        expo = math.exp(-(1 + u) * b_sr * tau - arg)
-        if expo == 0.0:
-            continue
-        big_m = m_sr - 1 + v
-        term = (
-            float(rational)
-            * prefactor
-            * b_ru**s
-            * b_sr**v
-            * ratio**s
-            * tau ** (big_m - z)
-            * expo
-            * (b1 / b2) ** (nu / 2.0)
-            * float(special.kve(abs(nu), arg))
-        )
-        terms.append(term)
-    return math.fsum(terms)
+def _closed_form_sum(ctx, fsum, kve, groups, x, y):
+    """(sum t, sum |t|) over the closed form's terms, in the arithmetic of ctx.
+
+    The terms are 1 and every group's monomials times the group's Bessel
+    factor.  `fsum` sums accurately in ctx; `kve(nu, t)` is the exponentially
+    scaled Bessel function e^t K_nu(t), which keeps the underflow of a far
+    tail inside one exp().
+    """
+    terms = [ctx.one]
+    for p, u, nu, poly in groups:
+        arg = 2 * ctx.sqrt(p * (1 + u) * x * y)
+        bessel = ((p * x / ((1 + u) * y)) ** (ctx.mpf(nu) / 2)
+                  * ctx.exp(-(1 + u) * y - arg) * kve(nu, arg))
+        for s, j, c in poly:
+            terms.append(ctx.mpf(c.numerator) / c.denominator * x**s * y**j * bessel)
+    return fsum(terms), fsum(map(abs, terms))
 
 
-def _closed_form_mp(k: int, config: SystemConfig, tau: float) -> float:
-    """High-precision evaluation, used when the float sum cancels too deeply."""
-    with mp.workdps(_MP_DPS):
-        m_sr = config.sr_fading.int_m
-        b_sr = mp.mpf(config.sr_fading.rate)
-        b_ru = mp.mpf(config.ru_fading.rate)
-        n = config.n_s * config.n_rr
-        tau_mp = mp.mpf(tau)
-        ratio = tau_mp * mp.mpf(config.c2) / mp.mpf(config.c1)
-        prefactor = 2 * n * b_sr**m_sr / mp.gamma(m_sr)
-        total = mp.mpf(1)
-        for rational, p, s, u, v, z in _closed_form_terms(k, config):
-            b1 = p * b_ru * ratio
-            b2 = (1 + u) * b_sr
-            nu = z - s + 1
-            big_m = m_sr - 1 + v
-            total += (
-                mp.mpf(rational.numerator)
-                / rational.denominator
-                * prefactor
-                * b_ru**s
-                * b_sr**v
-                * ratio**s
-                * tau_mp ** (big_m - z)
-                * mp.e ** (-(1 + u) * b_sr * tau_mp)
-                * (b1 / b2) ** (mp.mpf(nu) / 2)
-                * mp.besselk(nu, 2 * mp.sqrt(b1 * b2))
-            )
-        return float(total)
+def _condition(total, abs_total, eps):
+    """Summation condition number sum|t| / |sum t| (Higham, ch. 4).
+
+    A sum below its own rounding noise eps * sum|t| is unresolved, and all the
+    measurement can say is that the condition is at least 1/eps.
+    """
+    return abs_total / max(abs(total), eps * abs_total)
+
+
+def _digits(cond) -> int:
+    return int(mp.ceil(mp.log10(cond))) + _DOUBLE_DIGITS
+
+
+def _kve_mp(nu, t):
+    return mp.besselk(nu, t) * mp.exp(t)
+
+
+def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
+    """The closed form at the precision its own cancellation calls for.
+
+    The float sum is returned when its error bound, measured from the
+    summation condition number, is inside _REL_TOL.  Otherwise the same terms
+    are summed again with mpmath at log10(condition) + 17 digits, adding
+    digits until they cover the condition measured at the working precision.
+    """
+    groups = _bessel_groups(k, config.sr_fading.int_m, config.ru_fading.int_m,
+                            config.n_s * config.n_rr, config.n_u)
+    x = config.ru_fading.rate * config.c2 / config.c1
+    y = config.sr_fading.rate * tau
+    total, abs_total = _closed_form_sum(mp.fp, math.fsum, special.kve, groups, x, y)
+    cond = _condition(total, abs_total, mp.fp.eps)
+    if _FLOAT_TERM_ERR * cond <= _REL_TOL:
+        return total
+    # a sum still unresolved once its rounding noise lies 17 digits below the
+    # smallest double has no double to return
+    max_dps = _digits(mp.mpf(abs_total) / sys.float_info.min)
+    dps = _digits(cond)
+    while dps <= max_dps:
+        with mp.workdps(dps):
+            total, abs_total = _closed_form_sum(mp.mp, mp.fsum, _kve_mp, groups,
+                                                mp.mpf(x), mp.mpf(y))
+            need = _digits(_condition(total, abs_total, mp.eps))
+            if need <= dps:
+                return float(total)
+        dps = need
+    raise ArithmeticError(f"closed-form OP for k={k} unresolved within {max_dps} digits")
 
 
 def _check_scope(config: SystemConfig) -> None:
@@ -169,25 +143,17 @@ def op_closed_form_raw(k: int, config: SystemConfig) -> float:
     tau = tau_star(k, config)
     if tau == 0.0:
         return 0.0
-    value = _closed_form_float(k, config, tau)
-    if abs(value) < _HIGH_PRECISION_CUTOFF or not -_SENTINEL <= value <= 1 + _SENTINEL:
-        value = _closed_form_mp(k, config, tau)
-    return value
+    return _closed_form(k, config, tau)
 
 
 def op_closed_form(k: int, config: SystemConfig) -> float:
     """Closed-form outage probability of the rank-k user.
 
     Requires integer fading parameters on both hops and the 3-user,
-    2-transmit-antenna majority-selection scope.
+    2-transmit-antenna majority-selection scope.  The value is accurate to
+    1e-6 relative; rounding can put it a hair outside [0, 1], so it is clamped.
     """
     raw = op_closed_form_raw(k, config)
-    if not -_SENTINEL <= raw <= 1 + _SENTINEL:
-        warnings.warn(
-            f"closed-form OP for k={k} outside [0,1] beyond sentinel: {raw!r}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return min(max(raw, 0.0), 1.0)
 
 
@@ -209,8 +175,7 @@ def op_numerical(k: int, config: SystemConfig, rel_tol: float = 1e-13) -> float:
     m_ru, om_ru = config.m_ru, config.omega_ru
     n = config.n_s * config.n_rr
     n_u = config.n_u
-    etas = [(q, float(ETA_TABLE.eta(k, q))) for q in range(1, 3 * config.n_rt + 1)
-            if ETA_TABLE.eta(k, q)]
+    etas = [(q, float(e)) for q, e in sorted(MAJORITY_RANK_COEFFS[k].items())]
     ratio = tau * config.c2 / config.c1
     b_sr = m_sr / om_sr
     log_gamma_m = math.lgamma(m_sr)

@@ -9,6 +9,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .analysis import op_closed_form, op_numerical
+from .fading import UnsupportedModelError
 from .link import InfeasibleConfigError, SystemConfig
 from .montecarlo import estimate_op
 
@@ -16,6 +17,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_SEARCH = 3
 EXIT_PARSE = 4
+EXIT_UNSUPPORTED = 5
 
 CSV_HEADER = "scenario,variable,value,user,method,op,ci_halfwidth,trials"
 METHOD_ORDER = ("analytic", "quadrature", "montecarlo")
@@ -38,6 +40,15 @@ def _fmt_num(v) -> str:
     return repr(float(v))
 
 
+def _parse_value(key: str, text: str):
+    """Type a scenario value: a float list, an integer or a float."""
+    if key in _LIST_KEYS:
+        return tuple(float(x) for x in text.split(","))
+    if key in _INT_KEYS:
+        return int(text)
+    return float(text)
+
+
 def parse_scenario(text: str) -> SystemConfig:
     """Parse a flat key = value scenario file into a SystemConfig."""
     values = {}
@@ -50,12 +61,7 @@ def parse_scenario(text: str) -> SystemConfig:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         try:
-            if key in _LIST_KEYS:
-                values[key] = tuple(float(x) for x in val.split(","))
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            else:
-                values[key] = float(val)
+            values[key] = _parse_value(key, val)
         except ValueError as exc:
             raise ScenarioParseError(f"line {lineno}: bad value for {key}: {val!r}") from exc
     known = {f.name for f in fields(SystemConfig)}
@@ -263,13 +269,7 @@ def _apply_overrides(config: SystemConfig, pairs) -> SystemConfig:
         if key not in known:
             raise ScenarioParseError(f"unknown config key {key!r}")
         try:
-            if key in _LIST_KEYS:
-                parsed = tuple(float(x) for x in val.split(","))
-            elif key in _INT_KEYS:
-                parsed = int(val)
-            else:
-                parsed = float(val)
-            config = replace(config, **{key: parsed})
+            config = replace(config, **{key: _parse_value(key, val)})
         except ValueError as exc:
             raise ScenarioParseError(f"bad override {pair!r}: {exc}") from exc
     return config
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
     except InfeasibleConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except UnsupportedModelError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     except (SearchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -81,41 +82,23 @@ def pdf_squared_gain(params: NakagamiParams, x):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class ThetaTable:
+@lru_cache(maxsize=None)
+def theta(y: int, m) -> tuple:
     """Coefficients of the y-th power of the truncated exponential series.
 
-    coeff[x] is the exact rational coefficient of t^x in
+    Entry x is the exact rational coefficient of t^x in
     (sum_{n=0}^{m-1} t^n / n!)^y.  Consumers evaluate at t = (m/omega)*x,
-    i.e. the coefficient of x^v carries an extra rate^v factor (`scaled`).
-    """
+    i.e. the coefficient of x^v carries an extra rate^v factor.
 
-    y: int
-    params: NakagamiParams
-    coeffs: tuple
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def coeff(self, x: int) -> Fraction:
-        return self.coeffs[x] if 0 <= x < len(self.coeffs) else Fraction(0)
-
-    def scaled(self, x: int) -> float:
-        """Coefficient of x^v including the (m/omega)^v factor."""
-        return float(self.coeff(x)) * self.params.rate**x
-
-
-def build_theta_table(y: int, params: NakagamiParams) -> ThetaTable:
-    """Power-series coefficients via the standard recurrence for powers of a series.
-
-    With a_0 = 1 the recurrence is
+    With a_0 = 1 the standard recurrence for powers of a series is
         c_x = (1/x) * sum_{o=1}^{min(x, m-1)} (o*(y+1) - x) * a_o * c_{x-o},
     where a_o = 1/o! for o <= m-1 and zero beyond the truncation order.
-    Computed in exact rational arithmetic.
     """
     if y < 0:
         raise ValueError("power y must be nonnegative")
-    m = params.int_m
+    if not float(m).is_integer():
+        raise UnsupportedModelError(f"analytic path requires integer m, got {m}")
+    m = int(m)
     top = y * (m - 1)
     c = [Fraction(1)] + [Fraction(0)] * top
     for x in range(1, top + 1):
@@ -123,7 +106,24 @@ def build_theta_table(y: int, params: NakagamiParams) -> ThetaTable:
         for o in range(1, min(x, m - 1) + 1):
             s += (o * (y + 1) - x) * Fraction(1, math.factorial(o)) * c[x - o]
         c[x] = s / x
-    return ThetaTable(y=y, params=params, coeffs=tuple(c))
+    return tuple(c)
+
+
+def _expanded_powers(params: NakagamiParams, x, weighted_powers) -> np.ndarray:
+    """Sum of weight * F_X(x)^y over (weight, y), each power fully expanded:
+        sum_{u=0}^{y} weight C(y,u) (-1)^u sum_v theta_v(u) (b x)^v e^{-u b x}.
+    """
+    b = params.rate
+    m = params.int_m
+    out = np.zeros_like(x)
+    for weight, y in weighted_powers:
+        for u in range(y + 1):
+            sign = weight * math.comb(y, u) * (-1) ** u
+            poly = np.zeros_like(x)
+            for v, c in enumerate(theta(u, m)):
+                poly += float(c) * b**v * x**v
+            out += sign * poly * np.exp(-u * b * x)
+    return out
 
 
 def cdf_best_first_hop(params: NakagamiParams, n_s: int, n_rr: int, x):
@@ -137,18 +137,7 @@ def cdf_best_first_hop(params: NakagamiParams, n_s: int, n_rr: int, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("CDF argument must be nonnegative")
-    n = n_s * n_rr
-    b = params.rate
-    m = params.int_m
-    out = np.zeros_like(x)
-    for u in range(n + 1):
-        table = build_theta_table(u, params)
-        sign = math.comb(n, u) * (-1) ** u
-        poly = np.zeros_like(x)
-        for v in range(u * (m - 1) + 1):
-            poly += table.scaled(v) * x**v
-        out += sign * poly * np.exp(-u * b * x)
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(_expanded_powers(params, x, [(1, n_s * n_rr)]), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -160,16 +149,7 @@ def pdf_best_first_hop(params: NakagamiParams, n_s: int, n_rr: int, x):
     if np.any(x < 0):
         raise ValueError("PDF argument must be nonnegative")
     n = n_s * n_rr
-    b = params.rate
-    m = params.int_m
-    out = np.zeros_like(x)
-    for u in range(n):
-        table = build_theta_table(u, params)
-        sign = math.comb(n - 1, u) * (-1) ** u
-        poly = np.zeros_like(x)
-        for v in range(u * (m - 1) + 1):
-            poly += table.scaled(v) * x**v
-        out += sign * poly * np.exp(-u * b * x)
+    out = _expanded_powers(params, x, [(1, n - 1)])
     out *= n * pdf_squared_gain(params, x)
     return float(out) if out.ndim == 0 else out
 
@@ -197,21 +177,6 @@ MAJORITY_RANK_COEFFS = {
 }
 
 
-@dataclass(frozen=True)
-class EtaTable:
-    """Rational coefficients eta(k, q) of the majority-selection rank CDFs."""
-
-    coeffs: dict
-
-    def eta(self, k: int, q: int) -> Fraction:
-        if k not in self.coeffs:
-            raise UnsupportedModelError(f"rank k={k} outside the 3-user table")
-        return self.coeffs[k].get(q, Fraction(0))
-
-
-ETA_TABLE = EtaTable(coeffs=MAJORITY_RANK_COEFFS)
-
-
 def cdf_majority_user(
     params: NakagamiParams,
     k: int,
@@ -233,27 +198,13 @@ def cdf_majority_user(
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("CDF argument must be nonnegative")
+    etas = [(float(e), q) for q, e in sorted(MAJORITY_RANK_COEFFS[k].items())]
     if not expanded:
         g = cdf_squared_gain(params, x) ** n_u
         out = np.zeros_like(np.asarray(g))
-        for q in range(1, 3 * n_rt + 1):
-            e = ETA_TABLE.eta(k, q)
-            if e:
-                out += float(e) * g**q
+        for e, q in etas:
+            out += e * g**q
     else:
-        b = params.rate
-        m = params.int_m
-        out = np.zeros_like(x)
-        for q in range(1, 3 * n_rt + 1):
-            e = float(ETA_TABLE.eta(k, q))
-            if not e:
-                continue
-            for p in range(q * n_u + 1):
-                table = build_theta_table(p, params)
-                sign = e * math.comb(q * n_u, p) * (-1) ** p
-                poly = np.zeros_like(x)
-                for s in range(p * (m - 1) + 1):
-                    poly += table.scaled(s) * x**s
-                out += sign * poly * np.exp(-p * b * x)
+        out = _expanded_powers(params, x, [(e, q * n_u) for e, q in etas])
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out

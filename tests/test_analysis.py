@@ -8,7 +8,7 @@ import pytest
 from ehnoma import (
     SystemConfig,
     UnsupportedModelError,
-    bessel_k,
+    analysis,
     op_closed_form,
     op_closed_form_raw,
     op_numerical,
@@ -36,23 +36,11 @@ ORACLE_VALUES = [
     (dict(snr_db=45, m_sr=2, m_ru=1), 1, 2.4774147879488124e-08),
     (dict(snr_db=45, m_sr=2, m_ru=1), 2, 3.101536586211291e-22),
     (dict(snr_db=45, m_sr=2, m_ru=1), 3, 4.1212182711228306e-25),
+    # condition ~3e40: a fixed 40-digit sum came out 3.6% low here
+    (dict(m_sr=2, m_ru=2, snr_db=60), 3, 4.647570134857768e-37),
+    # condition ~1e9, near the top of the float path's band
+    (dict(m_sr=2, m_ru=2, snr_db=20, w=0.35), 2, 1.3206038881638422e-05),
 ]
-
-
-class TestBesselK:
-    def test_known_values(self):
-        assert bessel_k(0, 1.0) == pytest.approx(0.42102443824070834, rel=1e-12)
-        assert bessel_k(1, 1.0) == pytest.approx(0.6019072301972346, rel=1e-12)
-
-    def test_negative_order_symmetry(self):
-        assert bessel_k(-2, 0.7) == bessel_k(2, 0.7)
-
-    def test_underflows_to_zero(self):
-        assert bessel_k(0, 800.0) == 0.0
-
-    def test_rejects_nonpositive_argument(self):
-        with pytest.raises(ValueError):
-            bessel_k(1, 0.0)
 
 
 class TestQuadratureOracle:
@@ -125,6 +113,14 @@ class TestClosedForm:
         # deep-tail value where plain float accumulation loses digits
         c = SystemConfig(snr_db=45, m_sr=2, m_ru=1)
         assert op_closed_form(3, c) == pytest.approx(4.1212182711228306e-25, rel=1e-6)
+
+    def test_unresolved_sum_raises(self, monkeypatch):
+        # terms that cancel exactly stay below the rounding noise at any
+        # precision; the evaluator must refuse rather than return a value
+        monkeypatch.setattr(analysis, "_closed_form_sum",
+                            lambda ctx, *args: (ctx.zero, 2 * ctx.one))
+        with pytest.raises(ArithmeticError):
+            op_closed_form(1, SystemConfig())
 
     def test_imperfect_sic_leaves_rank_one_unchanged(self):
         base = op_closed_form(1, SystemConfig(xi=0.0, snr_db=25))

@@ -13,6 +13,7 @@ from ehnoma.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEARCH,
+    EXIT_UNSUPPORTED,
     ScenarioParseError,
     SearchError,
     SweepSpec,
@@ -248,3 +249,8 @@ class TestMain:
         code = main(["find-snr", path, "--user", "1", "--target", "1e-30",
                      "--lo", "0", "--hi", "5"])
         assert code == EXIT_SEARCH
+
+    def test_unsupported_model_exit(self, capsys):
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        assert main(["analytic", path, "--set", "n_rt=3"]) == EXIT_UNSUPPORTED
+        assert "error:" in capsys.readouterr().err

@@ -6,17 +6,16 @@ import pytest
 from scipy import integrate, special
 
 from ehnoma.fading import (
-    ETA_TABLE,
     MAJORITY_RANK_COEFFS,
     NakagamiParams,
     UnsupportedModelError,
-    build_theta_table,
     cdf_best_first_hop,
     cdf_majority_user,
     cdf_squared_gain,
     pdf_best_first_hop,
     pdf_squared_gain,
     sample_squared_gain,
+    theta,
 )
 
 
@@ -104,29 +103,25 @@ def poly_power_oracle(m: int, y: int):
 
 class TestThetaTable:
     def test_zeroth_power(self):
-        t = build_theta_table(0, NakagamiParams(3, 1.0))
-        assert t.coeffs == (Fraction(1),)
+        assert theta(0, 3) == (Fraction(1),)
 
     def test_rayleigh_degenerate(self):
-        t = build_theta_table(5, NakagamiParams(1, 2.0))
-        assert t.coeffs == (Fraction(1),)
+        assert theta(5, 1) == (Fraction(1),)
 
     def test_square_of_m3_series(self):
         # direct expansion of (1 + 3x + (3x)^2/2)^2 at omega = 1
-        t = build_theta_table(2, NakagamiParams(3, 1.0))
         expected = [1, 6, 18, 27, Fraction(81, 4)]
-        scaled = [Fraction(t.coeff(v)) * 3**v for v in range(len(t))]
+        scaled = [c * 3**v for v, c in enumerate(theta(2, 3))]
         assert scaled == expected
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("y", [1, 2, 3])
     def test_recurrence_equals_convolution(self, m, y):
-        t = build_theta_table(y, NakagamiParams(m, 1.0))
-        assert list(t.coeffs) == poly_power_oracle(m, y)
+        assert list(theta(y, m)) == poly_power_oracle(m, y)
 
     def test_non_integer_m_rejected(self):
         with pytest.raises(UnsupportedModelError):
-            build_theta_table(2, NakagamiParams(1.5, 1.0))
+            theta(2, 1.5)
 
 
 X_GRID = np.logspace(-2, 1.5, 25)
@@ -212,7 +207,7 @@ def ks_distance(sorted_sample, model_cdf):
 class TestMajorityUserCdf:
     def test_eta_rows_sum_to_one(self):
         for k in (1, 2, 3):
-            assert sum(ETA_TABLE.eta(k, q) for q in range(1, 7)) == 1
+            assert sum(MAJORITY_RANK_COEFFS[k].values()) == 1
 
     def test_eta_exact_values(self):
         assert MAJORITY_RANK_COEFFS[1] == {
