@@ -1,6 +1,6 @@
 """Outage probability of an EH MIMO-NOMA downlink with joint antenna selection."""
 
-from .analysis import op_closed_form, op_closed_form_raw, op_numerical
+from .analysis import op_closed_form, op_numerical
 from .fading import (
     MAJORITY_RANK_COEFFS,
     NakagamiParams,
@@ -16,7 +16,6 @@ from .fading import (
 from .link import (
     InfeasibleConfigError,
     SystemConfig,
-    amplification_factor,
     outage_event,
     sinr,
     tau_star,

@@ -18,7 +18,7 @@ from functools import lru_cache
 import mpmath as mp
 from scipy import integrate, special
 
-from .fading import MAJORITY_RANK_COEFFS, UnsupportedModelError, theta
+from .fading import MAJORITY_RANK_COEFFS, UnsupportedModelError, expanded_power
 from .link import SystemConfig, tau_star
 
 # Every check on an OP in this package compares at this relative tolerance.
@@ -26,6 +26,9 @@ _REL_TOL = 1e-6
 # Each float term is good to a few units in the last place, so a correctly
 # rounded sum errs by about this much times sum|t|.
 _FLOAT_TERM_ERR = 4 * 2.0**-53
+# Relative tolerance of the quadrature oracle, far inside _REL_TOL so that it
+# can check the closed form.
+_QUAD_REL_TOL = 1e-13
 # Decimal digits a double needs to round-trip; the high-precision pass carries
 # this many beyond the digits the cancellation eats.
 _DOUBLE_DIGITS = 17
@@ -45,17 +48,16 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> tuple:
     groups = {}
     scale = Fraction(2 * n, math.factorial(m_sr - 1))
     for q, eta in MAJORITY_RANK_COEFFS[k].items():
-        for p in range(1, q * n_u + 1):
-            for s, th_p in enumerate(theta(p, m_ru)):
-                for u in range(n):
-                    for v, th_u in enumerate(theta(u, m_sr)):
-                        big_m = m_sr - 1 + v
-                        base = (scale * eta * math.comb(q * n_u, p) * math.comb(n - 1, u)
-                                * (-1) ** (p + u) * th_p * th_u)
-                        for z in range(big_m + 1):
-                            poly = groups.setdefault((p, u, z - s + 1), {})
-                            key = (s, m_sr + v)
-                            poly[key] = poly.get(key, 0) + base * math.comb(big_m, z)
+        for p, s, c_ru in expanded_power(q * n_u, m_ru):
+            if p == 0:  # the constant term has no Bessel factor
+                continue
+            for u, v, c_sr in expanded_power(n - 1, m_sr):
+                big_m = m_sr - 1 + v
+                base = scale * eta * c_ru * c_sr
+                for z in range(big_m + 1):
+                    poly = groups.setdefault((p, u, z - s + 1), {})
+                    key = (s, m_sr + v)
+                    poly[key] = poly.get(key, 0) + base * math.comb(big_m, z)
     out = []
     for (p, u, nu), poly in groups.items():
         monomials = tuple((s, j, c) for (s, j), c in poly.items() if c)
@@ -133,17 +135,8 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
 def _check_scope(config: SystemConfig) -> None:
     if config.k_users != 3 or config.n_rt != 2:
         raise UnsupportedModelError(
-            "closed form covers K=3 users and n_rt=2 relay transmit antennas"
+            "majority-selection rank CDF covers K=3 users and n_rt=2"
         )
-
-
-def op_closed_form_raw(k: int, config: SystemConfig) -> float:
-    """Unclamped closed-form outage probability (diagnostics)."""
-    _check_scope(config)
-    tau = tau_star(k, config)
-    if tau == 0.0:
-        return 0.0
-    return _closed_form(k, config, tau)
 
 
 def op_closed_form(k: int, config: SystemConfig) -> float:
@@ -153,21 +146,21 @@ def op_closed_form(k: int, config: SystemConfig) -> float:
     2-transmit-antenna majority-selection scope.  The value is accurate to
     1e-6 relative; rounding can put it a hair outside [0, 1], so it is clamped.
     """
-    raw = op_closed_form_raw(k, config)
-    return min(max(raw, 0.0), 1.0)
+    _check_scope(config)
+    tau = tau_star(k, config)
+    if tau == 0.0:
+        return 0.0
+    return min(max(_closed_form(k, config, tau), 0.0), 1.0)
 
 
-def op_numerical(k: int, config: SystemConfig, rel_tol: float = 1e-13) -> float:
+def op_numerical(k: int, config: SystemConfig) -> float:
     """Outage probability by adaptive quadrature of the outage integral.
 
     F_sr(tau*) + integral over x > tau* of
     F_ru(tau* c2 / (c1 (x - tau*))) * f_sr(x) dx,
     with both CDFs in unexpanded power form.  Accepts non-integer fading m.
     """
-    if config.k_users != 3 or config.n_rt != 2:
-        raise UnsupportedModelError(
-            "majority-selection rank CDF covers K=3 users and n_rt=2"
-        )
+    _check_scope(config)
     tau = tau_star(k, config)
     if tau == 0.0:
         return 0.0
@@ -200,7 +193,6 @@ def op_numerical(k: int, config: SystemConfig, rel_tol: float = 1e-13) -> float:
         return head
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        tail, _ = integrate.quad(
-            integrand, 0.0, x_max - tau, epsabs=1e-280, epsrel=rel_tol, limit=800
-        )
+        tail, _ = integrate.quad(integrand, 0.0, x_max - tau, epsabs=1e-280,
+                                 epsrel=_QUAD_REL_TOL, limit=800)
     return head + tail

@@ -22,6 +22,11 @@ EXIT_UNSUPPORTED = 5
 CSV_HEADER = "scenario,variable,value,user,method,op,ci_halfwidth,trials"
 METHOD_ORDER = ("analytic", "quadrature", "montecarlo")
 
+# find-snr answers within this many dB; find-w's golden-section search stops
+# once its bracket is this narrow
+_SNR_TOL_DB = 0.05
+_W_TOL = 1e-3
+
 _LIST_KEYS = ("a", "gamma_th")
 _INT_KEYS = ("n_s", "n_rr", "n_rt", "n_u")
 
@@ -106,7 +111,6 @@ class SweepSpec:
     trials: int = 100_000
     seed: int = 0
     workers: int = 1
-    out: str | None = None
 
     def __post_init__(self):
         if self.variable not in ("snr_db", "w", "d_sr", "xi"):
@@ -150,14 +154,16 @@ def _point_rows(scenario: str, variable: str, value: float, config: SystemConfig
                 row["op"] = "infeasible"
                 rows.append(row)
                 continue
-            if method == "analytic":
-                row["op"] = "%.8e" % op_closed_form(k, config)
-            elif method == "quadrature":
-                row["op"] = "%.8e" % op_numerical(k, config)
-            else:
+            if method == "montecarlo":
                 row["op"] = "%.8e" % mc.op_hat[k - 1]
                 row["ci_halfwidth"] = "%.8e" % mc.ci_halfwidth[k - 1]
                 row["trials"] = str(trials)
+            else:
+                op = op_closed_form if method == "analytic" else op_numerical
+                try:
+                    row["op"] = "%.8e" % op(k, config)
+                except UnsupportedModelError:
+                    row["op"] = "unsupported"
             rows.append(row)
     return rows
 
@@ -191,7 +197,7 @@ def write_output(rows, out: str | None) -> None:
 
 
 def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
-                    lo_db: float, hi_db: float, tol_db: float = 0.05) -> float:
+                    lo_db: float, hi_db: float) -> float:
     """SNR (dB) at which the analytic OP of user k crosses target_op.
 
     Bisection on the monotone (nonincreasing) analytic OP curve; the bracket
@@ -209,7 +215,7 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
             f"(endpoints {f_lo:.3e}, {f_hi:.3e})"
         )
     lo, hi = lo_db, hi_db
-    while hi - lo > 2 * tol_db:
+    while hi - lo > 2 * _SNR_TOL_DB:
         mid = 0.5 * (lo + hi)
         if op_closed_form(k, replace(config, snr_db=mid)) > target_op:
             lo = mid
@@ -218,7 +224,7 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
     return 0.5 * (lo + hi)
 
 
-def find_optimal_w(k: int, config: SystemConfig, grid=None, tol: float = 1e-3):
+def find_optimal_w(k: int, config: SystemConfig, grid=None):
     """(w*, op*) minimizing the analytic OP over the power-splitting ratio."""
     if grid is None:
         grid = np.linspace(0.05, 0.95, 91)
@@ -246,7 +252,7 @@ def find_optimal_w(k: int, config: SystemConfig, grid=None, tol: float = 1e-3):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _W_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -345,7 +351,7 @@ def main(argv=None) -> int:
                 stop=args.stop, points=args.points, base=config,
                 methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
                 spacing=args.spacing, trials=args.trials, seed=args.seed,
-                workers=args.workers, out=args.out,
+                workers=args.workers,
             )
             write_output(run_sweep(spec), args.out)
         elif args.command == "find-snr":

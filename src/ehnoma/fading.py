@@ -109,20 +109,23 @@ def theta(y: int, m) -> tuple:
     return tuple(c)
 
 
-def _expanded_powers(params: NakagamiParams, x, weighted_powers) -> np.ndarray:
-    """Sum of weight * F_X(x)^y over (weight, y), each power fully expanded:
-        sum_{u=0}^{y} weight C(y,u) (-1)^u sum_v theta_v(u) (b x)^v e^{-u b x}.
+@lru_cache(maxsize=None)
+def expanded_power(y: int, m: int) -> tuple:
+    """Exact terms of F_X(x)^y for integer m, expanded with the binomial theorem:
+        sum_{u=0}^{y} sum_v C(y,u) (-1)^u theta_v(u) (b x)^v e^{-u b x},
+    returned as ((u, v, C(y,u) (-1)^u theta_v(u)), ...) in (u, v) order.
     """
-    b = params.rate
-    m = params.int_m
+    return tuple((u, v, math.comb(y, u) * (-1) ** u * c)
+                 for u in range(y + 1) for v, c in enumerate(theta(u, m)))
+
+
+def _expanded_powers(params: NakagamiParams, x, weighted_powers) -> np.ndarray:
+    """Sum of weight * F_X(x)^y over (weight, y), each power fully expanded."""
+    bx = params.rate * x
     out = np.zeros_like(x)
     for weight, y in weighted_powers:
-        for u in range(y + 1):
-            sign = weight * math.comb(y, u) * (-1) ** u
-            poly = np.zeros_like(x)
-            for v, c in enumerate(theta(u, m)):
-                poly += float(c) * b**v * x**v
-            out += sign * poly * np.exp(-u * b * x)
+        for u, v, c in expanded_power(y, params.int_m):
+            out += weight * float(c) * bx**v * np.exp(-u * bx)
     return out
 
 
@@ -177,22 +180,13 @@ MAJORITY_RANK_COEFFS = {
 }
 
 
-def cdf_majority_user(
-    params: NakagamiParams,
-    k: int,
-    n_u: int,
-    x,
-    n_rt: int = 2,
-    expanded: bool = False,
-):
+def cdf_majority_user(params: NakagamiParams, k: int, n_u: int, x, expanded: bool = False):
     """CDF of the rank-k user's effective squared gain after majority selection.
 
     Only the 3-user, two-relay-transmit-antenna case has an analytic table.
     `expanded=True` evaluates the fully expanded finite-sum form instead of
     powers of the single-link CDF; the two agree to 1e-10 relative.
     """
-    if n_rt != 2:
-        raise UnsupportedModelError(f"analytic majority CDF requires n_rt=2, got {n_rt}")
     if k not in (1, 2, 3):
         raise UnsupportedModelError(f"user rank must be in {{1,2,3}}, got {k}")
     x = np.asarray(x, dtype=float)

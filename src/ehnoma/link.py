@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .fading import NakagamiParams
@@ -128,32 +127,11 @@ class SystemConfig:
         return True
 
 
-def amplification_factor(g_sr: float, config: SystemConfig, mode: str = "approx") -> float:
-    """Relay amplification gain under the power-splitting protocol.
-
-    `approx` is the high-SNR limit sqrt(zeta*w/(1-w)) used by the whole
-    analysis; `exact` keeps the harvested-to-received power ratio at finite
-    SNR (normalized noise power).
-    """
-    if g_sr < 0:
-        raise ValueError("g_sr must be nonnegative")
-    w, zeta = config.w, config.zeta
-    if mode == "approx":
-        return math.sqrt(zeta * w / (1.0 - w))
-    if mode == "exact":
-        num = zeta * w * config.snr_linear * g_sr
-        den = (1.0 - w) * config.snr_linear * g_sr + 1.0
-        return math.sqrt(num / den)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def sinr(l: int, k: int, g_sr: float, g_ru_k: float, config: SystemConfig,
-         exact_g: bool = False) -> float:
+def sinr(l: int, k: int, g_sr: float, g_ru_k: float, config: SystemConfig) -> float:
     """SINR at the rank-k user while detecting the rank-l message.
 
-    gamma * X * Y * a_l / (gamma * X * Y * Sigma_l + c1 * Y + c2) with the
-    approximate amplification factor; `exact_g` replaces c2 by its
-    finite-SNR value (diagnostics only, excluded from the analysis).
+    gamma * X * Y * a_l / (gamma * X * Y * Sigma_l + c1 * Y + c2), with the
+    relay's high-SNR amplification factor sqrt(zeta*w/(1-w)) inside c1 and c2.
     """
     if not 1 <= l <= k <= config.k_users:
         raise ValueError(f"need 1 <= l <= k <= K, got l={l}, k={k}")
@@ -162,12 +140,9 @@ def sinr(l: int, k: int, g_sr: float, g_ru_k: float, config: SystemConfig,
     if g_sr == 0 or g_ru_k == 0:
         return 0.0
     gam = config.snr_linear
-    c2 = config.c2
-    if exact_g:
-        c2 *= 1.0 + 1.0 / ((1.0 - config.w) * gam * g_sr)
     num = gam * g_sr * g_ru_k * config.a[l - 1]
     den = (gam * g_sr * g_ru_k * config.residual_interference(l)
-           + config.c1 * g_ru_k + c2)
+           + config.c1 * g_ru_k + config.c2)
     return num / den
 
 
@@ -187,12 +162,11 @@ def tau_star(k: int, config: SystemConfig) -> float:
     return max(vals)
 
 
-def outage_event(k: int, realization: ChannelRealization, config: SystemConfig,
-                 exact_g: bool = False) -> bool:
+def outage_event(k: int, realization: ChannelRealization, config: SystemConfig) -> bool:
     """True iff the rank-k user fails any of its detection stages."""
     outcome = select(realization)
     g_ru_k = outcome.ranked_gains[k - 1]
     return any(
-        sinr(l, k, outcome.g_sr, g_ru_k, config, exact_g=exact_g) < config.gamma_th[l - 1]
+        sinr(l, k, outcome.g_sr, g_ru_k, config) < config.gamma_th[l - 1]
         for l in range(1, k + 1)
     )

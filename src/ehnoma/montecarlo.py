@@ -19,6 +19,8 @@ from .link import SystemConfig
 from .selection import ChannelRealization
 
 BLOCK_SIZE = 1 << 18
+# two-sided 95% standard normal quantile
+_Z_95 = 1.96
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,7 @@ def _max_of_iid(rng, m: float, omega: float, n_iid: int, shape) -> np.ndarray:
     return draws.max(axis=-1)
 
 
-def simulate_block(config: SystemConfig, seed: int, block: int, n: int,
-                   exact_g: bool = False) -> np.ndarray:
+def simulate_block(config: SystemConfig, seed: int, block: int, n: int) -> np.ndarray:
     """Outage counts per user rank for one block of n trials."""
     rng = _block_rng(seed, block)
     k_users, n_rt = config.k_users, config.n_rt
@@ -77,25 +78,21 @@ def simulate_block(config: SystemConfig, seed: int, block: int, n: int,
                          config.n_u, (n, k_users, n_rt))
 
     votes = rowmax.argmax(axis=2)
-    counts = (votes[:, :, None] == np.arange(n_rt)).sum(axis=1)
+    voted = votes[:, :, None] == np.arange(n_rt)
+    counts = voted.sum(axis=1)
+    i_r = counts.argmax(axis=1)
     best = counts.max(axis=1, keepdims=True)
     tied = (counts == best).sum(axis=1) > 1
-    if k_users % 2 == 1 and n_rt == 2:
-        assert not tied.any(), "strict majority must exist for odd K over 2 antennas"
-        i_r = counts.argmax(axis=1)
-    else:
+    if tied.any():
         # tie-break: largest sum of the voting users' optimal gains, then lowest index
-        opt = rowmax.max(axis=2)
-        weight = ((votes[:, :, None] == np.arange(n_rt)) * opt[:, :, None]).sum(axis=1)
+        weight = (voted * rowmax.max(axis=2)[:, :, None]).sum(axis=1)
         score = np.where(counts == best, weight, -1.0)
-        i_r = np.where(tied, score.argmax(axis=1), counts.argmax(axis=1))
+        i_r = np.where(tied, score.argmax(axis=1), i_r)
     g_ru = np.take_along_axis(rowmax, i_r[:, None, None], axis=2)[:, :, 0]
     g_ru.sort(axis=1)
 
     gam = config.snr_linear
     c2 = config.c2
-    if exact_g:
-        c2 = c2 * (1.0 + 1.0 / ((1.0 - config.w) * gam * g_sr))
     out = np.zeros((n, k_users), dtype=bool)
     for k in range(1, k_users + 1):
         y = g_ru[:, k - 1]
@@ -115,7 +112,7 @@ def _block_job(args):
 
 
 def estimate_op(config: SystemConfig, trials: int, seed: int = 0,
-                workers: int = 1, exact_g: bool = False) -> McEstimate:
+                workers: int = 1) -> McEstimate:
     """Monte Carlo outage estimate with 95% confidence intervals.
 
     Bit-identical output for identical (config, trials, seed) regardless of
@@ -129,7 +126,7 @@ def estimate_op(config: SystemConfig, trials: int, seed: int = 0,
     block = 0
     while lo < trials:
         n = min(BLOCK_SIZE, trials - lo)
-        jobs.append((config, seed, block, n, exact_g))
+        jobs.append((config, seed, block, n))
         lo += n
         block += 1
     if workers > 1 and len(jobs) > 1:
@@ -148,8 +145,9 @@ def estimate_op(config: SystemConfig, trials: int, seed: int = 0,
     )
 
 
-def _ci_halfwidth(successes: int, n: int, z: float = 1.96) -> float:
+def _ci_halfwidth(successes: int, n: int) -> float:
     """Normal-approximation half-width; Wilson bounds when counts are sparse."""
+    z = _Z_95
     p = successes / n
     if min(successes, n - successes) >= 30:
         return z * np.sqrt(p * (1.0 - p) / n)

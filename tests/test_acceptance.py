@@ -1,8 +1,8 @@
 """Acceptance gate: seven release criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see every criterion line as
-it completes.  The full suite needs about five minutes on one core; the bulk
-is criterion 1's 10^7-trial Monte Carlo cross-checks.
+it completes.  The gate needs about four and a half minutes on a 2-core
+machine; the bulk is criterion 1's 10^7-trial Monte Carlo cross-checks.
 """
 
 import itertools

@@ -10,7 +10,6 @@ from ehnoma import (
     UnsupportedModelError,
     analysis,
     op_closed_form,
-    op_closed_form_raw,
     op_numerical,
 )
 
@@ -104,10 +103,6 @@ class TestClosedForm:
     def test_zero_threshold_gives_zero(self):
         c = SystemConfig(gamma_th=(0.0, 0.0, 0.0))
         assert op_closed_form(3, c) == 0.0
-
-    def test_raw_agrees_with_clamped_in_interior(self):
-        c = SystemConfig(snr_db=15)
-        assert op_closed_form_raw(2, c) == op_closed_form(2, c)
 
     def test_high_precision_branch_stays_accurate(self):
         # deep-tail value where plain float accumulation loses digits

@@ -252,5 +252,21 @@ class TestMain:
 
     def test_unsupported_model_exit(self, capsys):
         path = str(SCENARIO_DIR / "perfect_sic.scn")
-        assert main(["analytic", path, "--set", "n_rt=3"]) == EXIT_UNSUPPORTED
+        code = main(["find-snr", path, "--set", "n_rt=3", "--user", "1",
+                     "--target", "1e-2"])
+        assert code == EXIT_UNSUPPORTED
         assert "error:" in capsys.readouterr().err
+
+    def test_unsupported_rows_not_error(self, capsys):
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        code = main(["sweep", path, "--set", "m_sr=1.5", "--var", "snr_db",
+                     "--start", "10", "--stop", "20", "--points", "2",
+                     "--methods", "analytic,quadrature"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 2 * 3 * 2
+        for row in rows:
+            if row[4] == "analytic":
+                assert row[5] == "unsupported"
+            else:
+                assert 0.0 < float(row[5]) < 1.0

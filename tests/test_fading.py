@@ -268,5 +268,3 @@ class TestMajorityUserCdf:
         p = NakagamiParams(1, 1.0)
         with pytest.raises(UnsupportedModelError):
             cdf_majority_user(p, 4, 2, 1.0)
-        with pytest.raises(UnsupportedModelError):
-            cdf_majority_user(p, 1, 2, 1.0, n_rt=3)

@@ -1,7 +1,5 @@
 """Signal model: config validation, SINR algebra, threshold/event identity."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +9,6 @@ from ehnoma import (
     ChannelRealization,
     InfeasibleConfigError,
     SystemConfig,
-    amplification_factor,
     outage_event,
     select,
     sinr,
@@ -101,29 +98,6 @@ class TestFeasibility:
             tau_star(3, c)
 
 
-class TestAmplificationFactor:
-    def test_approx_value(self):
-        c = SystemConfig(w=0.5, zeta=0.8)
-        assert amplification_factor(1.0, c) == pytest.approx(math.sqrt(0.8))
-
-    def test_exact_converges_to_approx(self):
-        c = SystemConfig(w=0.4, zeta=0.7, snr_db=80)
-        assert amplification_factor(2.0, c, mode="exact") == pytest.approx(
-            amplification_factor(2.0, c, mode="approx"), rel=1e-6
-        )
-
-    def test_exact_below_approx_at_finite_snr(self):
-        c = SystemConfig(snr_db=10)
-        assert amplification_factor(1.0, c, mode="exact") < amplification_factor(1.0, c)
-
-    def test_invalid_inputs(self):
-        c = SystemConfig()
-        with pytest.raises(ValueError):
-            amplification_factor(-1.0, c)
-        with pytest.raises(ValueError):
-            amplification_factor(1.0, c, mode="nope")
-
-
 class TestSinr:
     def test_hand_computed(self):
         c = SystemConfig()  # c1=2, c2=2.5, gamma=100
@@ -149,10 +123,6 @@ class TestSinr:
             sinr(2, 1, 1.0, 1.0, c)
         with pytest.raises(ValueError):
             sinr(1, 4, 1.0, 1.0, c)
-
-    def test_exact_g_never_exceeds_approx(self):
-        c = SystemConfig(snr_db=10)
-        assert sinr(1, 1, 1.0, 1.0, c, exact_g=True) < sinr(1, 1, 1.0, 1.0, c)
 
     def test_high_snr_limit(self):
         # as gamma -> inf the SINR tends to a_l / Sigma_l

@@ -74,20 +74,22 @@ class TestSimulateBlock:
 
     def test_matches_full_matrix_event_rate(self):
         """The sufficient-statistic kernel must agree with the event computed
-        from full per-antenna draws (independent sampling route)."""
-        c = SystemConfig(snr_db=10)
+        from full per-antenna draws (independent sampling route).  The 2-user
+        and three-transmit-antenna configs reach the vote tie-break."""
         n = 20000
-        g = rng(42)
-        naive = np.zeros(3)
-        for _ in range(n):
-            r = sample_realization(c, g)
-            for k in (1, 2, 3):
-                naive[k - 1] += outage_event(k, r, c)
-        naive /= n
-        fast = simulate_block(c, seed=7, block=0, n=n) / n
-        for k in range(3):
-            se = np.sqrt(2 * naive[k] * (1 - naive[k]) / n)
-            assert abs(fast[k] - naive[k]) < 4 * se
+        for c in (SystemConfig(snr_db=10),
+                  SystemConfig(snr_db=10, a=(0.7, 0.3), gamma_th=(1.0, 1.0)),
+                  SystemConfig(snr_db=10, n_rt=3)):
+            g = rng(42)
+            naive = np.zeros(c.k_users)
+            for _ in range(n):
+                r = sample_realization(c, g)
+                for k in range(1, c.k_users + 1):
+                    naive[k - 1] += outage_event(k, r, c)
+            naive /= n
+            fast = simulate_block(c, seed=7, block=0, n=n) / n
+            se = np.sqrt(2 * naive * (1 - naive) / n)
+            assert (np.abs(fast - naive) < 4 * se).all(), (c, fast, naive)
 
 
 class TestEstimateOp:
@@ -131,13 +133,6 @@ class TestEstimateOp:
     def test_rejects_infeasible_config(self):
         with pytest.raises(InfeasibleConfigError):
             estimate_op(SystemConfig(xi=0.1), 1000)
-
-    def test_exact_amplification_is_more_pessimistic(self):
-        c = SystemConfig(snr_db=10)
-        approx = estimate_op(c, 200000, seed=3)
-        exact = estimate_op(c, 200000, seed=3, exact_g=True)
-        for k in (1, 2, 3):
-            assert exact.op_hat[k - 1] >= approx.op_hat[k - 1]
 
 
 class TestCiHalfwidth:
