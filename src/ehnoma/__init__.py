@@ -1,6 +1,6 @@
 """Outage probability of an EH MIMO-NOMA downlink with joint antenna selection."""
 
-from .analysis import op_closed_form, op_numerical
+from .analysis import UnresolvedNumericsError, op_closed_form, op_numerical
 from .fading import (
     MAJORITY_RANK_COEFFS,
     NakagamiParams,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,6 +33,15 @@ _QUAD_REL_TOL = 1e-13
 _DOUBLE_DIGITS = 17
 
 
+class UnresolvedNumericsError(ArithmeticError):
+    """An analytic OP its numerics cannot resolve to _REL_TOL.
+
+    The closed form raises it when its sum stays below its own rounding noise
+    at every precision it may use, the quadrature when quad's error estimate
+    exceeds _REL_TOL times the OP.
+    """
+
+
 @lru_cache(maxsize=None)
 def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> tuple:
     """The closed form's six-fold sum, grouped by the Bessel factor its terms share.
@@ -42,8 +50,10 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> tuple:
         c * X^s * Y^j * (p X / ((1+u) Y))^(nu/2) * e^(-(1+u) Y) * K_nu(2 sqrt(p (1+u) X Y))
     with X = b_ru c2 / c1, Y = b_sr tau*, j = m_sr + v, nu = z - s + 1 and c an
     exact rational collecting the eta coefficient, the binomials, the theta
-    coefficients, the sign and 2N/(m_sr-1)!.  The Bessel factor depends only on
-    (p, u, nu), so the terms are returned as ((p, u, nu, ((s, j, c), ...)), ...).
+    coefficients, the sign and 2N/(m_sr-1)!.  The Bessel factor depends only
+    on (p, u, nu) and its argument only on (p, u), so the terms are returned
+    as (s_top, j_top, ((p, u, ((nu, ((s, j, c), ...)), ...)), ...)), where
+    s_top and j_top are the largest powers of X and Y.
     """
     groups = {}
     scale = Fraction(2 * n, math.factorial(m_sr - 1))
@@ -55,33 +65,64 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> tuple:
                 big_m = m_sr - 1 + v
                 base = scale * eta * c_ru * c_sr
                 for z in range(big_m + 1):
-                    poly = groups.setdefault((p, u, z - s + 1), {})
+                    poly = groups.setdefault((p, u), {}).setdefault(z - s + 1, {})
                     key = (s, m_sr + v)
                     poly[key] = poly.get(key, 0) + base * math.comb(big_m, z)
-    out = []
-    for (p, u, nu), poly in groups.items():
-        monomials = tuple((s, j, c) for (s, j), c in poly.items() if c)
-        if monomials:
-            out.append((p, u, nu, monomials))
-    return tuple(out)
+    out, s_top, j_top = [], 0, 0
+    for (p, u), by_nu in groups.items():
+        orders = []
+        for nu, poly in by_nu.items():
+            monomials = tuple((s, j, c) for (s, j), c in poly.items() if c)
+            if monomials:
+                orders.append((nu, monomials))
+                s_top = max(s_top, *(s for s, _, _ in monomials))
+                j_top = max(j_top, *(j for _, j, _ in monomials))
+        if orders:
+            out.append((p, u, tuple(orders)))
+    return s_top, j_top, tuple(out)
 
 
-def _closed_form_sum(ctx, fsum, kve, groups, x, y):
+def _closed_form_sum(ctx, fsum, kve, terms, x, y):
     """(sum t, sum |t|) over the closed form's terms, in the arithmetic of ctx.
 
     The terms are 1 and every group's monomials times the group's Bessel
-    factor.  `fsum` sums accurately in ctx; `kve(nu, t)` is the exponentially
-    scaled Bessel function e^t K_nu(t), which keeps the underflow of a far
-    tail inside one exp().
+    factor.  `fsum` sums accurately in ctx; `kve(t, orders)` maps each order
+    n in `orders` to the exponentially scaled Bessel function e^t K_n(t),
+    which keeps the underflow of a far tail inside one exp().
     """
-    terms = [ctx.one]
-    for p, u, nu, poly in groups:
+    s_top, j_top, groups = terms
+    xs = [x**s for s in range(s_top + 1)]
+    ys = [y**j for j in range(j_top + 1)]
+    out = [ctx.one]
+    for p, u, by_nu in groups:
         arg = 2 * ctx.sqrt(p * (1 + u) * x * y)
-        bessel = ((p * x / ((1 + u) * y)) ** (ctx.mpf(nu) / 2)
-                  * ctx.exp(-(1 + u) * y - arg) * kve(nu, arg))
-        for s, j, c in poly:
-            terms.append(ctx.mpf(c.numerator) / c.denominator * x**s * y**j * bessel)
-    return fsum(terms), fsum(map(abs, terms))
+        scale = ctx.exp(-(1 + u) * y - arg)
+        kves = kve(arg, {abs(nu) for nu, _ in by_nu})
+        for nu, poly in by_nu:
+            bessel = (p * x / ((1 + u) * y)) ** (ctx.mpf(nu) / 2) * scale * kves[abs(nu)]
+            for s, j, c in poly:
+                out.append(ctx.mpf(c.numerator) / c.denominator * xs[s] * ys[j] * bessel)
+    return fsum(out), fsum(map(abs, out))
+
+
+def _kve_float(t, orders):
+    return {n: special.kve(n, t) for n in orders}
+
+
+def _kve_mp(t, orders):
+    """e^t K_n(t) for each n in `orders`, from at most two Bessel calls.
+
+    Orders above 1 come from K_0 and K_1 by the upward recurrence
+    K_{n+1} = K_{n-1} + (2n/t) K_n (DLMF 10.29.1).  Its terms are all
+    positive, so it loses no digits, and the e^t scale passes through it.
+    """
+    scale = mp.exp(t)
+    if max(orders) < 2:
+        return {n: mp.besselk(n, t) * scale for n in orders}
+    kv = [mp.besselk(0, t) * scale, mp.besselk(1, t) * scale]
+    for n in range(1, max(orders)):
+        kv.append(kv[n - 1] + 2 * n / t * kv[n])
+    return {n: kv[n] for n in orders}
 
 
 def _condition(total, abs_total, eps):
@@ -97,8 +138,13 @@ def _digits(cond) -> int:
     return int(mp.ceil(mp.log10(cond))) + _DOUBLE_DIGITS
 
 
-def _kve_mp(nu, t):
-    return mp.besselk(nu, t) * mp.exp(t)
+def _first_hop_head(config: SystemConfig, tau: float) -> float:
+    """F_sr(tau*)^N, the chance that even the best first-hop pair is below tau*.
+
+    The OP is this plus a positive integral, so it bounds the OP from below.
+    """
+    return (special.gammainc(config.m_sr, config.sr_fading.rate * tau)
+            ** (config.n_s * config.n_rr))
 
 
 def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
@@ -106,30 +152,36 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
 
     The float sum is returned when its error bound, measured from the
     summation condition number, is inside _REL_TOL.  Otherwise the same terms
-    are summed again with mpmath at log10(condition) + 17 digits, adding
-    digits until they cover the condition measured at the working precision.
+    are summed with mpmath at log10(condition) + 17 digits, adding digits
+    until they cover the condition measured at the working precision.  A
+    float sum below its own rounding noise measures no condition; then the
+    OP's lower bound F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.
     """
-    groups = _bessel_groups(k, config.sr_fading.int_m, config.ru_fading.int_m,
-                            config.n_s * config.n_rr, config.n_u)
+    terms = _bessel_groups(k, config.sr_fading.int_m, config.ru_fading.int_m,
+                           config.n_s * config.n_rr, config.n_u)
     x = config.ru_fading.rate * config.c2 / config.c1
     y = config.sr_fading.rate * tau
-    total, abs_total = _closed_form_sum(mp.fp, math.fsum, special.kve, groups, x, y)
+    total, abs_total = _closed_form_sum(mp.fp, math.fsum, _kve_float, terms, x, y)
     cond = _condition(total, abs_total, mp.fp.eps)
     if _FLOAT_TERM_ERR * cond <= _REL_TOL:
         return total
     # a sum still unresolved once its rounding noise lies 17 digits below the
     # smallest double has no double to return
     max_dps = _digits(mp.mpf(abs_total) / sys.float_info.min)
+    head = _first_hop_head(config, tau)
+    if abs(total) < mp.fp.eps * abs_total and head >= sys.float_info.min:
+        cond = mp.mpf(abs_total) / head
     dps = _digits(cond)
     while dps <= max_dps:
         with mp.workdps(dps):
-            total, abs_total = _closed_form_sum(mp.mp, mp.fsum, _kve_mp, groups,
+            total, abs_total = _closed_form_sum(mp.mp, mp.fsum, _kve_mp, terms,
                                                 mp.mpf(x), mp.mpf(y))
             need = _digits(_condition(total, abs_total, mp.eps))
             if need <= dps:
                 return float(total)
         dps = need
-    raise ArithmeticError(f"closed-form OP for k={k} unresolved within {max_dps} digits")
+    raise UnresolvedNumericsError(
+        f"closed-form OP for k={k} unresolved within {max_dps} digits")
 
 
 def _check_scope(config: SystemConfig) -> None:
@@ -156,9 +208,13 @@ def op_closed_form(k: int, config: SystemConfig) -> float:
 def op_numerical(k: int, config: SystemConfig) -> float:
     """Outage probability by adaptive quadrature of the outage integral.
 
-    F_sr(tau*) + integral over x > tau* of
-    F_ru(tau* c2 / (c1 (x - tau*))) * f_sr(x) dx,
-    with both CDFs in unexpanded power form.  Accepts non-integer fading m.
+    F_sr(tau*)^N + integral over y > 0 of
+    F_ru(tau* c2 / (c1 y)) * f_sr(tau* + y) dy,
+    with both CDFs in unexpanded power form.  The integral runs over
+    t = ln y with a breakpoint where the second-hop CDF turns, near
+    y = tau* c2 / c1, which deep in outage is a tiny fraction of the range.
+    Accepts non-integer fading m.  Raises UnresolvedNumericsError when quad's
+    error estimate exceeds _REL_TOL times the OP.
     """
     _check_scope(config)
     tau = tau_star(k, config)
@@ -177,22 +233,30 @@ def op_numerical(k: int, config: SystemConfig) -> float:
         g = special.gammainc(m_ru, m_ru * x / om_ru) ** n_u
         return sum(e * g**q for q, e in etas)
 
-    def integrand(y):
+    def integrand(t):
+        y = math.exp(t)
         x = tau + y
-        f_x = math.exp(
-            m_sr * math.log(b_sr) + (m_sr - 1) * math.log(x) - b_sr * x - log_gamma_m
-        )
+        # f_x * dy/dt, the Gamma pdf times y
+        f_x = math.exp(m_sr * math.log(b_sr) + (m_sr - 1) * math.log(x) - b_sr * x
+                       - log_gamma_m + t)
         f_sr = n * f_x * special.gammainc(m_sr, b_sr * x) ** (n - 1)
-        f_ru = cdf_ru(ratio / y) if y > 1e-300 else 1.0
-        return f_ru * f_sr
+        return cdf_ru(ratio / y) * f_sr
 
     # choose the upper limit so the neglected first-hop tail mass is < 1e-14
     x_max = (om_sr / m_sr) * special.gammainccinv(m_sr, 1e-15 / n)
-    head = special.gammainc(m_sr, b_sr * tau) ** n
+    head = _first_hop_head(config, tau)
     if x_max <= tau:
         return head
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        tail, _ = integrate.quad(integrand, 0.0, x_max - tau, epsabs=1e-280,
-                                 epsrel=_QUAD_REL_TOL, limit=800)
-    return head + tail
+    # F_sr(x) / x^m_sr falls with x, so the mass below y_lo, at most
+    # F_sr(tau* + y_lo)^N - F_sr(tau*)^N <= ((1 + y_lo/tau*)^(m_sr N) - 1) head,
+    # is below 1e-15 of head, and head <= OP
+    y_lo = tau * math.expm1(math.log1p(1e-15) / (m_sr * n))
+    t_lo, t_hi, t_turn = math.log(y_lo), math.log(x_max - tau), math.log(ratio)
+    tail, err = integrate.quad(integrand, t_lo, t_hi, epsabs=1e-280, epsrel=_QUAD_REL_TOL,
+                               limit=800, points=[t_turn] if t_lo < t_turn < t_hi else None)
+    op = head + tail
+    if err > _REL_TOL * op:
+        raise UnresolvedNumericsError(
+            f"quadrature OP for k={k}: error estimate {err:.3g} exceeds "
+            f"{_REL_TOL:g} of {op:.6g}")
+    return op

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import op_closed_form, op_numerical
+from .analysis import UnresolvedNumericsError, op_closed_form, op_numerical
 from .fading import UnsupportedModelError
 from .link import InfeasibleConfigError, SystemConfig
 from .montecarlo import estimate_op
@@ -18,6 +18,7 @@ EXIT_INFEASIBLE = 2
 EXIT_SEARCH = 3
 EXIT_PARSE = 4
 EXIT_UNSUPPORTED = 5
+EXIT_UNRESOLVED = 6
 
 CSV_HEADER = "scenario,variable,value,user,method,op,ci_halfwidth,trials"
 METHOD_ORDER = ("analytic", "quadrature", "montecarlo")
@@ -164,6 +165,8 @@ def _point_rows(scenario: str, variable: str, value: float, config: SystemConfig
                     row["op"] = "%.8e" % op(k, config)
                 except UnsupportedModelError:
                     row["op"] = "unsupported"
+                except UnresolvedNumericsError:
+                    row["op"] = "unresolved"
             rows.append(row)
     return rows
 
@@ -370,6 +373,9 @@ def main(argv=None) -> int:
     except UnsupportedModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except UnresolvedNumericsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNRESOLVED
     except (SearchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH

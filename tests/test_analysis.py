@@ -3,15 +3,20 @@
 import math
 import warnings
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehnoma import (
     SystemConfig,
+    UnresolvedNumericsError,
     UnsupportedModelError,
     analysis,
     op_closed_form,
     op_numerical,
 )
+from ehnoma.link import tau_star
 
 # Frozen outputs of the adaptive-quadrature oracle, which integrates the
 # unexpanded power-form CDFs and shares no series machinery with the closed
@@ -39,6 +44,11 @@ ORACLE_VALUES = [
     (dict(m_sr=2, m_ru=2, snr_db=60), 3, 4.647570134857768e-37),
     # condition ~1e9, near the top of the float path's band
     (dict(m_sr=2, m_ru=2, snr_db=20, w=0.35), 2, 1.3206038881638422e-05),
+    # not quadrature outputs: values of the independent mpmath reference
+    # (perfbench/reference.py), at deep-outage points where the quadrature
+    # once lost most of its tail
+    (dict(snr_db=50), 2, 2.26051679376497e-15),
+    (dict(m_sr=2, m_ru=2, snr_db=40), 3, 4.597498201948514e-21),
 ]
 
 
@@ -65,6 +75,14 @@ class TestQuadratureOracle:
         c = SystemConfig(a=(0.7, 0.3), gamma_th=(1.0, 1.0))
         with pytest.raises(UnsupportedModelError):
             op_numerical(1, c)
+
+    def test_error_estimate_above_tolerance_raises(self, monkeypatch):
+        # a quad whose error estimate is as large as its value must not be
+        # returned as an OP
+        monkeypatch.setattr(analysis.integrate, "quad",
+                            lambda *args, **kwargs: (1e-3, 1e-3))
+        with pytest.raises(UnresolvedNumericsError):
+            op_numerical(2, SystemConfig())
 
     def test_scope_requires_two_transmit_antennas(self):
         with pytest.raises(UnsupportedModelError):
@@ -116,6 +134,44 @@ class TestClosedForm:
                             lambda ctx, *args: (ctx.zero, 2 * ctx.one))
         with pytest.raises(ArithmeticError):
             op_closed_form(1, SystemConfig())
+
+    @pytest.mark.parametrize("kwargs,k", [(dict(snr_db=60), 2),
+                                          (dict(m_sr=2, m_ru=2, snr_db=60), 3)])
+    def test_deep_point_takes_one_mp_pass(self, monkeypatch, kwargs, k):
+        # the float sum is unresolved here; sum|t| / F_sr(tau*)^N must give
+        # the mp pass enough digits the first time
+        contexts = []
+        real_sum = analysis._closed_form_sum
+
+        def counting_sum(ctx, *args):
+            contexts.append(ctx)
+            return real_sum(ctx, *args)
+
+        monkeypatch.setattr(analysis, "_closed_form_sum", counting_sum)
+        op_closed_form(k, SystemConfig(**kwargs))
+        assert contexts == [mp.fp, mp.mp]
+
+    @pytest.mark.parametrize("key", [(3, 2, 2, 4, 2), (3, 3, 3, 4, 2)])
+    def test_bessel_recurrence_matches_besselk(self, key):
+        # at the Bessel arguments of a deep point, where the mp pass runs
+        _, _, groups = analysis._bessel_groups(*key)
+        c = SystemConfig(snr_db=60, m_sr=key[1], m_ru=key[2])
+        with mp.workdps(50):
+            x = mp.mpf(c.ru_fading.rate * c.c2 / c.c1)
+            y = mp.mpf(c.sr_fading.rate * tau_star(key[0], c))
+            for p, u, by_nu in groups:
+                t = 2 * mp.sqrt(p * (1 + u) * x * y)
+                orders = {abs(nu) for nu, _ in by_nu}
+                for n, kve in analysis._kve_mp(t, orders).items():
+                    exact = mp.besselk(n, t) * mp.exp(t)
+                    assert abs(kve - exact) <= 1e-40 * exact
+
+    @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
+           st.floats(0, 60), st.floats(0.2, 0.8), st.sampled_from([0.0, 0.02]))
+    @settings(max_examples=30, deadline=None)
+    def test_first_hop_head_bounds_op(self, m_sr, m_ru, k, snr, w, xi):
+        c = SystemConfig(m_sr=m_sr, m_ru=m_ru, snr_db=snr, w=w, xi=xi)
+        assert analysis._first_hop_head(c, tau_star(k, c)) <= op_closed_form(k, c)
 
     def test_imperfect_sic_leaves_rank_one_unchanged(self):
         base = op_closed_form(1, SystemConfig(xi=0.0, snr_db=25))

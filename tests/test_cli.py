@@ -6,13 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ehnoma import SystemConfig, op_closed_form
+from ehnoma import SystemConfig, analysis, op_closed_form
 from ehnoma.cli import (
     CSV_HEADER,
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_SEARCH,
+    EXIT_UNRESOLVED,
     EXIT_UNSUPPORTED,
     ScenarioParseError,
     SearchError,
@@ -270,3 +271,23 @@ class TestMain:
                 assert row[5] == "unsupported"
             else:
                 assert 0.0 < float(row[5]) < 1.0
+
+    def test_unresolved_rows_and_exit(self, monkeypatch, capsys):
+        # terms that cancel exactly leave every closed-form point unresolved
+        monkeypatch.setattr(analysis, "_closed_form_sum",
+                            lambda ctx, *args: (ctx.zero, 2 * ctx.one))
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        code = main(["sweep", path, "--var", "snr_db", "--start", "10",
+                     "--stop", "10", "--points", "1",
+                     "--methods", "analytic,quadrature"])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 3 * 2
+        for row in rows:
+            if row[4] == "analytic":
+                assert row[5] == "unresolved"
+            else:
+                assert 0.0 < float(row[5]) < 1.0
+        code = main(["find-snr", path, "--user", "1", "--target", "1e-2"])
+        assert code == EXIT_UNRESOLVED
+        assert "error:" in capsys.readouterr().err
