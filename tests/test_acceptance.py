@@ -1,7 +1,7 @@
 """Acceptance gate: seven release criteria, one pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -s` to see every criterion line as
-it completes.  The gate needs about four and a half minutes on a 2-core
+it completes.  The gate needs about a minute and a half on a 2-core
 machine; the bulk is criterion 1's 10^7-trial Monte Carlo cross-checks.
 """
 

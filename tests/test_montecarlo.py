@@ -13,8 +13,10 @@ from ehnoma import (
     outage_event,
     sample_realization,
 )
+from ehnoma import montecarlo
 from ehnoma.montecarlo import (
     BLOCK_SIZE,
+    CHUNK_SIZE,
     _ci_halfwidth,
     _max_of_iid,
     simulate_block,
@@ -40,7 +42,7 @@ class TestSampleRealization:
 
 
 class TestMaxOfIid:
-    @pytest.mark.parametrize("m,n_iid", [(1, 1), (1, 4), (2, 3), (2.5, 2)])
+    @pytest.mark.parametrize("m,n_iid", [(1, 1), (1, 4), (2, 3), (2.5, 2), (3, 2)])
     def test_distribution_matches_power_cdf(self, m, n_iid):
         """The reduced row-maximum sampler must follow F(x)^n exactly."""
         omega = 1.7
@@ -54,8 +56,77 @@ class TestMaxOfIid:
         )
         assert ks < 0.004  # ~1.3 / sqrt(n) is the 1e-3 rejection line
 
+    @pytest.mark.parametrize("m,n_iid", [(2, 1), (2, 4), (3, 2), (1.5, 3)])
+    def test_bitwise_equal_to_axis_reductions(self, m, n_iid):
+        """The elementwise sum and max give the bits of numpy's reductions
+        over the scaled entries, from the same stream."""
+        shape, omega = (3000, 3, 2), 1.7
+        full = shape + (n_iid,)
+        ref = rng(5)
+        if float(m).is_integer():
+            entries = ref.standard_exponential(full + (m,)).sum(axis=-1) * (omega / m)
+        else:
+            entries = ref.standard_gamma(m, size=full) * (omega / m)
+        got = _max_of_iid(rng(5), m, omega, n_iid, shape)
+        assert got.shape == shape
+        assert np.array_equal(got, entries.max(axis=-1))
+
+
+GOLDEN_CONFIGS = {
+    "m1": dict(snr_db=12),
+    "m2": dict(snr_db=12, m_sr=2, m_ru=2),
+    "m3": dict(snr_db=12, m_sr=3, m_ru=3),
+    "m1.5": dict(snr_db=12, m_sr=1.5, m_ru=1.5),
+    "n_rt3": dict(snr_db=12, n_rt=3),
+    "two_users": dict(snr_db=3, a=(0.7, 0.3), gamma_th=(1.0, 1.0)),
+    "n_u3_mixed": dict(snr_db=12, m_sr=1, m_ru=2, n_u=3, xi=0.02),
+    "n_rt3_two_users_m2": dict(snr_db=3, n_rt=3, m_sr=2, m_ru=2,
+                               a=(0.7, 0.3), gamma_th=(1.0, 1.0)),
+}
+
+# (config, seed, block, n, counts), recorded from the kernel that drew each
+# block in one piece and used numpy's axis reductions: the per-block stream
+# and the counts must not change.  n = 20000 ends in a partial chunk, 5000
+# is less than one chunk and BLOCK_SIZE is a full block.
+GOLDEN_COUNTS = [
+    ("m1", 2024, 3, 20000, (8652, 6099, 5188)),
+    ("m1", 7, 0, 5000, (2183, 1553, 1324)),
+    ("m1", 1, 1, BLOCK_SIZE, (113890, 79907, 68332)),
+    ("m2", 2024, 3, 20000, (8606, 6418, 5409)),
+    ("m2", 7, 0, 5000, (2090, 1558, 1303)),
+    ("m2", 1, 1, BLOCK_SIZE, (112994, 84122, 71025)),
+    ("m3", 2024, 3, 20000, (9324, 7267, 6110)),
+    ("m3", 7, 0, 5000, (2249, 1728, 1446)),
+    ("m3", 1, 1, BLOCK_SIZE, (121586, 93816, 79286)),
+    ("m1.5", 2024, 3, 20000, (8511, 6219, 5339)),
+    ("m1.5", 7, 0, 5000, (2051, 1483, 1256)),
+    ("m1.5", 1, 1, BLOCK_SIZE, (111039, 80303, 68259)),
+    ("n_rt3", 2024, 3, 20000, (8607, 5944, 5011)),
+    ("n_rt3", 7, 0, 5000, (2210, 1512, 1275)),
+    ("n_rt3", 1, 1, BLOCK_SIZE, (113392, 78514, 65656)),
+    ("two_users", 2024, 3, 20000, (2889, 2863)),
+    ("two_users", 7, 0, 5000, (715, 690)),
+    ("two_users", 1, 1, BLOCK_SIZE, (37855, 37628)),
+    ("n_u3_mixed", 2024, 3, 20000, (6794, 7652, 8388)),
+    ("n_u3_mixed", 7, 0, 5000, (1708, 1926, 2113)),
+    ("n_u3_mixed", 1, 1, BLOCK_SIZE, (88989, 100412, 109635)),
+    ("n_rt3_two_users_m2", 2024, 3, 20000, (1385, 2041)),
+    ("n_rt3_two_users_m2", 7, 0, 5000, (317, 497)),
+    ("n_rt3_two_users_m2", 1, 1, BLOCK_SIZE, (18560, 27293)),
+]
+
 
 class TestSimulateBlock:
+    @pytest.mark.parametrize("name,seed,block,n,counts", GOLDEN_COUNTS,
+                             ids=[f"{row[0]}-{row[3]}" for row in GOLDEN_COUNTS])
+    def test_golden_counts(self, name, seed, block, n, counts):
+        """Same Philox stream per (seed, block), same counts, for every
+        sampler route (m = 1, 2, 3, 1.5), the vote tie-break and chunk
+        boundaries that do not divide n."""
+        assert 20000 % CHUNK_SIZE and 5000 < CHUNK_SIZE
+        got = simulate_block(SystemConfig(**GOLDEN_CONFIGS[name]), seed, block, n)
+        assert tuple(got.tolist()) == counts
+
     def test_counts_bounded_and_integer(self):
         counts = simulate_block(SystemConfig(), seed=0, block=0, n=5000)
         assert counts.dtype == np.int64
@@ -95,10 +166,38 @@ class TestSimulateBlock:
 class TestEstimateOp:
     def test_identical_across_worker_counts(self):
         c = SystemConfig()
-        trials = 2 * BLOCK_SIZE + 1234
+        trials = 4 * BLOCK_SIZE + 1234  # five blocks: two pool workers
         one = estimate_op(c, trials, seed=5, workers=1)
         two = estimate_op(c, trials, seed=5, workers=2)
         assert one == two
+
+    @pytest.mark.parametrize("blocks,workers,expected", [
+        (1, 16, None), (3, 16, None), (4, 2, None), (5, 2, 2), (5, 16, 2),
+        (8, 2, 2), (9, 16, 3), (17, 3, 3), (17, 1, None),
+    ])
+    def test_pool_size_capped_by_tasks(self, monkeypatch, blocks, workers, expected):
+        """At most one worker per task of four blocks; in-process when one."""
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "simulate_block",
+                            lambda config, seed, block, n: np.zeros(3, dtype=np.int64))
+        est = estimate_op(SystemConfig(), blocks * BLOCK_SIZE, workers=workers)
+        assert est.trials == blocks * BLOCK_SIZE
+        assert started == ([] if expected is None else [expected])
 
     def test_seed_changes_estimate(self):
         c = SystemConfig(snr_db=10)
@@ -138,12 +237,14 @@ class TestEstimateOp:
 class TestCiHalfwidth:
     def test_normal_regime(self):
         h = _ci_halfwidth(500, 10000)
+        assert type(h) is float
         p = 0.05
         assert h == pytest.approx(1.96 * np.sqrt(p * (1 - p) / 10000), rel=1e-12)
 
     def test_sparse_counts_use_wilson(self):
         # Wilson stays positive even with zero successes
         assert _ci_halfwidth(0, 10000) > 0.0
+        assert type(_ci_halfwidth(5, 10000)) is float
 
     def test_halfwidth_shrinks_with_n(self):
         assert _ci_halfwidth(50, 1000) > _ci_halfwidth(500, 10000)
