@@ -110,16 +110,43 @@ def _kve_float(t, orders):
 
 
 def _kve_mp(t, orders):
-    """e^t K_n(t) for each n in `orders`, from at most two Bessel calls.
+    """e^t K_n(t) for each n in `orders`, from one power series for K_0 and K_1.
 
-    Orders above 1 come from K_0 and K_1 by the upward recurrence
-    K_{n+1} = K_{n-1} + (2n/t) K_n (DLMF 10.29.1).  Its terms are all
-    positive, so it loses no digits, and the e^t scale passes through it.
+    With L = ln(t/2) + gamma and H_k the k-th harmonic number (DLMF 10.31.1
+    at n = 0 and 1),
+        K_0(t) = sum_k (t^2/4)^k / (k!)^2 (H_k - L),
+        K_1(t) = 1/t + (t/2) sum_k (t^2/4)^k / (k! (k+1)!) (L - (H_k + H_(k+1))/2),
+    and both sums come out of one loop.  Their terms grow like e^t while K
+    falls like e^-t, so the loop works 2t log2(e) + 10 bits beyond the
+    caller's precision and stops past the largest term (k > t/2) once a term
+    falls below 2^-(working bits) of the partial sum.  Orders above 1 come
+    by the upward recurrence K_{n+1} = K_{n-1} + (2n/t) K_n (DLMF 10.29.1).
+    Its terms are all positive, so it loses no digits, and the e^t scale
+    passes through it.
     """
-    scale = mp.exp(t)
-    if max(orders) < 2:
-        return {n: mp.besselk(n, t) * scale for n in orders}
-    kv = [mp.besselk(0, t) * scale, mp.besselk(1, t) * scale]
+    wp = mp.mp.prec + int(mp.ceil(2 * t / mp.ln2)) + 10
+    with mp.workprec(wp):
+        q, half = t * t / 4, t / 2
+        ell = mp.log(half) + mp.euler
+        a, h = mp.mpf(1), mp.mpf(0)  # (t^2/4)^k / (k!)^2 and H_k
+        i0 = s0 = i1 = s1 = mp.mpf(0)
+        k = 0
+        while True:
+            b = a / (k + 1)
+            h_next = h + mp.mpf(1) / (k + 1)
+            i0 += a
+            s0 += a * h
+            i1 += b
+            s1 += b * (h + h_next)
+            k += 1
+            if k > half and mp.ldexp(a, wp) < i0:
+                break
+            a = a * q / (k * k)
+            h = h_next
+        scale = mp.exp(t)
+        k0 = (s0 - ell * i0) * scale
+        k1 = (1 / t + half * (ell * i1 - s1 / 2)) * scale
+    kv = [+k0, +k1]
     for n in range(1, max(orders)):
         kv.append(kv[n - 1] + 2 * n / t * kv[n])
     return {n: kv[n] for n in orders}

@@ -40,6 +40,16 @@ class SearchError(RuntimeError):
     """Bracket or grid failure in a root/optimum search."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit EXIT_PARSE through main.
+
+    argparse's own exit code for them, 2, is EXIT_INFEASIBLE here.
+    """
+
+    def error(self, message):
+        raise ScenarioParseError(f"{self.prog}: {message}")
+
+
 def _fmt_num(v) -> str:
     if float(v).is_integer():
         return str(int(v))
@@ -95,8 +105,12 @@ def serialize_scenario(config: SystemConfig) -> str:
 
 
 def load_scenario(path: str) -> SystemConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeError) as exc:
+        raise ScenarioParseError(f"cannot read scenario: {exc}") from exc
+    return parse_scenario(text)
 
 
 @dataclass(frozen=True)
@@ -285,15 +299,15 @@ def _apply_overrides(config: SystemConfig, pairs) -> SystemConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("scenario", help="scenario file path")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a scenario value (repeatable)")
     common.add_argument("--out", help="write CSV here instead of stdout")
 
-    p = argparse.ArgumentParser(prog="ehnoma",
-                                description="Outage probability of an EH MIMO-NOMA "
-                                            "downlink with joint antenna selection")
+    p = _Parser(prog="ehnoma",
+                description="Outage probability of an EH MIMO-NOMA "
+                            "downlink with joint antenna selection")
     sub = p.add_subparsers(dest="command", required=True)
 
     sub.add_parser("analytic", parents=[common],
@@ -333,9 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _apply_overrides(load_scenario(args.scenario), args.set)
         if args.command in ("analytic", "quadrature", "simulate"):
             methods = {"analytic": ("analytic",), "quadrature": ("quadrature",),

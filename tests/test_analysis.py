@@ -52,6 +52,22 @@ ORACLE_VALUES = [
 ]
 
 
+# op_closed_form doubles, bit for bit, at points that take the mpmath pass;
+# recorded when e^t K_0 and e^t K_1 came from mpmath's besselk.
+GOLDEN_DOUBLES = [
+    (dict(snr_db=30), 2, "0x1.d03d74679b94bp-23"),
+    (dict(snr_db=30, xi=0.02), 3, "0x1.c547af1558ab9p-22"),
+    (dict(snr_db=50), 1, "0x1.c4bd67fd4fb52p-29"),
+    (dict(snr_db=50, xi=0.02), 2, "0x1.340b4cc991cc7p-48"),
+    (dict(snr_db=50), 3, "0x1.c25a3e6fe39e5p-50"),
+    (dict(snr_db=60, xi=0.02), 1, "0x1.2193c1b05099dp-35"),
+    (dict(snr_db=60), 2, "0x1.0afbbfdc0830fp-62"),
+    (dict(snr_db=60, xi=0.02), 3, "0x1.0676ff3a0c5dfp-61"),
+    (dict(m_sr=2, m_ru=2, snr_db=60), 3, "0x1.3c4c17798eb80p-121"),
+    (dict(m_sr=3, m_ru=3, snr_db=20), 3, "0x1.9a822caa2ff07p-22"),
+]
+
+
 class TestQuadratureOracle:
     @pytest.mark.parametrize("kwargs,k,expect", ORACLE_VALUES)
     def test_frozen_values(self, kwargs, k, expect):
@@ -165,6 +181,24 @@ class TestClosedForm:
                 for n, kve in analysis._kve_mp(t, orders).items():
                     exact = mp.besselk(n, t) * mp.exp(t)
                     assert abs(kve - exact) <= 1e-40 * exact
+
+    @pytest.mark.parametrize("dps", [20, 40, 60, 100])
+    def test_series_matches_besselk(self, dps):
+        # both ends of the series' range: cancellation-free near 0, and
+        # terms e^(2t) above the result at t = 60
+        with mp.workdps(dps):
+            for i in range(40):
+                t = mp.mpf(1e-4) * mp.mpf(6e5) ** (mp.mpf(i) / 39)
+                kves, tol = analysis._kve_mp(t, {0, 1}), 4 * mp.eps
+                with mp.workdps(dps + 20):
+                    for n in (0, 1):
+                        exact = mp.besselk(n, t) * mp.exp(t)
+                        assert abs(kves[n] - exact) <= tol * exact, (n, t)
+
+    @pytest.mark.parametrize("kwargs,k,expect", GOLDEN_DOUBLES)
+    def test_golden_doubles(self, kwargs, k, expect):
+        # mp-path points: a faster high-precision pass must not move a bit
+        assert op_closed_form(k, SystemConfig(**kwargs)).hex() == expect
 
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
            st.floats(0, 60), st.floats(0.2, 0.8), st.sampled_from([0.0, 0.02]))

@@ -236,6 +236,20 @@ class TestMain:
         assert main(["analytic", str(bad)]) == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_scenario_exit(self, tmp_path, capsys):
+        assert main(["analytic", str(tmp_path / "nonexistent.scn")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [["find-w", "{path}"],
+                                      ["simulate", "{path}", "--trials", "abc"]])
+    def test_usage_error_exit(self, tmp_path, capsys, argv):
+        # argparse would exit 2, which is EXIT_INFEASIBLE
+        path = write_scenario(tmp_path)
+        assert main([a.format(path=path) for a in argv]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_infeasible_simulate_exit(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SystemConfig(xi=0.1))
         assert main(["simulate", str(path), "--trials", "100"]) == EXIT_INFEASIBLE

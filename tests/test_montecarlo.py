@@ -10,8 +10,8 @@ from ehnoma import (
     cdf_squared_gain,
     estimate_op,
     op_closed_form,
-    outage_event,
     sample_realization,
+    sample_squared_gain,
 )
 from ehnoma import montecarlo
 from ehnoma.montecarlo import (
@@ -151,16 +151,46 @@ class TestSimulateBlock:
         for c in (SystemConfig(snr_db=10),
                   SystemConfig(snr_db=10, a=(0.7, 0.3), gamma_th=(1.0, 1.0)),
                   SystemConfig(snr_db=10, n_rt=3)):
-            g = rng(42)
-            naive = np.zeros(c.k_users)
-            for _ in range(n):
-                r = sample_realization(c, g)
-                for k in range(1, c.k_users + 1):
-                    naive[k - 1] += outage_event(k, r, c)
-            naive /= n
+            naive = full_matrix_outage_rate(c, n, rng(42))
             fast = simulate_block(c, seed=7, block=0, n=n) / n
             se = np.sqrt(2 * naive * (1 - naive) / n)
             assert (np.abs(fast - naive) < 4 * se).all(), (c, fast, naive)
+
+
+def full_matrix_outage_rate(c, n, g):
+    """Per-rank outage rate of n trials that draw every antenna entry and
+    select by the paper's rules, in numpy over all trials at once.
+
+    First hop: the best of all n_s x n_rr gains.  Second hop: each user votes
+    for the transmit row of its best (row, column) entry; the row with the
+    most votes serves everyone, a tie going to the row whose voters' best
+    gains sum highest, then to the lowest row; each user takes its best entry
+    on that row.  Users rank by that gain, weakest first, and rank k is in
+    outage when any stage l <= k has SINR below gamma_th_l.
+    """
+    users, n_rt, n_u = c.k_users, c.n_rt, c.n_u
+    g_sr = sample_squared_gain(c.sr_fading, g, size=(n, c.n_s * c.n_rr)).max(axis=1)
+    second = sample_squared_gain(c.ru_fading, g, size=(n, users, n_rt, n_u))
+    flat = second.reshape(n, users, n_rt * n_u)
+    votes = flat.argmax(axis=2) // n_u
+    slot = (np.arange(n)[:, None] * n_rt + votes).ravel()
+    counts = np.bincount(slot, minlength=n * n_rt).reshape(n, n_rt)
+    weight = np.bincount(slot, weights=flat.max(axis=2).ravel(),
+                         minlength=n * n_rt).reshape(n, n_rt)
+    leading = counts == counts.max(axis=1, keepdims=True)
+    row = np.where(leading, weight, -1.0).argmax(axis=1)
+    ranked = np.sort(second[np.arange(n), :, row, :].max(axis=2), axis=1)
+    gam = c.snr_linear
+    rates = np.empty(users)
+    for k in range(1, users + 1):
+        xy = gam * g_sr * ranked[:, k - 1]
+        out = np.zeros(n, dtype=bool)
+        for l in range(1, k + 1):
+            sinr = (xy * c.a[l - 1] / (xy * c.residual_interference(l)
+                                       + c.c1 * ranked[:, k - 1] + c.c2))
+            out |= sinr < c.gamma_th[l - 1]
+        rates[k - 1] = out.mean()
+    return rates
 
 
 class TestEstimateOp:
