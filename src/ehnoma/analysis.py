@@ -116,36 +116,41 @@ def _kve_mp(t, orders):
     at n = 0 and 1),
         K_0(t) = sum_k (t^2/4)^k / (k!)^2 (H_k - L),
         K_1(t) = 1/t + (t/2) sum_k (t^2/4)^k / (k! (k+1)!) (L - (H_k + H_(k+1))/2),
-    and both sums come out of one loop.  Their terms grow like e^t while K
-    falls like e^-t, so the loop works 2t log2(e) + 10 bits beyond the
-    caller's precision and stops past the largest term (k > t/2) once a term
-    falls below 2^-(working bits) of the partial sum.  Orders above 1 come
-    by the upward recurrence K_{n+1} = K_{n-1} + (2n/t) K_n (DLMF 10.29.1).
-    Its terms are all positive, so it loses no digits, and the e^t scale
-    passes through it.
+    and both sums come out of one loop, which stops past the largest term
+    (k > t/2) once a term falls below 2^-wp of the partial sum.  The loop
+    runs in fixed point, on integers in units of 2^-wp, several times faster
+    than in mpf arithmetic.  The terms grow like e^t while K falls like
+    e^-t, so wp exceeds the caller's precision by 2t log2(e) bits, plus 20
+    for the loop's truncations, plus log2(1/t) for t < 1, which keeps t
+    itself exact.  Orders above 1
+    come by the upward recurrence K_{n+1} = K_{n-1} + (2n/t) K_n
+    (DLMF 10.29.1).  Its terms are all positive, so it loses no digits, and
+    the e^t scale passes through it.
     """
-    wp = mp.mp.prec + int(mp.ceil(2 * t / mp.ln2)) + 10
+    wp = mp.mp.prec + int(mp.ceil(2 * t / mp.ln2)) + 20 + max(0, -mp.mag(t))
+    one, t_fix = 1 << wp, int(mp.ldexp(t, wp))
+    q = t_fix * t_fix >> (wp + 2)  # t^2/4
+    a, h = one, 0  # (t^2/4)^k / (k!)^2 and H_k
+    i0 = s0 = i1 = s1 = 0
+    k = 0
+    while True:
+        b = a // (k + 1)
+        h_next = h + one // (k + 1)
+        i0 += a
+        s0 += a * h
+        i1 += b
+        s1 += b * (h + h_next)
+        k += 1
+        if 2 * k * one > t_fix and a < i0 >> wp:
+            break
+        a = a * q // (k * k << wp)
+        h = h_next
     with mp.workprec(wp):
-        q, half = t * t / 4, t / 2
-        ell = mp.log(half) + mp.euler
-        a, h = mp.mpf(1), mp.mpf(0)  # (t^2/4)^k / (k!)^2 and H_k
-        i0 = s0 = i1 = s1 = mp.mpf(0)
-        k = 0
-        while True:
-            b = a / (k + 1)
-            h_next = h + mp.mpf(1) / (k + 1)
-            i0 += a
-            s0 += a * h
-            i1 += b
-            s1 += b * (h + h_next)
-            k += 1
-            if k > half and mp.ldexp(a, wp) < i0:
-                break
-            a = a * q / (k * k)
-            h = h_next
+        ell = int(mp.ldexp(mp.log(t / 2) + mp.euler, wp))
         scale = mp.exp(t)
-        k0 = (s0 - ell * i0) * scale
-        k1 = (1 / t + half * (ell * i1 - s1 / 2)) * scale
+        # s0, s1 and the products with ell are in units of 2^-2wp
+        k0 = mp.ldexp(s0 - ell * i0, -2 * wp) * scale
+        k1 = (1 / t + t / 2 * mp.ldexp(ell * i1 - s1 // 2, -2 * wp)) * scale
     kv = [+k0, +k1]
     for n in range(1, max(orders)):
         kv.append(kv[n - 1] + 2 * n / t * kv[n])
