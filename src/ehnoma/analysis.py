@@ -12,9 +12,11 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import mpmath as mp
+import numpy as np
 from scipy import integrate, special
 
 from .fading import MAJORITY_RANK_COEFFS, UnsupportedModelError, expanded_power
@@ -42,18 +44,39 @@ class UnresolvedNumericsError(ArithmeticError):
     """
 
 
+class _TermTable(NamedTuple):
+    """The closed form's terms as flat arrays.
+
+    One row per (p, u) group, per (p, u, nu) Bessel factor and per monomial.
+    """
+
+    s_top: int           # largest power of X
+    j_top: int           # largest power of Y
+    p: np.ndarray        # per (p, u) group: p
+    one_u: np.ndarray    # per group: 1 + u
+    group: np.ndarray    # per (p, u, nu) row: its group's index
+    nu: np.ndarray       # per row: the Bessel order nu
+    row: np.ndarray      # per monomial: its row's index
+    s: np.ndarray        # per monomial: the power of X
+    j: np.ndarray        # per monomial: the power of Y
+    coef: tuple          # per monomial: the exact rational coefficient
+    coef_float: np.ndarray  # per monomial: float(c.numerator) / c.denominator
+
+
 @lru_cache(maxsize=None)
-def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> tuple:
+def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable:
     """The closed form's six-fold sum, grouped by the Bessel factor its terms share.
 
     By G&R 3.471.9 each term of the sum over (q, p, s, u, v, z) reduces to
         c * X^s * Y^j * (p X / ((1+u) Y))^(nu/2) * e^(-(1+u) Y) * K_nu(2 sqrt(p (1+u) X Y))
     with X = b_ru c2 / c1, Y = b_sr tau*, j = m_sr + v, nu = z - s + 1 and c an
     exact rational collecting the eta coefficient, the binomials, the theta
-    coefficients, the sign and 2N/(m_sr-1)!.  The Bessel factor depends only
-    on (p, u, nu) and its argument only on (p, u), so the terms are returned
-    as (s_top, j_top, ((p, u, ((nu, ((s, j, c), ...)), ...)), ...)), where
-    s_top and j_top are the largest powers of X and Y.
+    coefficients, the sign and 2N/(m_sr-1)!.  The Bessel argument depends only
+    on (p, u) and the Bessel factor on (p, u, nu), so the terms are flattened
+    once into a _TermTable: a row per (p, u) group, a row per (p, u, nu)
+    pointing at its group, and a row per monomial (s, j, c) pointing at its
+    (p, u, nu) row, all in the order the sum was built.  The table lives in
+    this cache entry, so a call pays no hashing of the terms.
     """
     groups = {}
     scale = Fraction(2 * n, math.factorial(m_sr - 1))
@@ -68,45 +91,77 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> tuple:
                     poly = groups.setdefault((p, u), {}).setdefault(z - s + 1, {})
                     key = (s, m_sr + v)
                     poly[key] = poly.get(key, 0) + base * math.comb(big_m, z)
-    out, s_top, j_top = [], 0, 0
+    pus, group, nus, row, ss, js, coef = [], [], [], [], [], [], []
     for (p, u), by_nu in groups.items():
-        orders = []
         for nu, poly in by_nu.items():
-            monomials = tuple((s, j, c) for (s, j), c in poly.items() if c)
-            if monomials:
-                orders.append((nu, monomials))
-                s_top = max(s_top, *(s for s, _, _ in monomials))
-                j_top = max(j_top, *(j for _, j, _ in monomials))
-        if orders:
-            out.append((p, u, tuple(orders)))
-    return s_top, j_top, tuple(out)
+            monomials = [(s, j, c) for (s, j), c in poly.items() if c]
+            if not monomials:
+                continue
+            if not pus or pus[-1] != (p, u):
+                pus.append((p, u))
+            group.append(len(pus) - 1)
+            nus.append(nu)
+            for s, j, c in monomials:
+                row.append(len(nus) - 1)
+                ss.append(s)
+                js.append(j)
+                coef.append(c)
+    ints = partial(np.array, dtype=np.int64)
+    return _TermTable(
+        s_top=max(ss, default=0), j_top=max(js, default=0),
+        p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
+        group=ints(group), nu=ints(nus), row=ints(row), s=ints(ss), j=ints(js),
+        coef=tuple(coef),
+        coef_float=np.array([float(c.numerator) / c.denominator for c in coef]))
 
 
-def _closed_form_sum(ctx, fsum, kve, terms, x, y):
+def _closed_form_sum(ctx, fsum, kve, table, x, y):
     """(sum t, sum |t|) over the closed form's terms, in the arithmetic of ctx.
 
-    The terms are 1 and every group's monomials times the group's Bessel
-    factor.  `fsum` sums accurately in ctx; `kve(t, orders)` maps each order
-    n in `orders` to the exponentially scaled Bessel function e^t K_n(t),
-    which keeps the underflow of a far tail inside one exp().
+    The terms are 1 and each monomial of the _TermTable times its (p, u, nu)
+    row's Bessel factor, evaluated a column at a time: the Bessel argument
+    and e^(-(1+u) Y - arg) per (p, u) group, the nu-power and the Bessel
+    factor per row, then c * X^s * Y^j * bessel per monomial.  x and y are
+    numbers of ctx, so the columns are float arrays in double precision and
+    object arrays of mpf in mpmath.  Each float term takes the operations of
+    a term-by-term scalar loop in the same order, and products and square
+    roots are correctly rounded, so the terms are bitwise those of that
+    loop; exp and the fractional powers come from libm (math.exp and float
+    **), as numpy's versions round some arguments differently.  `fsum` sums
+    accurately in ctx; `kve(n, t)` is the exponentially scaled Bessel
+    function e^t K_n(t) elementwise, which keeps the underflow of a far tail
+    inside one exp().
     """
-    s_top, j_top, groups = terms
-    xs = [x**s for s in range(s_top + 1)]
-    ys = [y**j for j in range(j_top + 1)]
-    out = [ctx.one]
-    for p, u, by_nu in groups:
-        arg = 2 * ctx.sqrt(p * (1 + u) * x * y)
-        scale = ctx.exp(-(1 + u) * y - arg)
-        kves = kve(arg, {abs(nu) for nu, _ in by_nu})
-        for nu, poly in by_nu:
-            bessel = (p * x / ((1 + u) * y)) ** (ctx.mpf(nu) / 2) * scale * kves[abs(nu)]
-            for s, j, c in poly:
-                out.append(ctx.mpf(c.numerator) / c.denominator * xs[s] * ys[j] * bessel)
-    return fsum(out), fsum(map(abs, out))
+    xs = np.array([x**s for s in range(table.s_top + 1)])
+    ys = np.array([y**j for j in range(table.j_top + 1)])
+    if ctx is mp.fp:
+        coef, sqrt, exp = table.coef_float, math.sqrt, math.exp
+    else:
+        coef = np.array([ctx.mpf(c.numerator) / c.denominator for c in table.coef])
+        sqrt, exp = ctx.sqrt, ctx.exp
+    # like the scalar float arithmetic, overflow gives inf without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = 2 * np.array([sqrt(v) for v in (table.p * table.one_u * x * y).tolist()])
+        scale = np.array([exp(v) for v in (-table.one_u * y - arg).tolist()])
+        base = (table.p * x / (table.one_u * y))[table.group]
+        power = np.array([b ** h for b, h in zip(base.tolist(), (table.nu / 2).tolist())])
+        bessel = (power * scale[table.group]
+                  * kve(np.abs(table.nu), arg[table.group]))
+        # in place, so that an mpf term's intermediates die as it is made
+        terms = coef * xs[table.s]
+        terms *= ys[table.j]
+        terms *= bessel[table.row]
+    total = fsum([ctx.one, *terms.tolist()])
+    return total, fsum([ctx.one, *np.abs(terms, out=terms).tolist()])
 
 
-def _kve_float(t, orders):
-    return {n: special.kve(n, t) for n in orders}
+def _kve_mp_rows(n, t):
+    """e^t K_n(t) elementwise over object arrays, one _kve_mp call per distinct t."""
+    orders = {}
+    for order, arg in zip(n.tolist(), t.tolist()):
+        orders.setdefault(arg, set()).add(order)
+    kves = {arg: _kve_mp(arg, o) for arg, o in orders.items()}
+    return np.array([kves[arg][order] for order, arg in zip(n.tolist(), t.tolist())])
 
 
 def _kve_mp(t, orders):
@@ -189,11 +244,11 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     float sum below its own rounding noise measures no condition; then the
     OP's lower bound F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.
     """
-    terms = _bessel_groups(k, config.sr_fading.int_m, config.ru_fading.int_m,
+    table = _bessel_groups(k, config.sr_fading.int_m, config.ru_fading.int_m,
                            config.n_s * config.n_rr, config.n_u)
     x = config.ru_fading.rate * config.c2 / config.c1
     y = config.sr_fading.rate * tau
-    total, abs_total = _closed_form_sum(mp.fp, math.fsum, _kve_float, terms, x, y)
+    total, abs_total = _closed_form_sum(mp.fp, math.fsum, special.kve, table, x, y)
     cond = _condition(total, abs_total, mp.fp.eps)
     if _FLOAT_TERM_ERR * cond <= _REL_TOL:
         return total
@@ -206,7 +261,7 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     dps = _digits(cond)
     while dps <= max_dps:
         with mp.workdps(dps):
-            total, abs_total = _closed_form_sum(mp.mp, mp.fsum, _kve_mp, terms,
+            total, abs_total = _closed_form_sum(mp.mp, mp.fsum, _kve_mp_rows, table,
                                                 mp.mpf(x), mp.mpf(y))
             need = _digits(_condition(total, abs_total, mp.eps))
             if need <= dps:

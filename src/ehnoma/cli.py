@@ -389,9 +389,12 @@ def main(argv=None) -> int:
     except UnresolvedNumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNRESOLVED
-    except (SearchError, ValueError) as exc:
+    except SearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEARCH
+    except ValueError as exc:  # an argument the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return EXIT_OK
 
 

@@ -154,6 +154,8 @@ def tau_star(k: int, config: SystemConfig) -> float:
     {g_ru < tau*c2/(c1*(g_sr - tau))} and {g_sr <= tau} is exactly the union
     over l <= k of {sinr(l, k) < gamma_th_l}.
     """
+    if not 1 <= k <= config.k_users:
+        raise ValueError(f"need 1 <= k <= K, got k={k} with K={config.k_users}")
     config.check_feasible(up_to=k)
     gam = config.snr_linear
     vals = []

@@ -7,6 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from ehnoma import (
     SystemConfig,
@@ -52,8 +53,10 @@ ORACLE_VALUES = [
 ]
 
 
-# op_closed_form doubles, bit for bit, at points that take the mpmath pass;
-# recorded when e^t K_0 and e^t K_1 came from mpmath's besselk.
+# op_closed_form doubles, bit for bit.  The first ten points take the mpmath
+# pass and were recorded when e^t K_0 and e^t K_1 came from mpmath's besselk;
+# the rest stay on the float path and were recorded when it summed its terms
+# one by one in a Python loop.
 GOLDEN_DOUBLES = [
     (dict(snr_db=30), 2, "0x1.d03d74679b94bp-23"),
     (dict(snr_db=30, xi=0.02), 3, "0x1.c547af1558ab9p-22"),
@@ -65,6 +68,20 @@ GOLDEN_DOUBLES = [
     (dict(snr_db=60, xi=0.02), 3, "0x1.0676ff3a0c5dfp-61"),
     (dict(m_sr=2, m_ru=2, snr_db=60), 3, "0x1.3c4c17798eb80p-121"),
     (dict(m_sr=3, m_ru=3, snr_db=20), 3, "0x1.9a822caa2ff07p-22"),
+    (dict(snr_db=0, w=0.2), 1, "0x1.ffffffa2969b7p-1"),
+    (dict(snr_db=10, w=0.8, xi=0.02), 2, "0x1.f6ed5ed93481ap-1"),
+    (dict(snr_db=20, w=0.2, xi=0.02), 3, "0x1.a559a01e2dfacp-10"),
+    (dict(m_sr=2, m_ru=2, snr_db=5, w=0.8), 3, "0x1.ffffffffa455dp-1"),
+    (dict(m_sr=2, m_ru=2, snr_db=10, w=0.2, xi=0.02), 1, "0x1.b4901f3ee0f5ep-1"),
+    (dict(m_sr=2, m_ru=2, snr_db=20, w=0.8), 2, "0x1.9bee7c694673dp-9"),
+    (dict(m_sr=3, m_ru=3, snr_db=5, w=0.2, xi=0.02), 2, "0x1.ffffe9770f8b6p-1"),
+    (dict(m_sr=3, m_ru=3, snr_db=10, w=0.8), 3, "0x1.ffbe35b889c7cp-1"),
+    (dict(m_sr=3, m_ru=3, snr_db=15, w=0.8, xi=0.02), 3, "0x1.6c62e87db5fb1p-1"),
+    (dict(m_sr=3, m_ru=3, snr_db=20, w=0.2), 1, "0x1.69a82491141ecp-13"),
+    # a design_search key with N = n_u = 1
+    (dict(n_s=1, n_rr=1, n_u=1, snr_db=20), 2, "0x1.c0bc65811389ep-3"),
+    # condition ~1e9, near the float path's limit
+    (dict(m_sr=2, m_ru=2, snr_db=20, w=0.35), 2, "0x1.bb1f037a533f0p-17"),
 ]
 
 
@@ -167,17 +184,39 @@ class TestClosedForm:
         op_closed_form(k, SystemConfig(**kwargs))
         assert contexts == [mp.fp, mp.mp]
 
+    @pytest.mark.parametrize("m,snr_db,k", [(1, 0, 1), (1, 20, 3), (2, 10, 2),
+                                            (2, 20, 3), (3, 10, 3)])
+    def test_float_pass_matches_scalar_loop(self, m, snr_db, k):
+        # the array pass keeps each term's operations in the order of a
+        # term-by-term loop over the table, so its sums are that loop's doubles
+        c = SystemConfig(m_sr=m, m_ru=m, snr_db=snr_db, xi=0.02)
+        table = analysis._bessel_groups(k, m, m, 4, 2)
+        x = c.ru_fading.rate * c.c2 / c.c1
+        y = c.sr_fading.rate * tau_star(k, c)
+        terms = [1.0]
+        for i, coef in enumerate(table.coef):
+            row = int(table.row[i])
+            g, nu = int(table.group[row]), int(table.nu[row])
+            p, one_u = int(table.p[g]), int(table.one_u[g])
+            arg = 2 * math.sqrt(p * one_u * x * y)
+            bessel = ((p * x / (one_u * y)) ** (nu / 2) * math.exp(-one_u * y - arg)
+                      * special.kve(abs(nu), arg))
+            terms.append(float(coef.numerator) / coef.denominator
+                         * x ** int(table.s[i]) * y ** int(table.j[i]) * bessel)
+        expect = (math.fsum(terms), math.fsum(map(abs, terms)))
+        assert analysis._closed_form_sum(mp.fp, math.fsum, special.kve, table, x, y) == expect
+
     @pytest.mark.parametrize("key", [(3, 2, 2, 4, 2), (3, 3, 3, 4, 2)])
     def test_bessel_recurrence_matches_besselk(self, key):
         # at the Bessel arguments of a deep point, where the mp pass runs
-        _, _, groups = analysis._bessel_groups(*key)
+        table = analysis._bessel_groups(*key)
         c = SystemConfig(snr_db=60, m_sr=key[1], m_ru=key[2])
         with mp.workdps(50):
             x = mp.mpf(c.ru_fading.rate * c.c2 / c.c1)
             y = mp.mpf(c.sr_fading.rate * tau_star(key[0], c))
-            for p, u, by_nu in groups:
-                t = 2 * mp.sqrt(p * (1 + u) * x * y)
-                orders = {abs(nu) for nu, _ in by_nu}
+            for g, (p, one_u) in enumerate(zip(table.p.tolist(), table.one_u.tolist())):
+                t = 2 * mp.sqrt(p * one_u * x * y)
+                orders = {abs(nu) for nu in table.nu[table.group == g].tolist()}
                 for n, kve in analysis._kve_mp(t, orders).items():
                     exact = mp.besselk(n, t) * mp.exp(t)
                     assert abs(kve - exact) <= 1e-40 * exact
@@ -197,7 +236,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("kwargs,k,expect", GOLDEN_DOUBLES)
     def test_golden_doubles(self, kwargs, k, expect):
-        # mp-path points: a faster high-precision pass must not move a bit
+        # a faster pass, float or mp, must not move a bit
         assert op_closed_form(k, SystemConfig(**kwargs)).hex() == expect
 
     @given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),

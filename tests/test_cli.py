@@ -250,6 +250,30 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [["find-w", "{path}", "--user", "4"],
+                                      ["find-snr", "{path}", "--user", "0",
+                                       "--target", "1e-3"]])
+    def test_user_outside_range_exit(self, tmp_path, capsys, argv):
+        path = write_scenario(tmp_path)
+        assert main([a.format(path=path) for a in argv]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: need 1 <= k <= K") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "{path}", "--var", "snr_db", "--start", "0", "--stop", "10",
+          "--points", "2", "--methods", "foo"], "unknown methods: ['foo']"),
+        (["sweep", "{path}", "--var", "snr_db", "--start", "0", "--stop", "10",
+          "--points", "0"], "grid must be nonempty"),
+        (["sweep", "{path}", "--var", "w", "--start", "0.1", "--stop", "1.5",
+          "--points", "3"], "power-splitting ratio w must be in (0, 1)"),
+        (["simulate", "{path}", "--trials", "0"], "trials must be >= 1"),
+    ])
+    def test_invalid_argument_exit(self, tmp_path, capsys, argv, message):
+        # invalid input, not a search failure
+        path = write_scenario(tmp_path)
+        assert main([a.format(path=path) for a in argv]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_infeasible_simulate_exit(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SystemConfig(xi=0.1))
         assert main(["simulate", str(path), "--trials", "100"]) == EXIT_INFEASIBLE

@@ -97,6 +97,12 @@ class TestFeasibility:
         with pytest.raises(InfeasibleConfigError):
             tau_star(3, c)
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_rank_outside_users_rejected(self, k):
+        # k = 0 once checked every stage and then took max() of no stages
+        with pytest.raises(ValueError, match="1 <= k <= K"):
+            tau_star(k, SystemConfig())
+
 
 class TestSinr:
     def test_hand_computed(self):

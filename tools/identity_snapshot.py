@@ -1,0 +1,92 @@
+"""Write a snapshot of ehnoma's outputs for a bit-identity check.
+
+    python tools/identity_snapshot.py OUTDIR
+
+imports ehnoma from the `src` directory of the checkout this script lives
+in and writes into OUTDIR:
+
+- `grid.txt`: `op_closed_form(...).hex()` on 486 points, m_sr = m_ru in
+  1-3 x snr_db 0-40 in 5 dB steps x w {0.2, 0.5, 0.8} x xi {0, 0.02} x
+  ranks 1-3, one `m snr_db w xi k hex` line each;
+- for each of the shipped scenarios, three sweep CSVs (snr_db 0-40 in 11
+  points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
+  m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature) and the
+  stdout, stderr and exit code of `find-snr --user 2 --target 1e-3` and of
+  `find-w --user 1`.
+
+To check that a change moves no output, copy this script into a checkout
+of the parent commit, snapshot both checkouts and compare with
+`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes a few minutes on
+a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from ehnoma import SystemConfig, cli, op_closed_form  # noqa: E402
+
+SWEEPS = {
+    "snr": ["--var", "snr_db", "--start", "0", "--stop", "40", "--points", "11",
+            "--methods", "analytic"],
+    "w": ["--var", "w", "--start", "0.1", "--stop", "0.9", "--points", "9",
+          "--methods", "analytic,quadrature"],
+    "m22": ["--var", "snr_db", "--start", "0", "--stop", "15", "--points", "4",
+            "--methods", "analytic,quadrature", "--set", "m_sr=2", "--set", "m_ru=2"],
+}
+SEARCHES = {
+    "find-snr": ["--user", "2", "--target", "1e-3"],
+    "find-w": ["--user", "1"],
+}
+
+
+def grid_lines():
+    for m in (1, 2, 3):
+        for snr in range(0, 41, 5):
+            for w in (0.2, 0.5, 0.8):
+                for xi in (0.0, 0.02):
+                    config = SystemConfig(m_sr=m, m_ru=m, snr_db=snr, w=w, xi=xi)
+                    for k in (1, 2, 3):
+                        yield f"{m} {snr} {w} {xi} {k} {op_closed_form(k, config).hex()}\n"
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = Path(argv[0]).resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    # scenario paths relative to the checkout, so messages match across checkouts
+    os.chdir(ROOT)
+    (outdir / "grid.txt").write_text("".join(grid_lines()))
+    for scn in sorted(Path("scenarios").glob("*.scn")):
+        for name, args in SWEEPS.items():
+            csv = outdir / f"{scn.stem}.sweep-{name}.csv"
+            code, out, err = run_cli(["sweep", str(scn), "--out", str(csv), *args])
+            if code:
+                csv.write_text(f"exit {code}\n{out}{err}")
+        for name, args in SEARCHES.items():
+            code, out, err = run_cli([name, str(scn), *args])
+            (outdir / f"{scn.stem}.{name}.txt").write_text(
+                f"exit {code}\nstdout:\n{out}stderr:\n{err}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
