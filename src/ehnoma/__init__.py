@@ -10,24 +10,14 @@ from .fading import (
     cdf_squared_gain,
     pdf_best_first_hop,
     pdf_squared_gain,
-    sample_squared_gain,
     theta,
 )
 from .link import (
     InfeasibleConfigError,
     SystemConfig,
-    outage_event,
     sinr,
     tau_star,
 )
-from .montecarlo import McEstimate, estimate_op, sample_realization
-from .selection import (
-    ChannelRealization,
-    SelectionOutcome,
-    jtras_maj,
-    jtras_opt,
-    order_users,
-    select,
-)
+from .montecarlo import McEstimate, estimate_op
 
 __version__ = "0.1.0"

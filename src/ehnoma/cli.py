@@ -139,6 +139,8 @@ class SweepSpec:
             raise ValueError(f"unknown methods: {sorted(bad)}")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be linear or log, got {self.spacing!r}")
+        if self.spacing == "log" and min(self.start, self.stop) <= 0:
+            raise ValueError("log spacing needs start > 0 and stop > 0")
         for v in self.grid():
             # reject values outside the variable's domain up front
             replace(self.base, **{self.variable: float(v)})
@@ -246,6 +248,8 @@ def find_optimal_w(k: int, config: SystemConfig, grid=None):
     if grid is None:
         grid = np.linspace(0.05, 0.95, 91)
     grid = np.asarray(sorted(grid), dtype=float)
+    if grid.size == 0:
+        raise ValueError("w grid must be nonempty")
     if np.any((grid <= 0) | (grid >= 1)):
         raise SearchError("w grid must lie inside (0, 1)")
     ops = []

@@ -55,11 +55,6 @@ class NakagamiParams:
         return self.m / self.omega
 
 
-def sample_squared_gain(params: NakagamiParams, rng: np.random.Generator, size=None):
-    """Draw squared channel gains: Gamma(shape=m, mean=omega)."""
-    return rng.gamma(params.m, params.omega / params.m, size=size)
-
-
 def cdf_squared_gain(params: NakagamiParams, x):
     """CDF of the squared gain, regularized lower incomplete gamma."""
     x = np.asarray(x, dtype=float)

@@ -1,11 +1,10 @@
-"""EH relay signal model: power splitting, SINR, outage thresholds and events."""
+"""EH relay signal model: power splitting, SINR and outage thresholds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fading import NakagamiParams
-from .selection import ChannelRealization, select
 
 
 class InfeasibleConfigError(ValueError):
@@ -162,13 +161,3 @@ def tau_star(k: int, config: SystemConfig) -> float:
     for l in range(1, k + 1):
         vals.append(config.gamma_th[l - 1] * config.c1 / (gam * config.stage_margin(l)))
     return max(vals)
-
-
-def outage_event(k: int, realization: ChannelRealization, config: SystemConfig) -> bool:
-    """True iff the rank-k user fails any of its detection stages."""
-    outcome = select(realization)
-    g_ru_k = outcome.ranked_gains[k - 1]
-    return any(
-        sinr(l, k, outcome.g_sr, g_ru_k, config) < config.gamma_th[l - 1]
-        for l in range(1, k + 1)
-    )

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fading import sample_squared_gain
 from .link import SystemConfig
-from .selection import ChannelRealization
 
 BLOCK_SIZE = 1 << 18
 # trials per chunk within a block (see the module docstring)
@@ -46,15 +44,6 @@ class McEstimate:
         """95% confidence interval for user rank k."""
         p, h = self.op_hat[k - 1], self.ci_halfwidth[k - 1]
         return max(p - h, 0.0), min(p + h, 1.0)
-
-
-def sample_realization(config: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one full channel realization (every antenna entry)."""
-    first = sample_squared_gain(config.sr_fading, rng, size=(config.n_s, config.n_rr))
-    second = sample_squared_gain(
-        config.ru_fading, rng, size=(config.k_users, config.n_rt, config.n_u)
-    )
-    return ChannelRealization(first_hop=first, second_hop=second)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

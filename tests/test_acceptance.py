@@ -30,6 +30,7 @@ from ehnoma.cli import (
     rows_to_csv,
     run_sweep,
 )
+from oracles import ks_distance, majority_gains
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -203,26 +204,6 @@ def test_criterion_5_relay_placement():
     )
 
 
-def _simulate_majority_gains(m, omega, n_u, trials, seed):
-    gen = np.random.default_rng(seed)
-    h = gen.gamma(m, omega / m, size=(trials, 3, 2, n_u))
-    rowmax = h.max(axis=3)
-    votes = rowmax.argmax(axis=2)
-    counts = (votes[:, :, None] == np.arange(2)).sum(axis=1)
-    i_r = counts.argmax(axis=1)
-    gains = np.take_along_axis(rowmax, i_r[:, None, None], axis=2)[:, :, 0]
-    gains.sort(axis=1)
-    return gains
-
-
-def _ks(sorted_sample, f):
-    n = len(sorted_sample)
-    return max(
-        np.abs(np.arange(1, n + 1) / n - f).max(),
-        np.abs(f - np.arange(n) / n).max(),
-    )
-
-
 def test_criterion_6_distribution_suite():
     """Expanded CDFs match power forms analytically and simulation empirically."""
     problems = []
@@ -255,11 +236,12 @@ def test_criterion_6_distribution_suite():
     gen = np.random.default_rng(17)
     p = NakagamiParams(1, 1.0)
     first = np.sort(gen.gamma(1, 1.0, size=(trials, 4)).max(axis=1))
-    ks_first = _ks(first, cdf_best_first_hop(p, 2, 2, first))
-    gains = _simulate_majority_gains(1, 1.0, 2, trials, seed=18)
+    ks_first = ks_distance(first, cdf_best_first_hop(p, 2, 2, first))
+    second = np.random.default_rng(18).gamma(1, 1.0, size=(trials, 3, 2, 2))
+    gains = majority_gains(second)
     ks_rank = max(
-        _ks(np.sort(gains[:, k - 1]),
-            cdf_majority_user(p, k, 2, np.sort(gains[:, k - 1])))
+        ks_distance(np.sort(gains[:, k - 1]),
+                    cdf_majority_user(p, k, 2, np.sort(gains[:, k - 1])))
         for k in (1, 2, 3)
     )
     if ks_first >= 0.005:

@@ -267,6 +267,14 @@ class TestMain:
         (["sweep", "{path}", "--var", "w", "--start", "0.1", "--stop", "1.5",
           "--points", "3"], "power-splitting ratio w must be in (0, 1)"),
         (["simulate", "{path}", "--trials", "0"], "trials must be >= 1"),
+        (["find-w", "{path}", "--user", "1", "--points", "0"],
+         "w grid must be nonempty"),
+        (["sweep", "{path}", "--var", "snr_db", "--start", "0", "--stop", "10",
+          "--points", "2", "--spacing", "log"],
+         "log spacing needs start > 0 and stop > 0"),
+        (["sweep", "{path}", "--var", "snr_db", "--start", "-5", "--stop", "10",
+          "--points", "2", "--spacing", "log"],
+         "log spacing needs start > 0 and stop > 0"),
     ])
     def test_invalid_argument_exit(self, tmp_path, capsys, argv, message):
         # invalid input, not a search failure

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehnoma import (
-    ChannelRealization,
-    InfeasibleConfigError,
-    SystemConfig,
-    outage_event,
-    select,
-    sinr,
-    tau_star,
-)
+from ehnoma import InfeasibleConfigError, SystemConfig, sinr, tau_star
 
 
 class TestSystemConfigValidation:
@@ -175,28 +167,3 @@ class TestTauStar:
             thresh_fail = y < tau * c.c2 / (c.c1 * (x - tau))
         assert sinr_fail == thresh_fail
 
-
-class TestOutageEvent:
-    def test_deep_fade_is_outage(self):
-        r = ChannelRealization(np.full((2, 2), 1e-9), np.full((3, 2, 2), 1e-9))
-        assert outage_event(1, r, SystemConfig())
-
-    def test_strong_channel_is_not_outage(self):
-        r = ChannelRealization(np.full((2, 2), 50.0), np.full((3, 2, 2), 50.0))
-        c = SystemConfig()
-        for k in (1, 2, 3):
-            assert not outage_event(k, r, c)
-
-    def test_consistent_with_direct_sinr(self):
-        gen = np.random.default_rng(7)
-        c = SystemConfig(snr_db=15)
-        for _ in range(200):
-            r = ChannelRealization(gen.exponential(4.0, (2, 2)),
-                                   gen.exponential(4.0, (3, 2, 2)))
-            out = select(r)
-            for k in (1, 2, 3):
-                direct = any(
-                    sinr(l, k, out.g_sr, out.ranked_gains[k - 1], c) < c.gamma_th[l - 1]
-                    for l in range(1, k + 1)
-                )
-                assert outage_event(k, r, c) == direct

@@ -10,8 +10,6 @@ from ehnoma import (
     cdf_squared_gain,
     estimate_op,
     op_closed_form,
-    sample_realization,
-    sample_squared_gain,
 )
 from ehnoma import montecarlo
 from ehnoma.montecarlo import (
@@ -21,24 +19,11 @@ from ehnoma.montecarlo import (
     _max_of_iid,
     simulate_block,
 )
+from oracles import ks_distance, majority_gains
 
 
 def rng(seed):
     return np.random.default_rng(seed)
-
-
-class TestSampleRealization:
-    def test_shapes_follow_config(self):
-        c = SystemConfig(n_s=3, n_rr=2, n_rt=2, n_u=4)
-        r = sample_realization(c, rng(0))
-        assert r.first_hop.shape == (3, 2)
-        assert r.second_hop.shape == (3, 2, 4)
-
-    def test_mean_gains_match_geometry(self):
-        c = SystemConfig(d_sr=0.3)
-        g = rng(1)
-        fh = np.mean([sample_realization(c, g).first_hop.mean() for _ in range(4000)])
-        assert fh == pytest.approx(c.omega_sr, rel=0.02)
 
 
 class TestMaxOfIid:
@@ -48,12 +33,7 @@ class TestMaxOfIid:
         omega = 1.7
         draws = np.sort(_max_of_iid(rng(3), m, omega, n_iid, (200000,)))
         p = NakagamiParams(m, omega)
-        f = cdf_squared_gain(p, draws) ** n_iid
-        n = len(draws)
-        ks = max(
-            np.abs(np.arange(1, n + 1) / n - f).max(),
-            np.abs(f - np.arange(n) / n).max(),
-        )
+        ks = ks_distance(draws, cdf_squared_gain(p, draws) ** n_iid)
         assert ks < 0.004  # ~1.3 / sqrt(n) is the 1e-3 rejection line
 
     @pytest.mark.parametrize("m,n_iid", [(2, 1), (2, 4), (3, 2), (1.5, 3)])
@@ -161,25 +141,15 @@ def full_matrix_outage_rate(c, n, g):
     """Per-rank outage rate of n trials that draw every antenna entry and
     select by the paper's rules, in numpy over all trials at once.
 
-    First hop: the best of all n_s x n_rr gains.  Second hop: each user votes
-    for the transmit row of its best (row, column) entry; the row with the
-    most votes serves everyone, a tie going to the row whose voters' best
-    gains sum highest, then to the lowest row; each user takes its best entry
-    on that row.  Users rank by that gain, weakest first, and rank k is in
-    outage when any stage l <= k has SINR below gamma_th_l.
+    First hop: the best of all n_s x n_rr gains.  Second hop: majority
+    selection (`oracles.majority_gains`).  Users rank by their selected
+    gain, weakest first, and rank k is in outage when any stage l <= k has
+    SINR below gamma_th_l.
     """
-    users, n_rt, n_u = c.k_users, c.n_rt, c.n_u
-    g_sr = sample_squared_gain(c.sr_fading, g, size=(n, c.n_s * c.n_rr)).max(axis=1)
-    second = sample_squared_gain(c.ru_fading, g, size=(n, users, n_rt, n_u))
-    flat = second.reshape(n, users, n_rt * n_u)
-    votes = flat.argmax(axis=2) // n_u
-    slot = (np.arange(n)[:, None] * n_rt + votes).ravel()
-    counts = np.bincount(slot, minlength=n * n_rt).reshape(n, n_rt)
-    weight = np.bincount(slot, weights=flat.max(axis=2).ravel(),
-                         minlength=n * n_rt).reshape(n, n_rt)
-    leading = counts == counts.max(axis=1, keepdims=True)
-    row = np.where(leading, weight, -1.0).argmax(axis=1)
-    ranked = np.sort(second[np.arange(n), :, row, :].max(axis=2), axis=1)
+    users = c.k_users
+    g_sr = g.gamma(c.m_sr, c.omega_sr / c.m_sr, size=(n, c.n_s * c.n_rr)).max(axis=1)
+    ranked = majority_gains(
+        g.gamma(c.m_ru, c.omega_ru / c.m_ru, size=(n, users, c.n_rt, c.n_u)))
     gam = c.snr_linear
     rates = np.empty(users)
     for k in range(1, users + 1):

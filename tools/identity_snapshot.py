@@ -11,8 +11,9 @@ in and writes into OUTDIR:
 - for each of the shipped scenarios, three sweep CSVs (snr_db 0-40 in 11
   points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
   m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature) and the
-  stdout, stderr and exit code of `find-snr --user 2 --target 1e-3` and of
-  `find-w --user 1`.
+  stdout, stderr and exit code of `find-snr --user 2 --target 1e-3`, of
+  `find-w --user 1` and of `simulate --trials 300000 --seed 4`, the last
+  also with `--set n_rt=3`, which reaches the majority vote's tie-break.
 
 To check that a change moves no output, copy this script into a checkout
 of the parent commit, snapshot both checkouts and compare with
@@ -41,9 +42,13 @@ SWEEPS = {
     "m22": ["--var", "snr_db", "--start", "0", "--stop", "15", "--points", "4",
             "--methods", "analytic,quadrature", "--set", "m_sr=2", "--set", "m_ru=2"],
 }
-SEARCHES = {
-    "find-snr": ["--user", "2", "--target", "1e-3"],
-    "find-w": ["--user", "1"],
+# output file label: (command, arguments after the scenario)
+COMMANDS = {
+    "find-snr": ("find-snr", ["--user", "2", "--target", "1e-3"]),
+    "find-w": ("find-w", ["--user", "1"]),
+    "simulate": ("simulate", ["--trials", "300000", "--seed", "4"]),
+    "simulate-n_rt3": ("simulate", ["--trials", "300000", "--seed", "4",
+                                    "--set", "n_rt=3"]),
 }
 
 
@@ -81,8 +86,8 @@ def main(argv=None) -> int:
             code, out, err = run_cli(["sweep", str(scn), "--out", str(csv), *args])
             if code:
                 csv.write_text(f"exit {code}\n{out}{err}")
-        for name, args in SEARCHES.items():
-            code, out, err = run_cli([name, str(scn), *args])
+        for name, (command, args) in COMMANDS.items():
+            code, out, err = run_cli([command, str(scn), *args])
             (outdir / f"{scn.stem}.{name}.txt").write_text(
                 f"exit {code}\nstdout:\n{out}stderr:\n{err}")
     return 0
