@@ -1,17 +1,7 @@
 """Outage probability of an EH MIMO-NOMA downlink with joint antenna selection."""
 
 from .analysis import UnresolvedNumericsError, op_closed_form, op_numerical
-from .fading import (
-    MAJORITY_RANK_COEFFS,
-    NakagamiParams,
-    UnsupportedModelError,
-    cdf_best_first_hop,
-    cdf_majority_user,
-    cdf_squared_gain,
-    pdf_best_first_hop,
-    pdf_squared_gain,
-    theta,
-)
+from .fading import MAJORITY_RANK_COEFFS, UnsupportedModelError, theta
 from .link import (
     InfeasibleConfigError,
     SystemConfig,

@@ -230,8 +230,14 @@ def _first_hop_head(config: SystemConfig, tau: float) -> float:
 
     The OP is this plus a positive integral, so it bounds the OP from below.
     """
-    return (special.gammainc(config.m_sr, config.sr_fading.rate * tau)
+    return (special.gammainc(config.m_sr, config.m_sr / config.omega_sr * tau)
             ** (config.n_s * config.n_rr))
+
+
+def _int_m(m) -> int:
+    if not float(m).is_integer():
+        raise UnsupportedModelError(f"analytic path requires integer m, got {m}")
+    return int(m)
 
 
 def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
@@ -244,10 +250,10 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     float sum below its own rounding noise measures no condition; then the
     OP's lower bound F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.
     """
-    table = _bessel_groups(k, config.sr_fading.int_m, config.ru_fading.int_m,
+    table = _bessel_groups(k, _int_m(config.m_sr), _int_m(config.m_ru),
                            config.n_s * config.n_rr, config.n_u)
-    x = config.ru_fading.rate * config.c2 / config.c1
-    y = config.sr_fading.rate * tau
+    x = config.m_ru / config.omega_ru * config.c2 / config.c1
+    y = config.m_sr / config.omega_sr * tau
     total, abs_total = _closed_form_sum(mp.fp, math.fsum, special.kve, table, x, y)
     cond = _condition(total, abs_total, mp.fp.eps)
     if _FLOAT_TERM_ERR * cond <= _REL_TOL:

@@ -65,21 +65,32 @@ def _parse_value(key: str, text: str):
     return float(text)
 
 
-def parse_scenario(text: str) -> SystemConfig:
-    """Parse a flat key = value scenario file into a SystemConfig."""
-    values = {}
+def parse_scenario(text: str, overrides=()) -> SystemConfig:
+    """Parse a flat key = value scenario file into a SystemConfig.
+
+    `overrides` are KEY=VALUE pairs applied over the file's values before the
+    one SystemConfig is built, so together they may change K.
+    """
+    items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ScenarioParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
+        items.append((f"line {lineno}", line))
+    for pair in overrides:
+        if "=" not in pair:
+            raise ScenarioParseError(f"override must be KEY=VALUE, got {pair!r}")
+        items.append((f"override {pair!r}", pair))
+    values = {}
+    for where, item in items:
+        key, _, val = item.partition("=")
         key, val = key.strip(), val.strip()
         try:
             values[key] = _parse_value(key, val)
         except ValueError as exc:
-            raise ScenarioParseError(f"line {lineno}: bad value for {key}: {val!r}") from exc
+            raise ScenarioParseError(f"{where}: bad value for {key}: {val!r}") from exc
     known = {f.name for f in fields(SystemConfig)}
     unknown = set(values) - known
     if unknown:
@@ -104,13 +115,13 @@ def serialize_scenario(config: SystemConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_scenario(path: str) -> SystemConfig:
+def load_scenario(path: str, overrides=()) -> SystemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario: {exc}") from exc
-    return parse_scenario(text)
+    return parse_scenario(text, overrides)
 
 
 @dataclass(frozen=True)
@@ -252,15 +263,9 @@ def find_optimal_w(k: int, config: SystemConfig, grid=None):
         raise ValueError("w grid must be nonempty")
     if np.any((grid <= 0) | (grid >= 1)):
         raise SearchError("w grid must lie inside (0, 1)")
-    ops = []
-    for w in grid:
-        try:
-            ops.append(op_closed_form(k, replace(config, w=float(w))))
-        except InfeasibleConfigError:
-            ops.append(np.inf)
-    ops = np.asarray(ops)
-    if not np.isfinite(ops).any():
-        raise SearchError("every grid point is infeasible")
+    # no stage's feasibility depends on w, so an infeasible configuration
+    # raises InfeasibleConfigError at the first grid point
+    ops = [op_closed_form(k, replace(config, w=float(w))) for w in grid]
     i = int(np.argmin(ops))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -284,22 +289,6 @@ def find_optimal_w(k: int, config: SystemConfig, grid=None):
             fd = f(d)
     w_star = 0.5 * (a + b)
     return float(w_star), f(w_star)
-
-
-def _apply_overrides(config: SystemConfig, pairs) -> SystemConfig:
-    for pair in pairs or ():
-        if "=" not in pair:
-            raise ScenarioParseError(f"override must be KEY=VALUE, got {pair!r}")
-        key, _, val = pair.partition("=")
-        key = key.strip()
-        known = {f.name for f in fields(SystemConfig)}
-        if key not in known:
-            raise ScenarioParseError(f"unknown config key {key!r}")
-        try:
-            config = replace(config, **{key: _parse_value(key, val)})
-        except ValueError as exc:
-            raise ScenarioParseError(f"bad override {pair!r}: {exc}") from exc
-    return config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -353,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        config = _apply_overrides(load_scenario(args.scenario), args.set)
+        config = load_scenario(args.scenario, args.set or ())
         if args.command in ("analytic", "quadrature", "simulate"):
             methods = {"analytic": ("analytic",), "quadrature": ("quadrature",),
                        "simulate": ("montecarlo",)}[args.command]

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-from .fading import NakagamiParams
 
 
 class InfeasibleConfigError(ValueError):
@@ -24,7 +23,9 @@ class SystemConfig:
 
     Power factors `a` must sum to one and be nonincreasing (rank 1 gets the
     most power).  Mean channel gains are derived from the normalized
-    geometry: omega_sr = d_sr^-alpha, omega_ru = (1-d_sr)^-alpha.
+    geometry: omega_sr = d_sr^-alpha, omega_ru = (1-d_sr)^-alpha.  The
+    Nakagami figures m_sr and m_ru must be finite and >= 0.5; the closed
+    form also needs them integer.
     """
 
     a: tuple = (0.6, 0.3, 0.1)
@@ -67,6 +68,10 @@ class SystemConfig:
             raise ValueError("d_sr must be in (0, 1)")
         if self.alpha < 0:
             raise ValueError("path loss exponent must be nonnegative")
+        for name in ("m_sr", "m_ru"):
+            if not 0.5 <= getattr(self, name) < math.inf:
+                raise ValueError(f"Nakagami {name} must be finite and >= 0.5, "
+                                 f"got {getattr(self, name)}")
 
     @property
     def k_users(self) -> int:
@@ -91,14 +96,6 @@ class SystemConfig:
     @property
     def omega_ru(self) -> float:
         return (1.0 - self.d_sr) ** -self.alpha
-
-    @property
-    def sr_fading(self) -> NakagamiParams:
-        return NakagamiParams(self.m_sr, self.omega_sr)
-
-    @property
-    def ru_fading(self) -> NakagamiParams:
-        return NakagamiParams(self.m_ru, self.omega_ru)
 
     def residual_interference(self, l: int) -> float:
         """Sigma_l: imperfect-SIC residue of earlier users plus undetected later users."""

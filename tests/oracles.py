@@ -1,6 +1,10 @@
-"""Test-side oracles in plain numpy, independent of the library's kernels."""
+"""Test-side oracles in plain numpy and scipy, independent of the library's
+kernels, and an evaluator of the library's expanded series."""
 
 import numpy as np
+from scipy import special
+
+from ehnoma.fading import MAJORITY_RANK_COEFFS, expanded_power
 
 
 def majority_gains(h):
@@ -32,3 +36,20 @@ def ks_distance(sorted_sample, cdf):
         np.abs(np.arange(1, n + 1) / n - cdf).max(),
         np.abs(cdf - np.arange(n) / n).max(),
     )
+
+
+def rank_cdf(m, omega, k, n_u, x):
+    """Power form of the rank-k user's CDF under majority selection,
+    sum_q MAJORITY_RANK_COEFFS[k][q] G^q with G = gammainc(m, m x / omega)^n_u."""
+    g = special.gammainc(m, m / omega * np.asarray(x, dtype=float)) ** n_u
+    return sum(float(e) * g**q for q, e in sorted(MAJORITY_RANK_COEFFS[k].items()))
+
+
+def expanded_sum(m, bx, weighted_powers):
+    """Sum of weight * F_X^y over (weight, y) at b x = bx, each power from the
+    terms c (bx)^v e^(-u bx) of `expanded_power(y, m)`, in one running sum."""
+    out = 0.0
+    for weight, y in weighted_powers:
+        for u, v, c in expanded_power(y, m):
+            out += weight * float(c) * bx**v * np.exp(-u * bx)
+    return out

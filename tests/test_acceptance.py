@@ -13,12 +13,11 @@ import time
 import numpy as np
 import pytest
 
+from scipy import special
+
 from ehnoma import (
-    NakagamiParams,
+    MAJORITY_RANK_COEFFS,
     SystemConfig,
-    cdf_best_first_hop,
-    cdf_majority_user,
-    cdf_squared_gain,
     estimate_op,
     op_closed_form,
     op_numerical,
@@ -30,7 +29,7 @@ from ehnoma.cli import (
     rows_to_csv,
     run_sweep,
 )
-from oracles import ks_distance, majority_gains
+from oracles import expanded_sum, ks_distance, majority_gains, rank_cdf
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -205,7 +204,8 @@ def test_criterion_5_relay_placement():
 
 
 def test_criterion_6_distribution_suite():
-    """Expanded CDFs match power forms analytically and simulation empirically."""
+    """The closed form's expanded CDFs match scipy's power forms analytically,
+    and the power forms match simulation empirically."""
     problems = []
     xs = np.linspace(0.3, 6.0, 40)
     worst = 0.0
@@ -213,20 +213,21 @@ def test_criterion_6_distribution_suite():
     # the expanded forms are alternating sums, so below ~1e-2 their float
     # noise floor (~1e-12 absolute) dominates any relative comparison
     for m in (1, 2, 3):
-        p = NakagamiParams(m, 1.4)
+        b = m / 1.4
         for x in xs:
-            direct = cdf_squared_gain(p, x) ** 4
-            diff = abs(cdf_best_first_hop(p, 2, 2, x) - direct)
+            direct = special.gammainc(m, b * x) ** 4
+            diff = abs(expanded_sum(m, b * x, [(1, 4)]) - direct)
             worst_abs = max(worst_abs, diff)
             if direct > 1e-2:
                 worst = max(worst, diff / direct)
         for k in (1, 2, 3):
+            weighted = [(float(e), q * 2) for q, e in sorted(MAJORITY_RANK_COEFFS[k].items())]
             for x in xs:
-                a = cdf_majority_user(p, k, 2, x)
-                b = cdf_majority_user(p, k, 2, x, expanded=True)
-                worst_abs = max(worst_abs, abs(b - a))
+                a = rank_cdf(m, 1.4, k, 2, x)
+                diff = abs(expanded_sum(m, b * x, weighted) - a)
+                worst_abs = max(worst_abs, diff)
                 if a > 1e-2:
-                    worst = max(worst, abs(b - a) / a)
+                    worst = max(worst, diff / a)
     if worst > 1e-10:
         problems.append(f"analytic expansion mismatch rel={worst:.1e}")
     if worst_abs > 1e-12:
@@ -234,14 +235,12 @@ def test_criterion_6_distribution_suite():
 
     trials = 10**6
     gen = np.random.default_rng(17)
-    p = NakagamiParams(1, 1.0)
     first = np.sort(gen.gamma(1, 1.0, size=(trials, 4)).max(axis=1))
-    ks_first = ks_distance(first, cdf_best_first_hop(p, 2, 2, first))
+    ks_first = ks_distance(first, special.gammainc(1, first) ** 4)
     second = np.random.default_rng(18).gamma(1, 1.0, size=(trials, 3, 2, 2))
     gains = majority_gains(second)
     ks_rank = max(
-        ks_distance(np.sort(gains[:, k - 1]),
-                    cdf_majority_user(p, k, 2, np.sort(gains[:, k - 1])))
+        ks_distance(np.sort(gains[:, k - 1]), rank_cdf(1, 1.0, k, 2, np.sort(gains[:, k - 1])))
         for k in (1, 2, 3)
     )
     if ks_first >= 0.005:

@@ -191,8 +191,8 @@ class TestClosedForm:
         # term-by-term loop over the table, so its sums are that loop's doubles
         c = SystemConfig(m_sr=m, m_ru=m, snr_db=snr_db, xi=0.02)
         table = analysis._bessel_groups(k, m, m, 4, 2)
-        x = c.ru_fading.rate * c.c2 / c.c1
-        y = c.sr_fading.rate * tau_star(k, c)
+        x = c.m_ru / c.omega_ru * c.c2 / c.c1
+        y = c.m_sr / c.omega_sr * tau_star(k, c)
         terms = [1.0]
         for i, coef in enumerate(table.coef):
             row = int(table.row[i])
@@ -212,8 +212,8 @@ class TestClosedForm:
         table = analysis._bessel_groups(*key)
         c = SystemConfig(snr_db=60, m_sr=key[1], m_ru=key[2])
         with mp.workdps(50):
-            x = mp.mpf(c.ru_fading.rate * c.c2 / c.c1)
-            y = mp.mpf(c.sr_fading.rate * tau_star(key[0], c))
+            x = mp.mpf(c.m_ru / c.omega_ru * c.c2 / c.c1)
+            y = mp.mpf(c.m_sr / c.omega_sr * tau_star(key[0], c))
             for g, (p, one_u) in enumerate(zip(table.p.tolist(), table.one_u.tolist())):
                 t = 2 * mp.sqrt(p * one_u * x * y)
                 orders = {abs(nu) for nu in table.nu[table.group == g].tolist()}
@@ -261,6 +261,8 @@ class TestClosedForm:
     def test_rejects_noninteger_fading(self):
         with pytest.raises(UnsupportedModelError):
             op_closed_form(1, SystemConfig(m_sr=1.5))
+        with pytest.raises(UnsupportedModelError, match="integer m, got 2.5"):
+            op_closed_form(1, SystemConfig(m_ru=2.5))
 
     def test_scope_checks(self):
         with pytest.raises(UnsupportedModelError):

@@ -3,7 +3,6 @@
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from ehnoma import SystemConfig, analysis, op_closed_form
@@ -204,6 +203,22 @@ class TestMain:
         main(["analytic", path, "--set", "snr_db=30"])
         assert capsys.readouterr().out != base
 
+    @pytest.mark.parametrize("first,second", [
+        ("a=0.5,0.25,0.15,0.1", "gamma_th=0.5,0.5,0.5,0.5"),
+        ("gamma_th=0.5,0.5,0.5,0.5", "a=0.5,0.25,0.15,0.1"),
+    ])
+    def test_set_overrides_change_user_count(self, tmp_path, capsys, first, second):
+        # the overrides apply together, so a and gamma_th can change K
+        k4 = SystemConfig(a=(0.5, 0.25, 0.15, 0.1), gamma_th=(0.5, 0.5, 0.5, 0.5))
+        trials = ["--trials", "2000", "--seed", "1"]
+        assert main(["simulate", write_scenario(tmp_path, k4, "k4.scn"), *trials]) == EXIT_OK
+        from_file = capsys.readouterr().out
+        assert len(from_file.splitlines()) == 1 + 4
+        code = main(["simulate", write_scenario(tmp_path), *trials,
+                     "--set", first, "--set", second])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == from_file
+
     def test_simulate(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         code = main(["simulate", path, "--trials", "2000", "--seed", "1"])
@@ -275,6 +290,12 @@ class TestMain:
         (["sweep", "{path}", "--var", "snr_db", "--start", "-5", "--stop", "10",
           "--points", "2", "--spacing", "log"],
          "log spacing needs start > 0 and stop > 0"),
+        (["simulate", "{path}", "--set", "m_sr=0.3"],
+         "Nakagami m_sr must be finite and >= 0.5, got 0.3"),
+        (["simulate", "{path}", "--set", "m_sr=0"],
+         "Nakagami m_sr must be finite and >= 0.5, got 0.0"),
+        (["analytic", "{path}", "--set", "n_u=2.5"],
+         "override 'n_u=2.5': bad value for n_u: '2.5'"),
     ])
     def test_invalid_argument_exit(self, tmp_path, capsys, argv, message):
         # invalid input, not a search failure
@@ -285,6 +306,17 @@ class TestMain:
     def test_infeasible_simulate_exit(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SystemConfig(xi=0.1))
         assert main(["simulate", str(path), "--trials", "100"]) == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("command", ["find-w", "find-snr"])
+    def test_infeasible_search_exit(self, tmp_path, capsys, command):
+        # stage 2 is infeasible at every w and every SNR
+        path = write_scenario(tmp_path, SystemConfig(xi=0.1))
+        argv = [command, path, "--user", "2"]
+        if command == "find-snr":
+            argv += ["--target", "1e-3"]
+        assert main(argv) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage l=2 infeasible") and len(err.splitlines()) == 1
 
     def test_infeasible_analytic_rows_not_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SystemConfig(xi=0.1))

@@ -3,76 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
-from ehnoma.fading import (
-    MAJORITY_RANK_COEFFS,
-    NakagamiParams,
-    UnsupportedModelError,
-    cdf_best_first_hop,
-    cdf_majority_user,
-    cdf_squared_gain,
-    pdf_best_first_hop,
-    pdf_squared_gain,
-    theta,
-)
-from oracles import ks_distance, majority_gains
+from ehnoma.fading import MAJORITY_RANK_COEFFS, UnsupportedModelError, theta
+from oracles import expanded_sum, ks_distance, majority_gains, rank_cdf
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-class TestSampling:
-    def test_moments_match_density_quadrature(self):
-        p = NakagamiParams(2, 3.0)
-        mean_q, _ = integrate.quad(lambda x: x * pdf_squared_gain(p, x), 0, np.inf)
-        m2_q, _ = integrate.quad(lambda x: x * x * pdf_squared_gain(p, x), 0, np.inf)
-        var_q = m2_q - mean_q**2
-        assert mean_q == pytest.approx(3.0, rel=1e-10)
-        assert var_q == pytest.approx(4.5, rel=1e-10)
-
-    @pytest.mark.parametrize("m,omega", [(0.4, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_invalid_params(self, m, omega):
-        with pytest.raises(ValueError):
-            NakagamiParams(m, omega)
-
-
-class TestSingleLinkDistribution:
-    def test_cdf_at_origin(self):
-        assert cdf_squared_gain(NakagamiParams(1, 1.0), 0.0) == 0.0
-
-    def test_exponential_cdf_value(self):
-        assert cdf_squared_gain(NakagamiParams(1, 2.0), 2.0) == pytest.approx(
-            1 - math.exp(-1), rel=1e-12
-        )
-
-    def test_cdf_matches_pdf_quadrature(self):
-        p = NakagamiParams(3, 1.0)
-        oracle, _ = integrate.quad(lambda t: pdf_squared_gain(p, t), 0, 1.0,
-                                   epsabs=1e-13, epsrel=1e-13)
-        assert cdf_squared_gain(p, 1.0) == pytest.approx(oracle, abs=1e-10)
-
-    def test_pdf_exponential_at_zero(self):
-        assert pdf_squared_gain(NakagamiParams(1, 1.0), 0.0) == 1.0
-
-    def test_pdf_normalizes(self):
-        p = NakagamiParams(2, 0.8)
-        total, _ = integrate.quad(lambda t: pdf_squared_gain(p, t), 0, np.inf)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_pdf_is_cdf_derivative(self):
-        p = NakagamiParams(2, 1.3)
-        h = 1e-6
-        fd = (cdf_squared_gain(p, 0.7 + h) - cdf_squared_gain(p, 0.7 - h)) / (2 * h)
-        assert pdf_squared_gain(p, 0.7) == pytest.approx(fd, abs=1e-5)
-
-    def test_negative_argument_rejected(self):
-        p = NakagamiParams(1, 1.0)
-        with pytest.raises(ValueError):
-            cdf_squared_gain(p, -0.1)
-        with pytest.raises(ValueError):
-            pdf_squared_gain(p, -0.1)
 
 
 def poly_power_oracle(m: int, y: int):
@@ -115,56 +53,56 @@ X_GRID = np.logspace(-2, 1.5, 25)
 
 
 class TestBestFirstHop:
+    """expanded_power(N - 1, m), the first-hop power the closed form expands,
+    against the power of the single-link CDF."""
+
     def test_zero(self):
-        assert cdf_best_first_hop(NakagamiParams(2, 1.0), 2, 2, 0.0) == 0.0
+        assert expanded_sum(2, 0.0, [(1, 3)]) == 0.0
 
     def test_single_antenna_reduces(self):
-        p = NakagamiParams(3, 0.7)
+        b = 3 / 0.7
         for x in X_GRID:
-            assert cdf_best_first_hop(p, 1, 1, x) == pytest.approx(
-                cdf_squared_gain(p, x), rel=1e-12
-            )
-            assert pdf_best_first_hop(p, 1, 1, x) == pytest.approx(
-                pdf_squared_gain(p, x), rel=1e-12
+            assert expanded_sum(3, b * x, [(1, 0)]) == 1.0
+            assert expanded_sum(3, b * x, [(1, 1)]) == pytest.approx(
+                special.gammainc(3, b * x), rel=1e-12
             )
 
     def test_expanded_equals_direct_power(self):
-        p = NakagamiParams(2, 1.0)
-        got = cdf_best_first_hop(p, 2, 2, 1.3)
-        assert got == pytest.approx(cdf_squared_gain(p, 1.3) ** 4, rel=1e-10)
+        b = 2 / 1.0
+        got = expanded_sum(2, b * 1.3, [(1, 3)])
+        assert got == pytest.approx(special.gammainc(2, b * 1.3) ** 3, rel=1e-10)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("n_s,n_rr", [(1, 2), (2, 2), (3, 1), (3, 3)])
     def test_expansion_grid(self, m, n_s, n_rr):
-        p = NakagamiParams(m, 1.7)
+        b = m / 1.7
         n = n_s * n_rr
         for x in X_GRID:
             # the expanded form is an alternating sum of O(1) terms, so its
             # absolute error floor sits at compensated-summation precision
-            direct = cdf_squared_gain(p, x) ** n
-            assert cdf_best_first_hop(p, n_s, n_rr, x) == pytest.approx(
-                direct, rel=1e-10, abs=1e-13
-            )
-            direct_pdf = n * pdf_squared_gain(p, x) * cdf_squared_gain(p, x) ** (n - 1)
-            assert pdf_best_first_hop(p, n_s, n_rr, x) == pytest.approx(
-                direct_pdf, rel=1e-10, abs=1e-13
-            )
+            for y in (n - 1, n):
+                direct = special.gammainc(m, b * x) ** y
+                assert expanded_sum(m, b * x, [(1, y)]) == pytest.approx(
+                    direct, rel=1e-10, abs=1e-13
+                )
 
     def test_pdf_normalizes(self):
-        p = NakagamiParams(2, 1.0)
-        total, _ = integrate.quad(lambda t: pdf_best_first_hop(p, 2, 2, t), 0, np.inf)
+        # the first-hop density as the closed form integrates it,
+        # N f_X(x) F_X(x)^(N-1) with the power expanded
+        total, _ = integrate.quad(
+            lambda t: 4 * stats.gamma.pdf(t, 2, scale=0.5) * expanded_sum(2, 2 * t, [(1, 3)]),
+            0, np.inf)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_pdf_is_cdf_derivative(self):
-        p = NakagamiParams(2, 1.0)
         h = 1e-6
-        fd = (cdf_best_first_hop(p, 2, 2, 0.7 + h)
-              - cdf_best_first_hop(p, 2, 2, 0.7 - h)) / (2 * h)
-        assert pdf_best_first_hop(p, 2, 2, 0.7) == pytest.approx(fd, abs=1e-5)
+        fd = (expanded_sum(2, 2 * (0.7 + h), [(1, 4)])
+              - expanded_sum(2, 2 * (0.7 - h), [(1, 4)])) / (2 * h)
+        pdf = 4 * stats.gamma.pdf(0.7, 2, scale=0.5) * expanded_sum(2, 2 * 0.7, [(1, 3)])
+        assert pdf == pytest.approx(fd, abs=1e-5)
 
     def test_cdf_monotone_and_limits(self):
-        p = NakagamiParams(2, 1.0)
-        vals = [cdf_best_first_hop(p, 2, 2, x) for x in np.linspace(0, 50, 200)]
+        vals = [expanded_sum(2, 2 * x, [(1, 4)]) for x in np.linspace(0, 50, 200)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -190,28 +128,35 @@ class TestMajorityUserCdf:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cdf_limits(self, k):
-        p = NakagamiParams(2, 1.4)
-        assert cdf_majority_user(p, k, 2, 0.0) == 0.0
-        assert cdf_majority_user(p, k, 2, 50 * p.omega) == pytest.approx(1.0, abs=1e-6)
+        # the expanded rank CDF at m = 2: its constant terms cancel at 0, and
+        # it reaches one far out, at x = 50 omega (b x = 50 m)
+        weighted = [(float(e), q * 2) for q, e in sorted(MAJORITY_RANK_COEFFS[k].items())]
+        assert expanded_sum(2, 0.0, weighted) == 0.0
+        assert expanded_sum(2, 100.0, weighted) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m,n_u", [(1, 1), (1, 2), (2, 2), (3, 1)])
     def test_expanded_equals_power_form(self, k, m, n_u):
-        p = NakagamiParams(m, 1.2)
+        # expanded_power(q n_u, m) for each power of G the rank-k CDF takes,
+        # and the rank CDF they make
+        b = m / 1.2
+        weighted = [(float(e), q * n_u) for q, e in sorted(MAJORITY_RANK_COEFFS[k].items())]
         for x in X_GRID:
-            a = cdf_majority_user(p, k, n_u, x)
-            b = cdf_majority_user(p, k, n_u, x, expanded=True)
-            # noise floor ~ (largest binomial coefficient) * machine epsilon
-            assert b == pytest.approx(a, rel=1e-10, abs=1e-12)
+            for _, y in weighted:
+                direct = special.gammainc(m, b * x) ** y
+                # noise floor ~ (largest binomial coefficient) * machine epsilon
+                assert expanded_sum(m, b * x, [(1, y)]) == pytest.approx(
+                    direct, rel=1e-10, abs=1e-12)
+            assert expanded_sum(m, b * x, weighted) == pytest.approx(
+                rank_cdf(m, 1.2, k, n_u, x), rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("m,n_u", [(1, 2), (2, 2)])
     def test_ks_against_selection_simulation(self, m, n_u):
         omega = 1.3
         gains = simulate_majority_gains(m, omega, n_u, trials=10**6, seed=5)
-        p = NakagamiParams(m, omega)
         for k in (1, 2, 3):
             x = np.sort(gains[:, k - 1])
-            d = ks_distance(x, cdf_majority_user(p, k, n_u, x))
+            d = ks_distance(x, rank_cdf(m, omega, k, n_u, x))
             assert d < 0.005, f"k={k}: KS={d:.4f}"
 
     def test_rank_average_equals_unordered_cdf(self):
@@ -219,23 +164,14 @@ class TestMajorityUserCdf:
         m, omega, n_u = 1, 1.0, 2
         gains = simulate_majority_gains(m, omega, n_u, trials=10**6, seed=6)
         pooled = np.sort(gains.ravel())
-        p = NakagamiParams(m, omega)
-
-        def avg_cdf(x):
-            return sum(cdf_majority_user(p, k, n_u, x) for k in (1, 2, 3)) / 3.0
-
-        assert ks_distance(pooled, avg_cdf(pooled)) < 0.005
+        avg_cdf = sum(rank_cdf(m, omega, k, n_u, pooled) for k in (1, 2, 3)) / 3.0
+        assert ks_distance(pooled, avg_cdf) < 0.005
 
     def test_point_estimate_within_binomial_ci(self):
         m, omega, n_u, k, x = 1, 1.0, 1, 3, 0.5
         trials = 10**6
         gains = simulate_majority_gains(m, omega, n_u, trials=trials, seed=7)
         p_hat = (gains[:, k - 1] <= x).mean()
-        model = cdf_majority_user(NakagamiParams(m, omega), k, n_u, x)
+        model = rank_cdf(m, omega, k, n_u, x)
         sigma = math.sqrt(model * (1 - model) / trials)
         assert abs(p_hat - model) < 3 * sigma
-
-    def test_unsupported_scope(self):
-        p = NakagamiParams(1, 1.0)
-        with pytest.raises(UnsupportedModelError):
-            cdf_majority_user(p, 4, 2, 1.0)

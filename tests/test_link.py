@@ -29,7 +29,8 @@ class TestSystemConfigValidation:
     @pytest.mark.parametrize("kw", [
         {"xi": -0.1}, {"xi": 1.5}, {"w": 0.0}, {"w": 1.0}, {"zeta": 0.0},
         {"zeta": 1.1}, {"n_u": 0}, {"d_sr": 0.0}, {"d_sr": 1.0}, {"alpha": -1.0},
-        {"gamma_th": (1.4, -0.1, 2.5)},
+        {"gamma_th": (1.4, -0.1, 2.5)}, {"m_sr": 0.4}, {"m_ru": 0.4},
+        {"m_sr": float("nan")}, {"m_ru": float("inf")},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):
@@ -42,12 +43,6 @@ class TestSystemConfigValidation:
         assert c.snr_linear == pytest.approx(100.0)
         assert c.omega_sr == pytest.approx(16.0)
         assert c.omega_ru == pytest.approx(1.0 / 0.5625)
-
-    def test_fading_params(self):
-        c = SystemConfig(m_sr=2, m_ru=3)
-        assert c.sr_fading.m == 2
-        assert c.ru_fading.m == 3
-        assert c.sr_fading.omega == c.omega_sr
 
 
 class TestResidualInterference:

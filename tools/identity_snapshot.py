@@ -8,12 +8,20 @@ in and writes into OUTDIR:
 - `grid.txt`: `op_closed_form(...).hex()` on 486 points, m_sr = m_ru in
   1-3 x snr_db 0-40 in 5 dB steps x w {0.2, 0.5, 0.8} x xi {0, 0.02} x
   ranks 1-3, one `m snr_db w xi k hex` line each;
+- `grid-asym.txt`: `op_closed_form` and `op_numerical` on hops of unequal
+  rates, (m_sr, m_ru) in {(1, 2), (2, 1), (1, 3), (3, 1), (1.5, 2.5)} x
+  d_sr {0.3, 0.7} at alpha 2.7 x snr_db 0-40 in 10 dB steps x ranks 1-3,
+  one `m_sr m_ru d_sr snr_db k method result` line each, the result being
+  the hex of the OP or the error's type and message (the closed form
+  rejects m = 1.5 and 2.5);
 - for each of the shipped scenarios, three sweep CSVs (snr_db 0-40 in 11
   points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
   m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature) and the
   stdout, stderr and exit code of `find-snr --user 2 --target 1e-3`, of
   `find-w --user 1` and of `simulate --trials 300000 --seed 4`, the last
-  also with `--set n_rt=3`, which reaches the majority vote's tie-break.
+  also with `--set n_rt=3`, which reaches the majority vote's tie-break,
+  and of `analytic` and `find-snr --user 2 --target 1e-3` with
+  `--set m_sr=1.5`, which the closed form rejects.
 
 To check that a change moves no output, copy this script into a checkout
 of the parent commit, snapshot both checkouts and compare with
@@ -32,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ehnoma import SystemConfig, cli, op_closed_form  # noqa: E402
+from ehnoma import SystemConfig, cli, op_closed_form, op_numerical  # noqa: E402
 
 SWEEPS = {
     "snr": ["--var", "snr_db", "--start", "0", "--stop", "40", "--points", "11",
@@ -49,6 +57,9 @@ COMMANDS = {
     "simulate": ("simulate", ["--trials", "300000", "--seed", "4"]),
     "simulate-n_rt3": ("simulate", ["--trials", "300000", "--seed", "4",
                                     "--set", "n_rt=3"]),
+    "analytic-m_sr1.5": ("analytic", ["--set", "m_sr=1.5"]),
+    "find-snr-m_sr1.5": ("find-snr", ["--user", "2", "--target", "1e-3",
+                                      "--set", "m_sr=1.5"]),
 }
 
 
@@ -60,6 +71,21 @@ def grid_lines():
                     config = SystemConfig(m_sr=m, m_ru=m, snr_db=snr, w=w, xi=xi)
                     for k in (1, 2, 3):
                         yield f"{m} {snr} {w} {xi} {k} {op_closed_form(k, config).hex()}\n"
+
+
+def asym_grid_lines():
+    for m_sr, m_ru in ((1, 2), (2, 1), (1, 3), (3, 1), (1.5, 2.5)):
+        for d_sr in (0.3, 0.7):
+            for snr in range(0, 41, 10):
+                config = SystemConfig(m_sr=m_sr, m_ru=m_ru, d_sr=d_sr, alpha=2.7,
+                                      snr_db=snr)
+                for k in (1, 2, 3):
+                    for name, op in (("closed", op_closed_form), ("quad", op_numerical)):
+                        try:
+                            result = op(k, config).hex()
+                        except (ArithmeticError, ValueError) as exc:
+                            result = f"{type(exc).__name__}: {exc}"
+                        yield f"{m_sr} {m_ru} {d_sr} {snr} {k} {name} {result}\n"
 
 
 def run_cli(argv):
@@ -80,6 +106,7 @@ def main(argv=None) -> int:
     # scenario paths relative to the checkout, so messages match across checkouts
     os.chdir(ROOT)
     (outdir / "grid.txt").write_text("".join(grid_lines()))
+    (outdir / "grid-asym.txt").write_text("".join(asym_grid_lines()))
     for scn in sorted(Path("scenarios").glob("*.scn")):
         for name, args in SWEEPS.items():
             csv = outdir / f"{scn.stem}.sweep-{name}.csv"
