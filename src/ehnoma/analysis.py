@@ -19,7 +19,7 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate, special
 
-from .fading import MAJORITY_RANK_COEFFS, UnsupportedModelError, expanded_power
+from .fading import MAJORITY_RANK_COEFFS, expanded_power
 from .link import SystemConfig, tau_star
 
 # Every check on an OP in this package compares at this relative tolerance.
@@ -33,6 +33,10 @@ _QUAD_REL_TOL = 1e-13
 # Decimal digits a double needs to round-trip; the high-precision pass carries
 # this many beyond the digits the cancellation eats.
 _DOUBLE_DIGITS = 17
+
+
+class UnsupportedModelError(ValueError):
+    """Raised when an analytic operation is asked for outside its closed-form scope."""
 
 
 class UnresolvedNumericsError(ArithmeticError):
@@ -115,7 +119,7 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
         coef_float=np.array([float(c.numerator) / c.denominator for c in coef]))
 
 
-def _closed_form_sum(ctx, fsum, kve, table, x, y):
+def _closed_form_sum(ctx, table, x, y):
     """(sum t, sum |t|) over the closed form's terms, in the arithmetic of ctx.
 
     The terms are 1 and each monomial of the _TermTable times its (p, u, nu)
@@ -127,18 +131,20 @@ def _closed_form_sum(ctx, fsum, kve, table, x, y):
     a term-by-term scalar loop in the same order, and products and square
     roots are correctly rounded, so the terms are bitwise those of that
     loop; exp and the fractional powers come from libm (math.exp and float
-    **), as numpy's versions round some arguments differently.  `fsum` sums
-    accurately in ctx; `kve(n, t)` is the exponentially scaled Bessel
-    function e^t K_n(t) elementwise, which keeps the underflow of a far tail
-    inside one exp().
+    **), as numpy's versions round some arguments differently.  The sums are
+    accurate sums in ctx (math.fsum, mp.fsum), and the Bessel factor takes
+    the exponentially scaled e^t K_n(t) elementwise (scipy's kve,
+    _kve_mp_rows), which keeps the underflow of a far tail inside one exp().
     """
     xs = np.array([x**s for s in range(table.s_top + 1)])
     ys = np.array([y**j for j in range(table.j_top + 1)])
     if ctx is mp.fp:
         coef, sqrt, exp = table.coef_float, math.sqrt, math.exp
+        fsum, kve = math.fsum, special.kve
     else:
         coef = np.array([ctx.mpf(c.numerator) / c.denominator for c in table.coef])
         sqrt, exp = ctx.sqrt, ctx.exp
+        fsum, kve = mp.fsum, _kve_mp_rows
     # like the scalar float arithmetic, overflow gives inf without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         arg = 2 * np.array([sqrt(v) for v in (table.p * table.one_u * x * y).tolist()])
@@ -254,7 +260,7 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
                            config.n_s * config.n_rr, config.n_u)
     x = config.m_ru / config.omega_ru * config.c2 / config.c1
     y = config.m_sr / config.omega_sr * tau
-    total, abs_total = _closed_form_sum(mp.fp, math.fsum, special.kve, table, x, y)
+    total, abs_total = _closed_form_sum(mp.fp, table, x, y)
     cond = _condition(total, abs_total, mp.fp.eps)
     if _FLOAT_TERM_ERR * cond <= _REL_TOL:
         return total
@@ -267,8 +273,7 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     dps = _digits(cond)
     while dps <= max_dps:
         with mp.workdps(dps):
-            total, abs_total = _closed_form_sum(mp.mp, mp.fsum, _kve_mp_rows, table,
-                                                mp.mpf(x), mp.mpf(y))
+            total, abs_total = _closed_form_sum(mp.mp, table, mp.mpf(x), mp.mpf(y))
             need = _digits(_condition(total, abs_total, mp.eps))
             if need <= dps:
                 return float(total)

@@ -8,8 +8,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import UnresolvedNumericsError, op_closed_form, op_numerical
-from .fading import UnsupportedModelError
+from .analysis import (UnresolvedNumericsError, UnsupportedModelError, op_closed_form,
+                       op_numerical)
 from .link import InfeasibleConfigError, SystemConfig
 from .montecarlo import estimate_op
 
@@ -48,12 +48,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise ScenarioParseError(f"{self.prog}: {message}")
-
-
-def _fmt_num(v) -> str:
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
 
 
 def _parse_value(key: str, text: str):
@@ -101,20 +95,6 @@ def parse_scenario(text: str, overrides=()) -> SystemConfig:
         raise ScenarioParseError(str(exc)) from exc
 
 
-def serialize_scenario(config: SystemConfig) -> str:
-    """Canonical scenario text; parse(serialize(c)) == c."""
-    lines = []
-    for f in fields(SystemConfig):
-        v = getattr(config, f.name)
-        if f.name in _LIST_KEYS:
-            lines.append(f"{f.name} = " + ", ".join(_fmt_num(x) for x in v))
-        elif f.name in _INT_KEYS:
-            lines.append(f"{f.name} = {int(v)}")
-        else:
-            lines.append(f"{f.name} = {_fmt_num(v)}")
-    return "\n".join(lines) + "\n"
-
-
 def load_scenario(path: str, overrides=()) -> SystemConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -126,7 +106,6 @@ def load_scenario(path: str, overrides=()) -> SystemConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    scenario: str                 # id used in the output rows
     variable: str                 # snr_db | w | d_sr | xi
     start: float
     stop: float
@@ -204,7 +183,7 @@ def run_sweep(spec: SweepSpec):
     for value in spec.grid():
         config = replace(spec.base, **{spec.variable: float(value)})
         rows.extend(
-            _point_rows(spec.scenario, spec.variable, float(value), config,
+            _point_rows("sweep", spec.variable, float(value), config,
                         spec.methods, spec.trials, spec.seed, spec.workers)
         )
     return rows
@@ -254,10 +233,8 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
     return 0.5 * (lo + hi)
 
 
-def find_optimal_w(k: int, config: SystemConfig, grid=None):
+def find_optimal_w(k: int, config: SystemConfig, grid):
     """(w*, op*) minimizing the analytic OP over the power-splitting ratio."""
-    if grid is None:
-        grid = np.linspace(0.05, 0.95, 91)
     grid = np.asarray(sorted(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("w grid must be nonempty")
@@ -356,7 +333,7 @@ def main(argv=None) -> int:
             write_output(rows, args.out)
         elif args.command == "sweep":
             spec = SweepSpec(
-                scenario="sweep", variable=args.var, start=args.start,
+                variable=args.var, start=args.start,
                 stop=args.stop, points=args.points, base=config,
                 methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
                 spacing=args.spacing, trials=args.trials, seed=args.seed,

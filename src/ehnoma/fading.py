@@ -14,12 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-class UnsupportedModelError(ValueError):
-    """Raised when an analytic operation is asked for outside its closed-form scope."""
-
-
 @lru_cache(maxsize=None)
-def theta(y: int, m) -> tuple:
+def theta(y: int, m: int) -> tuple:
     """Coefficients of the y-th power of the truncated exponential series.
 
     Entry x is the exact rational coefficient of t^x in
@@ -32,9 +28,6 @@ def theta(y: int, m) -> tuple:
     """
     if y < 0:
         raise ValueError("power y must be nonnegative")
-    if not float(m).is_integer():
-        raise UnsupportedModelError(f"analytic path requires integer m, got {m}")
-    m = int(m)
     top = y * (m - 1)
     c = [Fraction(1)] + [Fraction(0)] * top
     for x in range(1, top + 1):

@@ -23,9 +23,9 @@ class SystemConfig:
 
     Power factors `a` must sum to one and be nonincreasing (rank 1 gets the
     most power).  Mean channel gains are derived from the normalized
-    geometry: omega_sr = d_sr^-alpha, omega_ru = (1-d_sr)^-alpha.  The
-    Nakagami figures m_sr and m_ru must be finite and >= 0.5; the closed
-    form also needs them integer.
+    geometry: omega_sr = d_sr^-alpha, omega_ru = (1-d_sr)^-alpha.  Every
+    float must be finite.  The Nakagami figures m_sr and m_ru must be >= 0.5;
+    the closed form also needs them integer.
     """
 
     a: tuple = (0.6, 0.3, 0.1)
@@ -48,6 +48,12 @@ class SystemConfig:
         object.__setattr__(self, "gamma_th", tuple(float(v) for v in self.gamma_th))
         if len(self.a) != len(self.gamma_th) or not self.a:
             raise ValueError("a and gamma_th must be nonempty parallel arrays")
+        for name in ("a", "gamma_th", "xi", "w", "zeta", "snr_db", "d_sr", "alpha",
+                     "m_sr", "m_ru"):
+            value = getattr(self, name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {value}")
         if abs(sum(self.a) - 1.0) > 1e-12:
             raise ValueError(f"power factors must sum to 1, got {sum(self.a)}")
         if any(x <= 0 for x in self.a) or any(
@@ -69,7 +75,7 @@ class SystemConfig:
         if self.alpha < 0:
             raise ValueError("path loss exponent must be nonnegative")
         for name in ("m_sr", "m_ru"):
-            if not 0.5 <= getattr(self, name) < math.inf:
+            if getattr(self, name) < 0.5:
                 raise ValueError(f"Nakagami {name} must be finite and >= 0.5, "
                                  f"got {getattr(self, name)}")
 
@@ -107,9 +113,9 @@ class SystemConfig:
         """a_l - Sigma_l * gamma_th_l; must be positive for stage l to be decodable."""
         return self.a[l - 1] - self.residual_interference(l) * self.gamma_th[l - 1]
 
-    def check_feasible(self, up_to: int | None = None) -> None:
+    def check_feasible(self) -> None:
         """Raise InfeasibleConfigError on the first nonpositive stage margin."""
-        for l in range(1, (up_to or self.k_users) + 1):
+        for l in range(1, self.k_users + 1):
             m = self.stage_margin(l)
             if m <= 0:
                 raise InfeasibleConfigError(l, m)
@@ -123,38 +129,26 @@ class SystemConfig:
         return True
 
 
-def sinr(l: int, k: int, g_sr: float, g_ru_k: float, config: SystemConfig) -> float:
-    """SINR at the rank-k user while detecting the rank-l message.
-
-    gamma * X * Y * a_l / (gamma * X * Y * Sigma_l + c1 * Y + c2), with the
-    relay's high-SNR amplification factor sqrt(zeta*w/(1-w)) inside c1 and c2.
-    """
-    if not 1 <= l <= k <= config.k_users:
-        raise ValueError(f"need 1 <= l <= k <= K, got l={l}, k={k}")
-    if g_sr < 0 or g_ru_k < 0:
-        raise ValueError("gains must be nonnegative")
-    if g_sr == 0 or g_ru_k == 0:
-        return 0.0
-    gam = config.snr_linear
-    num = gam * g_sr * g_ru_k * config.a[l - 1]
-    den = (gam * g_sr * g_ru_k * config.residual_interference(l)
-           + config.c1 * g_ru_k + config.c2)
-    return num / den
-
-
 def tau_star(k: int, config: SystemConfig) -> float:
     """Effective first-hop gain threshold for the rank-k user.
 
     max over stages l <= k of gamma_th_l * c1 / (gamma * (a_l - Sigma_l*gamma_th_l)).
-    The c1 factor belongs in the threshold: with it, the pair of events
-    {g_ru < tau*c2/(c1*(g_sr - tau))} and {g_sr <= tau} is exactly the union
-    over l <= k of {sinr(l, k) < gamma_th_l}.
+    With first-hop gain g_sr and second-hop gain g_ru, the rank-k user detects
+    the rank-l message at SINR
+        gamma * g_sr * g_ru * a_l / (gamma * g_sr * g_ru * Sigma_l + c1 * g_ru + c2),
+    the relay's high-SNR amplification factor sqrt(zeta*w/(1-w)) being inside
+    c1 and c2.  The c1 factor belongs in the threshold: with it, the pair of
+    events {g_ru < tau*c2/(c1*(g_sr - tau))} and {g_sr <= tau} is exactly the
+    union over l <= k of {SINR_l < gamma_th_l}.  Only stages l <= k need be
+    decodable; the first that is not raises InfeasibleConfigError.
     """
     if not 1 <= k <= config.k_users:
         raise ValueError(f"need 1 <= k <= K, got k={k} with K={config.k_users}")
-    config.check_feasible(up_to=k)
     gam = config.snr_linear
     vals = []
     for l in range(1, k + 1):
-        vals.append(config.gamma_th[l - 1] * config.c1 / (gam * config.stage_margin(l)))
+        margin = config.stage_margin(l)
+        if margin <= 0:
+            raise InfeasibleConfigError(l, margin)
+        vals.append(config.gamma_th[l - 1] * config.c1 / (gam * margin))
     return max(vals)

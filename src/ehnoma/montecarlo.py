@@ -40,11 +40,6 @@ class McEstimate:
     ci_halfwidth: tuple    # 95% half-widths
     seed: int
 
-    def ci(self, k: int) -> tuple:
-        """95% confidence interval for user rank k."""
-        p, h = self.op_hat[k - 1], self.ci_halfwidth[k - 1]
-        return max(p - h, 0.0), min(p + h, 1.0)
-
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))

@@ -7,6 +7,25 @@ from scipy import special
 from ehnoma.fading import MAJORITY_RANK_COEFFS, expanded_power
 
 
+def sinr(l, k, g_sr, g_ru_k, config):
+    """SINR at the rank-k user while detecting the rank-l message.
+
+    gamma * X * Y * a_l / (gamma * X * Y * Sigma_l + c1 * Y + c2), with the
+    relay's high-SNR amplification factor sqrt(zeta*w/(1-w)) inside c1 and c2.
+    """
+    if not 1 <= l <= k <= config.k_users:
+        raise ValueError(f"need 1 <= l <= k <= K, got l={l}, k={k}")
+    if g_sr < 0 or g_ru_k < 0:
+        raise ValueError("gains must be nonnegative")
+    if g_sr == 0 or g_ru_k == 0:
+        return 0.0
+    gam = config.snr_linear
+    num = gam * g_sr * g_ru_k * config.a[l - 1]
+    den = (gam * g_sr * g_ru_k * config.residual_interference(l)
+           + config.c1 * g_ru_k + config.c2)
+    return num / den
+
+
 def majority_gains(h):
     """Each trial's user gains after majority selection, ascending.
 

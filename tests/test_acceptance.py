@@ -16,7 +16,6 @@ import pytest
 from scipy import special
 
 from ehnoma import (
-    MAJORITY_RANK_COEFFS,
     SystemConfig,
     estimate_op,
     op_closed_form,
@@ -29,6 +28,7 @@ from ehnoma.cli import (
     rows_to_csv,
     run_sweep,
 )
+from ehnoma.fading import MAJORITY_RANK_COEFFS
 from oracles import expanded_sum, ks_distance, majority_gains, rank_cdf
 
 
@@ -139,7 +139,7 @@ def test_criterion_3_optimal_power_split():
     problems = []
     stars = {}
     for k in (1, 2, 3):
-        w_star, _ = find_optimal_w(k, SystemConfig(snr_db=20))
+        w_star, _ = find_optimal_w(k, SystemConfig(snr_db=20), np.linspace(0.05, 0.95, 91))
         stars[k] = w_star
         if abs(w_star - expect[k]) > 0.05:
             problems.append(f"k={k}: w*={w_star:.3f} vs {expect[k]}")
@@ -264,7 +264,7 @@ def test_criterion_7_determinism():
     estimates = {w: estimate_op(c, trials, seed=3, workers=w) for w in (1, 4, 16)}
     if not estimates[1] == estimates[4] == estimates[16]:
         problems.append("estimate_op differs across worker counts")
-    spec = dict(scenario="det", variable="snr_db", start=10, stop=20, points=3,
+    spec = dict(variable="snr_db", start=10, stop=20, points=3,
                 base=SystemConfig(), methods=("analytic", "montecarlo"),
                 trials=50_000, seed=1)
     a = rows_to_csv(run_sweep(SweepSpec(**spec, workers=1)))

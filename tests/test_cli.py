@@ -1,8 +1,10 @@
 """Scenario parsing, sweeps, searches, CSV output and exit codes."""
 
 import math
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ehnoma import SystemConfig, analysis, op_closed_form
@@ -17,6 +19,8 @@ from ehnoma.cli import (
     ScenarioParseError,
     SearchError,
     SweepSpec,
+    _INT_KEYS,
+    _LIST_KEYS,
     find_optimal_w,
     find_snr_for_op,
     load_scenario,
@@ -24,10 +28,29 @@ from ehnoma.cli import (
     parse_scenario,
     rows_to_csv,
     run_sweep,
-    serialize_scenario,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _fmt_num(v) -> str:
+    if float(v).is_integer():
+        return str(int(v))
+    return repr(float(v))
+
+
+def serialize_scenario(config: SystemConfig) -> str:
+    """Canonical scenario text; parse(serialize(c)) == c."""
+    lines = []
+    for f in fields(SystemConfig):
+        v = getattr(config, f.name)
+        if f.name in _LIST_KEYS:
+            lines.append(f"{f.name} = " + ", ".join(_fmt_num(x) for x in v))
+        elif f.name in _INT_KEYS:
+            lines.append(f"{f.name} = {int(v)}")
+        else:
+            lines.append(f"{f.name} = {_fmt_num(v)}")
+    return "\n".join(lines) + "\n"
 
 
 def write_scenario(tmp_path, config=None, name="case.scn"):
@@ -79,7 +102,7 @@ class TestScenarioFormat:
 
 class TestSweepSpec:
     def base(self, **kw):
-        args = dict(scenario="s", variable="snr_db", start=0.0, stop=10.0,
+        args = dict(variable="snr_db", start=0.0, stop=10.0,
                     points=3, base=SystemConfig())
         args.update(kw)
         return SweepSpec(**args)
@@ -104,7 +127,7 @@ class TestSweepSpec:
 
 class TestRunSweep:
     def test_row_structure_and_order(self):
-        spec = SweepSpec(scenario="s", variable="snr_db", start=10, stop=20,
+        spec = SweepSpec(variable="snr_db", start=10, stop=20,
                          points=2, base=SystemConfig(),
                          methods=("montecarlo", "analytic"), trials=2000)
         rows = run_sweep(spec)
@@ -117,7 +140,7 @@ class TestRunSweep:
         assert rows[0]["ci_halfwidth"] == "" and rows[0]["trials"] == ""
 
     def test_analytic_rows_match_library(self):
-        spec = SweepSpec(scenario="s", variable="snr_db", start=15, stop=15,
+        spec = SweepSpec(variable="snr_db", start=15, stop=15,
                          points=1, base=SystemConfig())
         rows = run_sweep(spec)
         expect = op_closed_form(2, SystemConfig(snr_db=15))
@@ -125,7 +148,7 @@ class TestRunSweep:
         assert got == pytest.approx(expect, rel=1e-8)
 
     def test_infeasible_points_marked(self):
-        spec = SweepSpec(scenario="s", variable="xi", start=0.0, stop=0.1,
+        spec = SweepSpec(variable="xi", start=0.0, stop=0.1,
                          points=3, base=SystemConfig())
         rows = run_sweep(spec)
         by_value = {}
@@ -135,7 +158,7 @@ class TestRunSweep:
         assert "infeasible" not in by_value["0"]
 
     def test_csv_is_deterministic(self):
-        spec = SweepSpec(scenario="s", variable="w", start=0.3, stop=0.7,
+        spec = SweepSpec(variable="w", start=0.3, stop=0.7,
                          points=3, base=SystemConfig(),
                          methods=("analytic", "montecarlo"), trials=5000)
         a = rows_to_csv(run_sweep(spec))
@@ -168,7 +191,7 @@ class TestFindSnr:
 class TestFindW:
     def test_interior_minimum(self):
         c = SystemConfig(snr_db=20)
-        w_star, op_star = find_optimal_w(1, c)
+        w_star, op_star = find_optimal_w(1, c, np.linspace(0.05, 0.95, 91))
         assert 0.05 < w_star < 0.95
         assert op_star == pytest.approx(op_closed_form(1, SystemConfig(w=w_star)),
                                         rel=1e-10)
@@ -302,6 +325,15 @@ class TestMain:
         path = write_scenario(tmp_path)
         assert main([a.format(path=path) for a in argv]) == EXIT_PARSE
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_nonfinite_threshold_exit(self, capsys):
+        # a NaN stage margin once passed the feasibility check and max()
+        # dropped the NaN threshold, giving a finite rank-3 OP
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        assert main(["analytic", path, "--set", "gamma_th=1.4,2.2,inf"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_infeasible_simulate_exit(self, tmp_path, capsys):
         path = write_scenario(tmp_path, SystemConfig(xi=0.1))

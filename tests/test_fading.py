@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from ehnoma.fading import MAJORITY_RANK_COEFFS, UnsupportedModelError, theta
+from ehnoma.fading import MAJORITY_RANK_COEFFS, theta
 from oracles import expanded_sum, ks_distance, majority_gains, rank_cdf
 
 
@@ -43,10 +43,6 @@ class TestThetaTable:
     @pytest.mark.parametrize("y", [1, 2, 3])
     def test_recurrence_equals_convolution(self, m, y):
         assert list(theta(y, m)) == poly_power_oracle(m, y)
-
-    def test_non_integer_m_rejected(self):
-        with pytest.raises(UnsupportedModelError):
-            theta(2, 1.5)
 
 
 X_GRID = np.logspace(-2, 1.5, 25)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ehnoma import InfeasibleConfigError, SystemConfig, sinr, tau_star
+from ehnoma import InfeasibleConfigError, SystemConfig
+from ehnoma.link import tau_star
+from oracles import sinr
 
 
 class TestSystemConfigValidation:
@@ -31,6 +33,10 @@ class TestSystemConfigValidation:
         {"zeta": 1.1}, {"n_u": 0}, {"d_sr": 0.0}, {"d_sr": 1.0}, {"alpha": -1.0},
         {"gamma_th": (1.4, -0.1, 2.5)}, {"m_sr": 0.4}, {"m_ru": 0.4},
         {"m_sr": float("nan")}, {"m_ru": float("inf")},
+        {"snr_db": float("nan")}, {"snr_db": float("inf")}, {"snr_db": float("-inf")},
+        {"alpha": float("nan")}, {"alpha": float("inf")},
+        {"a": (float("nan"), 0.3, 0.1)}, {"gamma_th": (float("nan"), 2.2, 2.5)},
+        {"gamma_th": (1.4, 2.2, float("inf"))},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):
@@ -79,7 +85,6 @@ class TestFeasibility:
 
     def test_partial_check_passes_earlier_stages(self):
         c = SystemConfig(xi=0.1)
-        c.check_feasible(up_to=1)
         assert tau_star(1, c) > 0
         with pytest.raises(InfeasibleConfigError):
             tau_star(3, c)

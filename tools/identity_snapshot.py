@@ -21,12 +21,16 @@ in and writes into OUTDIR:
   `find-w --user 1` and of `simulate --trials 300000 --seed 4`, the last
   also with `--set n_rt=3`, which reaches the majority vote's tie-break,
   and of `analytic` and `find-snr --user 2 --target 1e-3` with
-  `--set m_sr=1.5`, which the closed form rejects.
+  `--set m_sr=1.5`, which the closed form rejects, and of `analytic`,
+  `find-snr --user 1 --target 1e-3` and `find-snr --user 3 --target 1e-3`
+  with `--set xi=0.1`, which makes stage 2 infeasible: `analytic` marks
+  every row, the rank-1 search succeeds, as it needs only stage 1, and the
+  rank-3 search fails on stage 2.
 
 To check that a change moves no output, copy this script into a checkout
 of the parent commit, snapshot both checkouts and compare with
-`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes a few minutes on
-a 2-core machine.
+`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 16 s on a
+2-core machine.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ COMMANDS = {
     "analytic-m_sr1.5": ("analytic", ["--set", "m_sr=1.5"]),
     "find-snr-m_sr1.5": ("find-snr", ["--user", "2", "--target", "1e-3",
                                       "--set", "m_sr=1.5"]),
+    "analytic-xi0.1": ("analytic", ["--set", "xi=0.1"]),
+    "find-snr-user1-xi0.1": ("find-snr", ["--user", "1", "--target", "1e-3",
+                                          "--set", "xi=0.1"]),
+    "find-snr-user3-xi0.1": ("find-snr", ["--user", "3", "--target", "1e-3",
+                                          "--set", "xi=0.1"]),
 }
 
 
