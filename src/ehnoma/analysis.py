@@ -4,7 +4,10 @@ The closed form expands both hops' CDFs into finite x^v * exp(-c*x) sums and
 integrates term by term, each term reducing to a modified Bessel K function.
 The quadrature route evaluates the same outage integral directly from the
 unexpanded power-form CDFs; the two paths share no series machinery, so their
-agreement is a genuine cross-check.
+agreement is a genuine cross-check.  The quadrature is QUADPACK's 21-point
+Gauss-Kronrod rule with its error estimate, refined by bisecting the worst
+intervals a batch at a time and evaluating the integrand on arrays, so the
+module needs only scipy.special from scipy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .fading import MAJORITY_RANK_COEFFS, expanded_power
 from .link import SystemConfig, tau_star
@@ -28,8 +31,9 @@ _REL_TOL = 1e-6
 # rounded sum errs by about this much times sum|t|.
 _FLOAT_TERM_ERR = 4 * 2.0**-53
 # Relative tolerance of the quadrature oracle, far inside _REL_TOL so that it
-# can check the closed form.
+# can check the closed form, and the most subintervals it may use.
 _QUAD_REL_TOL = 1e-13
+_QUAD_MAX_INTERVALS = 800
 # Decimal digits a double needs to round-trip; the high-precision pass carries
 # this many beyond the digits the cancellation eats.
 _DOUBLE_DIGITS = 17
@@ -43,7 +47,7 @@ class UnresolvedNumericsError(ArithmeticError):
     """An analytic OP its numerics cannot resolve to _REL_TOL.
 
     The closed form raises it when its sum stays below its own rounding noise
-    at every precision it may use, the quadrature when quad's error estimate
+    at every precision it may use, the quadrature when its error estimate
     exceeds _REL_TOL times the OP.
     """
 
@@ -303,6 +307,91 @@ def op_closed_form(k: int, config: SystemConfig) -> float:
     return min(max(_closed_form(k, config, tau), 0.0), 1.0)
 
 
+# QUADPACK's qk21 rule (Piessens et al., 1983): the 11 non-negative
+# abscissae of the 21-point Gauss-Kronrod rule on [-1, 1], from the outermost
+# inwards to the centre, and their Kronrod weights.  Every other abscissa from
+# the second on is a node of the embedded 10-point Gauss rule, whose weights
+# are _GAUSS_10.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208323994574, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GAUSS_10 = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# the 21 nodes left to right, with the Kronrod and Gauss weight of each
+_GK_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_GK_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _GAUSS_10
+_GK_GAUSS[11::2] = _GAUSS_10[::-1]
+
+
+def _gk21(f, lo, hi):
+    """(integral, error estimate) of f over each interval [lo_i, hi_i], by qk21.
+
+    f takes an array of points and returns its values there; all 21 nodes
+    of every interval go to it in one call.  The error estimate is qk21's:
+    resasc * min(1, (200 |K - G| / resasc)^1.5), with K and G the Kronrod and
+    Gauss sums and resasc the Kronrod integral of |f - K / (hi - lo)|,
+    floored at 50 eps times the Kronrod integral of |f|.
+    """
+    centre, half = (lo + hi) / 2, (hi - lo) / 2
+    fx = f(centre[:, None] + half[:, None] * _GK_NODES)
+    kronrod = fx @ _GK_KRONROD
+    resasc = np.abs(fx - (kronrod / 2)[:, None]) @ _GK_KRONROD * half
+    resabs = np.abs(fx) @ _GK_KRONROD * half
+    err = np.abs(kronrod - fx @ _GK_GAUSS) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0) & (err != 0), scaled, err)
+    return kronrod * half, np.maximum(err, 50 * sys.float_info.epsilon * resabs)
+
+
+def _integrate(f, edges):
+    """(integral, error estimate) of f from edges[0] to edges[-1], adaptively.
+
+    Starts from the intervals between consecutive edges and, while the
+    summed error estimate exceeds _QUAD_REL_TOL of the integral, bisects
+    the intervals with the largest errors until those left unsplit hold
+    under half of that tolerance.  Each pass evaluates f once, on every
+    node of every new interval.  Stops after _QUAD_MAX_INTERVALS intervals,
+    returning whatever error estimate it has reached.
+    """
+    lo, hi = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
+    value, err = _gk21(f, lo, hi)
+    while True:
+        # an absolute floor: a tail near the bottom of the doubles is held
+        # to 1e-280, not to _QUAD_REL_TOL of itself
+        tol = max(1e-280, _QUAD_REL_TOL * abs(value.sum()))
+        room = _QUAD_MAX_INTERVALS - len(lo)
+        if err.sum() <= tol or room <= 0:
+            return value.sum(), err.sum()
+        order = np.argsort(-err)
+        unsplit = np.cumsum(err[order][::-1])[::-1]  # error left if split from i on
+        split = order[:min(np.count_nonzero(unsplit >= tol / 2), room)]
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        mid = (lo[split] + hi[split]) / 2
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_value, new_err = _gk21(f, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[keep], new_lo]), np.concatenate([hi[keep], new_hi])
+        value = np.concatenate([value[keep], new_value])
+        err = np.concatenate([err[keep], new_err])
+
+
 def op_numerical(k: int, config: SystemConfig) -> float:
     """Outage probability by adaptive quadrature of the outage integral.
 
@@ -310,9 +399,11 @@ def op_numerical(k: int, config: SystemConfig) -> float:
     F_ru(tau* c2 / (c1 y)) * f_sr(tau* + y) dy,
     with both CDFs in unexpanded power form.  The integral runs over
     t = ln y with a breakpoint where the second-hop CDF turns, near
-    y = tau* c2 / c1, which deep in outage is a tiny fraction of the range.
-    Accepts non-integer fading m.  Raises UnresolvedNumericsError when quad's
-    error estimate exceeds _REL_TOL times the OP.
+    y = tau* c2 / c1, which deep in outage is a tiny fraction of the range,
+    and _integrate evaluates it with the 21-point Gauss-Kronrod rule by
+    batched bisection.  Accepts non-integer fading m.  Raises
+    UnresolvedNumericsError when the integrator's error estimate exceeds
+    _REL_TOL times the OP.
     """
     _check_scope(config)
     tau = tau_star(k, config)
@@ -327,18 +418,15 @@ def op_numerical(k: int, config: SystemConfig) -> float:
     b_sr = m_sr / om_sr
     log_gamma_m = math.lgamma(m_sr)
 
-    def cdf_ru(x):
-        g = special.gammainc(m_ru, m_ru * x / om_ru) ** n_u
-        return sum(e * g**q for q, e in etas)
-
     def integrand(t):
-        y = math.exp(t)
+        y = np.exp(t)
         x = tau + y
         # f_x * dy/dt, the Gamma pdf times y
-        f_x = math.exp(m_sr * math.log(b_sr) + (m_sr - 1) * math.log(x) - b_sr * x
-                       - log_gamma_m + t)
+        f_x = np.exp(m_sr * math.log(b_sr) + (m_sr - 1) * np.log(x) - b_sr * x
+                     - log_gamma_m + t)
         f_sr = n * f_x * special.gammainc(m_sr, b_sr * x) ** (n - 1)
-        return cdf_ru(ratio / y) * f_sr
+        g = special.gammainc(m_ru, m_ru * (ratio / y) / om_ru) ** n_u
+        return sum(e * g**q for q, e in etas) * f_sr
 
     # choose the upper limit so the neglected first-hop tail mass is < 1e-14
     x_max = (om_sr / m_sr) * special.gammainccinv(m_sr, 1e-15 / n)
@@ -350,8 +438,8 @@ def op_numerical(k: int, config: SystemConfig) -> float:
     # is below 1e-15 of head, and head <= OP
     y_lo = tau * math.expm1(math.log1p(1e-15) / (m_sr * n))
     t_lo, t_hi, t_turn = math.log(y_lo), math.log(x_max - tau), math.log(ratio)
-    tail, err = integrate.quad(integrand, t_lo, t_hi, epsabs=1e-280, epsrel=_QUAD_REL_TOL,
-                               limit=800, points=[t_turn] if t_lo < t_turn < t_hi else None)
+    edges = [t_lo, t_turn, t_hi] if t_lo < t_turn < t_hi else [t_lo, t_hi]
+    tail, err = _integrate(integrand, edges)
     op = head + tail
     if err > _REL_TOL * op:
         raise UnresolvedNumericsError(

@@ -24,8 +24,9 @@ class SystemConfig:
     Power factors `a` must sum to one and be nonincreasing (rank 1 gets the
     most power).  Mean channel gains are derived from the normalized
     geometry: omega_sr = d_sr^-alpha, omega_ru = (1-d_sr)^-alpha.  Every
-    float must be finite.  The Nakagami figures m_sr and m_ru must be >= 0.5;
-    the closed form also needs them integer.
+    float must be finite, and so must the linear SNR and both mean gains,
+    which must also be > 0.  The Nakagami figures m_sr and m_ru must be
+    >= 0.5; the closed form also needs them integer.
     """
 
     a: tuple = (0.6, 0.3, 0.1)
@@ -78,6 +79,14 @@ class SystemConfig:
             if getattr(self, name) < 0.5:
                 raise ValueError(f"Nakagami {name} must be finite and >= 0.5, "
                                  f"got {getattr(self, name)}")
+        try:
+            derived = (self.snr_linear, self.omega_sr, self.omega_ru)
+        except OverflowError:
+            derived = (math.inf,)
+        if not all(0 < v < math.inf for v in derived):
+            raise ValueError(
+                f"snr_db={self.snr_db}, d_sr={self.d_sr} and alpha={self.alpha} give a "
+                "linear SNR or mean channel gain that is not a finite double > 0")
 
     @property
     def k_users(self) -> int:

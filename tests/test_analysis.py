@@ -4,10 +4,11 @@ import math
 import warnings
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from ehnoma import (
     SystemConfig,
@@ -110,16 +111,96 @@ class TestQuadratureOracle:
             op_numerical(1, c)
 
     def test_error_estimate_above_tolerance_raises(self, monkeypatch):
-        # a quad whose error estimate is as large as its value must not be
-        # returned as an OP
-        monkeypatch.setattr(analysis.integrate, "quad",
-                            lambda *args, **kwargs: (1e-3, 1e-3))
+        # an integral whose error estimate is as large as its value must not
+        # be returned as an OP
+        monkeypatch.setattr(analysis, "_integrate", lambda f, edges: (1e-3, 1e-3))
         with pytest.raises(UnresolvedNumericsError):
             op_numerical(2, SystemConfig())
 
     def test_scope_requires_two_transmit_antennas(self):
         with pytest.raises(UnsupportedModelError):
             op_numerical(1, SystemConfig(n_rt=3))
+
+
+# configurations off the frozen grid: non-integer m, and hops of unequal
+# rates and mean gains
+QUADPACK_EXTRA = [
+    (dict(m_sr=1.5, m_ru=1.5, snr_db=15), k) for k in (1, 2, 3)
+] + [
+    (dict(m_sr=m_sr, m_ru=m_ru, d_sr=d_sr, alpha=2.7, snr_db=snr), k)
+    for m_sr, m_ru, d_sr, snr in ((1, 3, 0.3, 20), (3, 1, 0.7, 30), (2.5, 0.5, 0.3, 40))
+    for k in (1, 2, 3)
+]
+
+
+def quadpack(f, edges):
+    """scipy's QUADPACK quad in place of analysis._integrate, at its settings."""
+    return integrate.quad(f, edges[0], edges[-1], points=edges[1:-1] or None,
+                          epsabs=1e-280, epsrel=analysis._QUAD_REL_TOL,
+                          limit=analysis._QUAD_MAX_INTERVALS)
+
+
+class TestGaussKronrod:
+    def test_rule_exact_to_degree_31(self):
+        for j in range(32):
+            value, _ = analysis._gk21(lambda x: x**j, np.array([0.0]), np.array([1.0]))
+            assert value[0] == pytest.approx(1 / (j + 1), rel=1e-14, abs=0)
+        # and no further: extending the 10-point Gauss rule to 21 Kronrod
+        # nodes gives degree 3*10 + 1, so degree 32 is the first miss
+        value, _ = analysis._gk21(lambda x: x**32, np.array([-1.0]), np.array([1.0]))
+        assert abs(value[0] * 33 / 2 - 1) > 1e-12
+
+    def test_error_estimate_at_rounding_floor_where_gauss_is_exact(self):
+        # the embedded 10-point Gauss rule is exact to degree 19, so there the
+        # Kronrod-Gauss difference is rounding and the 50 eps floor is the estimate
+        floor = 50 * np.finfo(float).eps
+        for j in range(21):
+            value, err = analysis._gk21(lambda x: x**j, np.array([0.0]), np.array([1.0]))
+            if j < 20:
+                assert err[0] == pytest.approx(floor * value[0], rel=1e-12)
+            else:
+                assert err[0] > 10 * floor * value[0]
+
+    @pytest.mark.parametrize("f,lo,hi", [(np.exp, 0.0, 3.0), (np.cos, 0.0, 4.0),
+                                         (lambda x: 1 / (1 + x * x), -2.0, 5.0),
+                                         (np.sqrt, 0.0, 1.0)])
+    def test_rule_and_error_estimate_match_qk21(self, f, lo, hi):
+        # with an absolute tolerance above its first error estimate, QUADPACK
+        # returns its first qk21 pass over [lo, hi] as it stands (these cases
+        # avoid resasc == error, on which it subdivides)
+        expect, expect_err = integrate.quad(f, lo, hi, epsabs=1e3, epsrel=0.0)
+        value, err = analysis._gk21(f, np.array([lo]), np.array([hi]))
+        assert value[0] == pytest.approx(expect, rel=1e-14)
+        assert err[0] == pytest.approx(expect_err, rel=1e-10)
+
+    def test_breakpoint_reproduces_closed_form(self):
+        # a sharp peak at the breakpoint: the integral of e^(-50|x-1|) over [0, 3]
+        exact = -math.expm1(-50) / 50 - math.expm1(-100) / 50
+        value, err = analysis._integrate(lambda x: np.exp(-50 * np.abs(x - 1)), [0, 1, 3])
+        assert value == pytest.approx(exact, rel=1e-14)
+        assert abs(value - exact) <= err <= analysis._QUAD_REL_TOL * value
+
+    def test_stops_at_interval_cap(self):
+        # an integrand it cannot resolve: splitting stops at the cap, after
+        # the first interval and two halves for each of the cap - 1 splits,
+        # and the error estimate says the value is unresolved
+        intervals = []
+
+        def f(x):
+            intervals.append(x.size // 21)
+            return np.sin(1e5 * x**2)
+
+        value, err = analysis._integrate(f, [0, 3])
+        assert sum(intervals) == 2 * analysis._QUAD_MAX_INTERVALS - 1
+        assert err > analysis._QUAD_REL_TOL * abs(value)
+
+    @pytest.mark.parametrize("kwargs,k", [(kw, k) for kw, k, _ in ORACLE_VALUES]
+                             + QUADPACK_EXTRA)
+    def test_matches_quadpack(self, monkeypatch, kwargs, k):
+        config = SystemConfig(**kwargs)
+        value = op_numerical(k, config)
+        monkeypatch.setattr(analysis, "_integrate", quadpack)
+        assert value == pytest.approx(op_numerical(k, config), rel=1e-13, abs=0)
 
 
 class TestClosedForm:

@@ -1,12 +1,15 @@
-"""Scenario parsing, sweeps, searches, CSV output and exit codes."""
+"""Scenario parsing, sweeps, searches, CSV output, exit codes and imports."""
 
 import math
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ehnoma
 from ehnoma import SystemConfig, analysis, op_closed_form
 from ehnoma.cli import (
     CSV_HEADER,
@@ -319,6 +322,22 @@ class TestMain:
          "Nakagami m_sr must be finite and >= 0.5, got 0.0"),
         (["analytic", "{path}", "--set", "n_u=2.5"],
          "override 'n_u=2.5': bad value for n_u: '2.5'"),
+        # finite inputs whose linear SNR or mean gain overflows or underflows
+        (["analytic", "{path}", "--set", "snr_db=4000"],
+         "snr_db=4000.0, d_sr=0.5 and alpha=2.0 give a linear SNR or mean channel "
+         "gain that is not a finite double > 0"),
+        (["analytic", "{path}", "--set", "alpha=2000"],
+         "snr_db=20.0, d_sr=0.5 and alpha=2000.0 give a linear SNR or mean channel "
+         "gain that is not a finite double > 0"),
+        (["quadrature", "{path}", "--set", "d_sr=1e-300"],
+         "snr_db=20.0, d_sr=1e-300 and alpha=2.0 give a linear SNR or mean channel "
+         "gain that is not a finite double > 0"),
+        (["analytic", "{path}", "--set", "snr_db=-4000"],
+         "snr_db=-4000.0, d_sr=0.5 and alpha=2.0 give a linear SNR or mean channel "
+         "gain that is not a finite double > 0"),
+        (["simulate", "{path}", "--set", "snr_db=-4000"],
+         "snr_db=-4000.0, d_sr=0.5 and alpha=2.0 give a linear SNR or mean channel "
+         "gain that is not a finite double > 0"),
     ])
     def test_invalid_argument_exit(self, tmp_path, capsys, argv, message):
         # invalid input, not a search failure
@@ -401,3 +420,14 @@ class TestMain:
         code = main(["find-snr", path, "--user", "1", "--target", "1e-2"])
         assert code == EXIT_UNRESOLVED
         assert "error:" in capsys.readouterr().err
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate drags in scipy.optimize, scipy.sparse and scipy.linalg,
+    # a large share of a fresh process's start-up time and memory
+    src = Path(ehnoma.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ehnoma, ehnoma.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout == "False\n"

@@ -37,6 +37,9 @@ class TestSystemConfigValidation:
         {"alpha": float("nan")}, {"alpha": float("inf")},
         {"a": (float("nan"), 0.3, 0.1)}, {"gamma_th": (float("nan"), 2.2, 2.5)},
         {"gamma_th": (1.4, 2.2, float("inf"))},
+        # finite, but the linear SNR or a mean gain overflows or underflows
+        {"snr_db": 4000.0}, {"snr_db": -4000.0}, {"alpha": 2000.0}, {"d_sr": 1e-300},
+        {"d_sr": 1 - 2**-53, "alpha": 50.0},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):

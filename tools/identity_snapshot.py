@@ -29,7 +29,7 @@ in and writes into OUTDIR:
 
 To check that a change moves no output, copy this script into a checkout
 of the parent commit, snapshot both checkouts and compare with
-`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 16 s on a
+`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 25 s on a
 2-core machine.
 """
 
