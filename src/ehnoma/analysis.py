@@ -30,6 +30,9 @@ _REL_TOL = 1e-6
 # Each float term is good to a few units in the last place, so a correctly
 # rounded sum errs by about this much times sum|t|.
 _FLOAT_TERM_ERR = 4 * 2.0**-53
+# closed_form_side trusts the float sum's side of a target only this many of
+# its error bounds away from it.
+_SIDE_MARGIN = 1e3
 # Relative tolerance of the quadrature oracle, far inside _REL_TOL so that it
 # can check the closed form, and the most subintervals it may use.
 _QUAD_REL_TOL = 1e-13
@@ -85,20 +88,34 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
     pointing at its group, and a row per monomial (s, j, c) pointing at its
     (p, u, nu) row, all in the order the sum was built.  The table lives in
     this cache entry, so a call pays no hashing of the terms.
+
+    The sum over q comes first, into the rank's second-hop polynomial
+    a[p, s] = sum_q eta_q c_ru(q; p, s).  Its (p, s) keep the order in which
+    a term-by-term build meets them, as theta_s(p) does not depend on q, so a
+    smaller q's (p, s) are a prefix of a larger q's.  A monomial
+    (p, u, nu, s, j) then fixes v = j - m_sr and z = nu + s - 1, so its
+    coefficient is the single product
+    a[p, s] c_sr(u, v) C(m_sr - 1 + v, z) 2N / (m_sr - 1)!, made on integer
+    numerators over one common denominator and reduced to a Fraction once.
     """
-    groups = {}
-    scale = Fraction(2 * n, math.factorial(m_sr - 1))
+    ru = {}
     for q, eta in MAJORITY_RANK_COEFFS[k].items():
         for p, s, c_ru in expanded_power(q * n_u, m_ru):
-            if p == 0:  # the constant term has no Bessel factor
-                continue
-            for u, v, c_sr in expanded_power(n - 1, m_sr):
-                big_m = m_sr - 1 + v
-                base = scale * eta * c_ru * c_sr
-                for z in range(big_m + 1):
-                    poly = groups.setdefault((p, u), {}).setdefault(z - s + 1, {})
-                    key = (s, m_sr + v)
-                    poly[key] = poly.get(key, 0) + base * math.comb(big_m, z)
+            if p:  # the constant term has no Bessel factor
+                ru[p, s] = ru.get((p, s), 0) + eta * c_ru
+    sr = expanded_power(n - 1, m_sr)
+    den_ru = math.lcm(*(c.denominator for c in ru.values()))
+    den_sr = math.lcm(*(c.denominator for _, _, c in sr))
+    den = den_ru * den_sr * math.factorial(m_sr - 1)
+    sr = [(u, v, 2 * n * c.numerator * (den_sr // c.denominator)) for u, v, c in sr]
+    groups = {}
+    for (p, s), a in ru.items():
+        a = a.numerator * (den_ru // a.denominator)
+        for u, v, c_sr in sr:
+            big_m = m_sr - 1 + v
+            by_nu = groups.setdefault((p, u), {})
+            for z in range(big_m + 1):
+                by_nu.setdefault(z - s + 1, {})[s, m_sr + v] = a * c_sr * math.comb(big_m, z)
     pus, group, nus, row, ss, js, coef = [], [], [], [], [], [], []
     for (p, u), by_nu in groups.items():
         for nu, poly in by_nu.items():
@@ -113,7 +130,7 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
                 row.append(len(nus) - 1)
                 ss.append(s)
                 js.append(j)
-                coef.append(c)
+                coef.append(Fraction(c, den))
     ints = partial(np.array, dtype=np.int64)
     return _TermTable(
         s_top=max(ss, default=0), j_top=max(js, default=0),
@@ -250,6 +267,15 @@ def _int_m(m) -> int:
     return int(m)
 
 
+def _float_pass(k: int, config: SystemConfig, tau: float):
+    """The closed form's table, X and Y, and (sum t, sum |t|) in double precision."""
+    table = _bessel_groups(k, _int_m(config.m_sr), _int_m(config.m_ru),
+                           config.n_s * config.n_rr, config.n_u)
+    x = config.m_ru / config.omega_ru * config.c2 / config.c1
+    y = config.m_sr / config.omega_sr * tau
+    return (table, x, y, *_closed_form_sum(mp.fp, table, x, y))
+
+
 def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     """The closed form at the precision its own cancellation calls for.
 
@@ -260,11 +286,7 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     float sum below its own rounding noise measures no condition; then the
     OP's lower bound F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.
     """
-    table = _bessel_groups(k, _int_m(config.m_sr), _int_m(config.m_ru),
-                           config.n_s * config.n_rr, config.n_u)
-    x = config.m_ru / config.omega_ru * config.c2 / config.c1
-    y = config.m_sr / config.omega_sr * tau
-    total, abs_total = _closed_form_sum(mp.fp, table, x, y)
+    table, x, y, total, abs_total = _float_pass(k, config, tau)
     cond = _condition(total, abs_total, mp.fp.eps)
     if _FLOAT_TERM_ERR * cond <= _REL_TOL:
         return total
@@ -299,12 +321,34 @@ def op_closed_form(k: int, config: SystemConfig) -> float:
     Requires integer fading parameters on both hops and the 3-user,
     2-transmit-antenna majority-selection scope.  The value is accurate to
     1e-6 relative; rounding can put it a hair outside [0, 1], so it is clamped.
+    A linear SNR so small that tau* is infinite (a subnormal) gives OP 1.
     """
     _check_scope(config)
     tau = tau_star(k, config)
     if tau == 0.0:
         return 0.0
+    if math.isinf(tau):
+        return 1.0
     return min(max(_closed_form(k, config, tau), 0.0), 1.0)
+
+
+def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
+    """The sign of op_closed_form(k, config) - target: 1, 0 or -1.
+
+    The float sum decides when it lies more than _SIDE_MARGIN times its own
+    error bound, _FLOAT_TERM_ERR * sum|t|, from target: the OP is then on the
+    same side, and so is op_closed_form's value, which is the float sum or a
+    high-precision sum far inside that bound.  Otherwise op_closed_form's
+    value is compared exactly, so equality keeps its meaning.
+    """
+    _check_scope(config)
+    tau = tau_star(k, config)
+    if 0.0 < tau < math.inf:
+        *_, total, abs_total = _float_pass(k, config, tau)
+        if abs(total - target) > _SIDE_MARGIN * _FLOAT_TERM_ERR * abs_total:
+            return 1 if total > target else -1
+    op = op_closed_form(k, config)
+    return (op > target) - (op < target)
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 11 non-negative

@@ -8,8 +8,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import (UnresolvedNumericsError, UnsupportedModelError, op_closed_form,
-                       op_numerical)
+from .analysis import (UnresolvedNumericsError, UnsupportedModelError, closed_form_side,
+                       op_closed_form, op_numerical)
 from .link import InfeasibleConfigError, SystemConfig
 from .montecarlo import estimate_op
 
@@ -210,15 +210,22 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
     """SNR (dB) at which the analytic OP of user k crosses target_op.
 
     Bisection on the monotone (nonincreasing) analytic OP curve; the bracket
-    endpoints must straddle the target.
+    endpoints must straddle the target.  Each step needs only the side of the
+    target the OP lies on, which closed_form_side mostly reads off the
+    closed form's float sum.
     """
     if not 0 < target_op < 1:
         raise SearchError(f"target OP must be in (0,1), got {target_op}")
-    f_lo = op_closed_form(k, replace(config, snr_db=lo_db))
-    if f_lo == target_op:
+
+    def side(snr_db):
+        return closed_form_side(k, replace(config, snr_db=snr_db), target_op)
+
+    side_lo = side(lo_db)
+    if side_lo == 0:
         return lo_db
-    f_hi = op_closed_form(k, replace(config, snr_db=hi_db))
-    if not f_lo > target_op > f_hi:
+    if not side_lo > 0 > side(hi_db):
+        f_lo = op_closed_form(k, replace(config, snr_db=lo_db))
+        f_hi = op_closed_form(k, replace(config, snr_db=hi_db))
         raise SearchError(
             f"bracket [{lo_db}, {hi_db}] dB does not straddle OP={target_op:g} "
             f"(endpoints {f_lo:.3e}, {f_hi:.3e})"
@@ -226,7 +233,7 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
     lo, hi = lo_db, hi_db
     while hi - lo > 2 * _SNR_TOL_DB:
         mid = 0.5 * (lo + hi)
-        if op_closed_form(k, replace(config, snr_db=mid)) > target_op:
+        if side(mid) > 0:
             lo = mid
         else:
             hi = mid

@@ -1,9 +1,15 @@
 """Test-side oracles in plain numpy and scipy, independent of the library's
-kernels, and an evaluator of the library's expanded series."""
+kernels, an evaluator of the library's expanded series and a reference
+builder of the closed form's term table."""
+
+import math
+from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from scipy import special
 
+from ehnoma.analysis import _TermTable
 from ehnoma.fading import MAJORITY_RANK_COEFFS, expanded_power
 
 
@@ -72,3 +78,47 @@ def expanded_sum(m, bx, weighted_powers):
         for u, v, c in expanded_power(y, m):
             out += weight * float(c) * bx**v * np.exp(-u * bx)
     return out
+
+
+def bessel_groups(k, m_sr, m_ru, n, n_u):
+    """The closed form's _TermTable built term by term in Fraction arithmetic.
+
+    Every (q, p, s, u, v, z) term's coefficient is accumulated into its
+    (p, u, nu, s, j) monomial, so the sum over q happens monomial by monomial;
+    analysis._bessel_groups must give the same table field by field.
+    """
+    groups = {}
+    scale = Fraction(2 * n, math.factorial(m_sr - 1))
+    for q, eta in MAJORITY_RANK_COEFFS[k].items():
+        for p, s, c_ru in expanded_power(q * n_u, m_ru):
+            if p == 0:  # the constant term has no Bessel factor
+                continue
+            for u, v, c_sr in expanded_power(n - 1, m_sr):
+                big_m = m_sr - 1 + v
+                base = scale * eta * c_ru * c_sr
+                for z in range(big_m + 1):
+                    poly = groups.setdefault((p, u), {}).setdefault(z - s + 1, {})
+                    key = (s, m_sr + v)
+                    poly[key] = poly.get(key, 0) + base * math.comb(big_m, z)
+    pus, group, nus, row, ss, js, coef = [], [], [], [], [], [], []
+    for (p, u), by_nu in groups.items():
+        for nu, poly in by_nu.items():
+            monomials = [(s, j, c) for (s, j), c in poly.items() if c]
+            if not monomials:
+                continue
+            if not pus or pus[-1] != (p, u):
+                pus.append((p, u))
+            group.append(len(pus) - 1)
+            nus.append(nu)
+            for s, j, c in monomials:
+                row.append(len(nus) - 1)
+                ss.append(s)
+                js.append(j)
+                coef.append(c)
+    ints = partial(np.array, dtype=np.int64)
+    return _TermTable(
+        s_top=max(ss, default=0), j_top=max(js, default=0),
+        p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
+        group=ints(group), nu=ints(nus), row=ints(row), s=ints(ss), j=ints(js),
+        coef=tuple(coef),
+        coef_float=np.array([float(c.numerator) / c.denominator for c in coef]))

@@ -1,5 +1,6 @@
 """Closed form vs quadrature oracle, frozen reference values, scope checks."""
 
+import itertools
 import math
 import warnings
 
@@ -18,7 +19,9 @@ from ehnoma import (
     op_closed_form,
     op_numerical,
 )
+from ehnoma.analysis import closed_form_side
 from ehnoma.link import tau_star
+from oracles import bessel_groups
 
 # Frozen outputs of the adaptive-quadrature oracle, which integrates the
 # unexpanded power-form CDFs and shares no series machinery with the closed
@@ -286,6 +289,41 @@ class TestClosedForm:
                          * x ** int(table.s[i]) * y ** int(table.j[i]) * bessel)
         expect = (math.fsum(terms), math.fsum(map(abs, terms)))
         assert analysis._closed_form_sum(mp.fp, table, x, y) == expect
+
+    def test_tables_match_reference_builder(self):
+        # the integer build must give the Fraction loop's table field by
+        # field: row order, dtypes, bytes and exact coefficients
+        for key in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2)):
+            table, expect = analysis._bessel_groups(*key), bessel_groups(*key)
+            for name, got, want in zip(table._fields, table, expect):
+                if isinstance(want, np.ndarray):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (key, name)
+                    assert got.tobytes() == want.tobytes(), (key, name)
+                elif name == "coef":
+                    assert got == want, key
+                    assert all(type(c) is type(w) for c, w in zip(got, want)), key
+                else:
+                    assert type(got) is type(want) and got == want, (key, name)
+
+    def test_subnormal_snr_gives_one(self):
+        # a subnormal linear SNR makes tau* infinite: every path's OP is 1
+        c = SystemConfig(snr_db=-3200)
+        for k in (1, 2, 3):
+            assert math.isinf(tau_star(k, c))
+            assert op_closed_form(k, c) == 1.0 == op_numerical(k, c)
+            assert closed_form_side(k, c, 0.5) == 1
+
+    @pytest.mark.parametrize("kwargs,k", [(dict(snr_db=20), 1),
+                                          (dict(m_sr=2, m_ru=2, snr_db=20, w=0.35), 2),
+                                          (dict(snr_db=60), 2),
+                                          (dict(m_sr=2, m_ru=2, snr_db=60), 3)])
+    def test_side_matches_value(self, kwargs, k):
+        # far targets are decided by the float sum, near ones by the value;
+        # either way the side is the value's
+        c = SystemConfig(**kwargs)
+        op = op_closed_form(k, c)
+        for target in (op / 2, math.nextafter(op, 0), op, math.nextafter(op, 1), op * 2):
+            assert closed_form_side(k, c, target) == (op > target) - (op < target)
 
     @pytest.mark.parametrize("key", [(3, 2, 2, 4, 2), (3, 3, 3, 4, 2)])
     def test_bessel_recurrence_matches_besselk(self, key):

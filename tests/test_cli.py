@@ -1,11 +1,13 @@
 """Scenario parsing, sweeps, searches, CSV output, exit codes and imports."""
 
 import math
+import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -170,7 +172,74 @@ class TestRunSweep:
         assert a.startswith(CSV_HEADER + "\n")
 
 
+def bisect_values(k, config, target_op, lo_db, hi_db):
+    """find_snr_for_op's bisection deciding each step on op_closed_form's value."""
+    f_lo = op_closed_form(k, replace(config, snr_db=lo_db))
+    if f_lo == target_op:
+        return lo_db
+    f_hi = op_closed_form(k, replace(config, snr_db=hi_db))
+    assert f_lo > target_op > f_hi
+    lo, hi = lo_db, hi_db
+    while hi - lo > 0.1:
+        mid = 0.5 * (lo + hi)
+        if op_closed_form(k, replace(config, snr_db=mid)) > target_op:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def count_contexts(monkeypatch):
+    """The arithmetic context of every closed-form sum from now on."""
+    contexts = []
+    real_sum = analysis._closed_form_sum
+
+    def counting_sum(ctx, *args):
+        contexts.append(ctx)
+        return real_sum(ctx, *args)
+
+    monkeypatch.setattr(analysis, "_closed_form_sum", counting_sum)
+    return contexts
+
+
+# the paper's target-SNR searches at OP 1e-3, as the design benchmark runs
+# them, (m, n_s, n_rr, n_u) with m_sr = m_ru = m over [0, 70] dB at m=1 and
+# [0, 20] dB at m=2, and the m=2 ones also over [0, 70] dB
+SNR_SEARCHES = [
+    (dict(m_sr=m, m_ru=m, n_s=n_s, n_rr=n_rr, n_u=n_u), k, 0.0, hi)
+    for m, n_s, n_rr, n_u, hi in ((1, 1, 1, 1, 70.0), (1, 2, 1, 1, 70.0),
+                                  (1, 2, 1, 2, 70.0), (1, 2, 2, 2, 70.0),
+                                  (2, 2, 2, 2, 20.0), (2, 2, 2, 2, 70.0))
+    for k in (1, 2, 3)
+]
+
+
 class TestFindSnr:
+    @pytest.mark.parametrize("kwargs,k,lo,hi", SNR_SEARCHES)
+    def test_float_sides_match_value_bisection(self, monkeypatch, kwargs, k, lo, hi):
+        # every step, the 70 dB end included, is decided by the float sum,
+        # and on the side the value-based bisection takes
+        config = SystemConfig(**kwargs)
+        expect = bisect_values(k, config, 1e-3, lo, hi)
+        contexts = count_contexts(monkeypatch)
+        assert find_snr_for_op(k, config, 1e-3, lo, hi) == expect
+        assert contexts and set(contexts) == {mp.fp}
+
+    def test_target_at_deep_point_returns_lo(self, monkeypatch):
+        # at 60 dB the float sum lies below its own rounding noise, so a
+        # target equal to the point's OP falls back to the value, exactly
+        target = op_closed_form(2, SystemConfig(snr_db=60.0))
+        contexts = count_contexts(monkeypatch)
+        assert find_snr_for_op(2, SystemConfig(), target, 60.0, 70.0) == 60.0
+        assert contexts == [mp.fp, mp.fp, mp.mp]
+
+    @pytest.mark.parametrize("target,lo,hi", [(1e-30, 0.0, 10.0), (0.9, 30.0, 60.0)])
+    def test_no_bracket_reports_both_endpoints(self, target, lo, hi):
+        f_lo, f_hi = (op_closed_form(1, SystemConfig(snr_db=s)) for s in (lo, hi))
+        with pytest.raises(SearchError,
+                           match=re.escape(f"(endpoints {f_lo:.3e}, {f_hi:.3e})")):
+            find_snr_for_op(1, SystemConfig(), target, lo, hi)
+
     def test_hits_target(self):
         c = SystemConfig()
         target = 1e-3
@@ -379,6 +448,20 @@ class TestMain:
         code = main(["find-snr", path, "--user", "1", "--target", "1e-30",
                      "--lo", "0", "--hi", "5"])
         assert code == EXIT_SEARCH
+        f_lo, f_hi = (op_closed_form(1, SystemConfig(snr_db=s)) for s in (0.0, 5.0))
+        assert capsys.readouterr().err == (
+            "error: bracket [0.0, 5.0] dB does not straddle OP=1e-30 "
+            f"(endpoints {f_lo:.3e}, {f_hi:.3e})\n")
+
+    @pytest.mark.parametrize("command", ["analytic", "quadrature"])
+    def test_subnormal_snr_gives_op_one(self, capsys, command):
+        # the linear SNR 1e-320 is a subnormal, so tau* is infinite
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        assert main([command, path, "--set", "snr_db=-3200"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert [line.split(",")[5] for line in out.splitlines()[1:]] == [
+            "1.00000000e+00"] * 3
+        assert err == ""
 
     def test_unsupported_model_exit(self, capsys):
         path = str(SCENARIO_DIR / "perfect_sic.scn")

@@ -18,10 +18,11 @@ in and writes into OUTDIR:
   points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
   m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature) and the
   stdout, stderr and exit code of `find-snr --user 2 --target 1e-3`, of
-  `find-w --user 1` and of `simulate --trials 300000 --seed 4`, the last
-  also with `--set n_rt=3`, which reaches the majority vote's tie-break,
-  and of `analytic` and `find-snr --user 2 --target 1e-3` with
-  `--set m_sr=1.5`, which the closed form rejects, and of `analytic`,
+  `find-snr --user 3 --target 1e-6`, a deep target, of `find-w --user 1`
+  and of `simulate --trials 300000 --seed 4`, the last also with
+  `--set n_rt=3`, which reaches the majority vote's tie-break, and of
+  `analytic` and `find-snr --user 2 --target 1e-3` with `--set m_sr=1.5`,
+  which the closed form rejects, and of `analytic`,
   `find-snr --user 1 --target 1e-3` and `find-snr --user 3 --target 1e-3`
   with `--set xi=0.1`, which makes stage 2 infeasible: `analytic` marks
   every row, the rank-1 search succeeds, as it needs only stage 1, and the
@@ -29,7 +30,7 @@ in and writes into OUTDIR:
 
 To check that a change moves no output, copy this script into a checkout
 of the parent commit, snapshot both checkouts and compare with
-`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 25 s on a
+`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 17 s on a
 2-core machine.
 """
 
@@ -57,6 +58,7 @@ SWEEPS = {
 # output file label: (command, arguments after the scenario)
 COMMANDS = {
     "find-snr": ("find-snr", ["--user", "2", "--target", "1e-3"]),
+    "find-snr-deep": ("find-snr", ["--user", "3", "--target", "1e-6"]),
     "find-w": ("find-w", ["--user", "1"]),
     "simulate": ("simulate", ["--trials", "300000", "--seed", "4"]),
     "simulate-n_rt3": ("simulate", ["--trials", "300000", "--seed", "4",
