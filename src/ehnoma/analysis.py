@@ -16,6 +16,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
 from typing import NamedTuple
 
 import mpmath as mp
@@ -40,6 +41,10 @@ _QUAD_MAX_INTERVALS = 800
 # Decimal digits a double needs to round-trip; the high-precision pass carries
 # this many beyond the digits the cancellation eats.
 _DOUBLE_DIGITS = 17
+# Most monomials a term table may hold.  Building and summing one peaks at
+# about 300 bytes a monomial (measured from 86k to 566k monomials), so this
+# keeps a table near 300 MB.
+_MAX_MONOMIALS = 1_000_000
 
 
 class UnsupportedModelError(ValueError):
@@ -70,8 +75,23 @@ class _TermTable(NamedTuple):
     row: np.ndarray      # per monomial: its row's index
     s: np.ndarray        # per monomial: the power of X
     j: np.ndarray        # per monomial: the power of Y
-    coef: tuple          # per monomial: the exact rational coefficient
-    coef_float: np.ndarray  # per monomial: float(c.numerator) / c.denominator
+    num: tuple           # per monomial: the exact coefficient's numerator over den
+    den: int             # the coefficients' common denominator
+    coef_float: np.ndarray  # per monomial: num/den in lowest terms, as float(n) / d
+
+
+def _table_size(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> int:
+    """The monomials of _bessel_groups(k, m_sr, m_ru, n, n_u) before any cancel.
+
+    Every (p, s) of the rank's second-hop polynomial with p >= 1 (its largest
+    power q n_u has p(m_ru - 1) + 1 of them for each p) meets every (u, v) of
+    the first hop's F^(n-1) (u(m_sr - 1) + 1 of them for each u) in
+    m_sr + v monomials, one for each z.
+    """
+    top = max(MAJORITY_RANK_COEFFS[k]) * n_u
+    ru = (m_ru - 1) * top * (top + 1) // 2 + top
+    sr = sum((u * (m_sr - 1) + 1) * (2 * m_sr + u * (m_sr - 1)) // 2 for u in range(n))
+    return ru * sr
 
 
 @lru_cache(maxsize=None)
@@ -96,8 +116,16 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
     (p, u, nu, s, j) then fixes v = j - m_sr and z = nu + s - 1, so its
     coefficient is the single product
     a[p, s] c_sr(u, v) C(m_sr - 1 + v, z) 2N / (m_sr - 1)!, made on integer
-    numerators over one common denominator and reduced to a Fraction once.
+    numerators over one common denominator, which the table keeps.
+
+    A table of more than _MAX_MONOMIALS monomials is refused before it is
+    built, with UnsupportedModelError.
     """
+    size = _table_size(k, m_sr, m_ru, n, n_u)
+    if size > _MAX_MONOMIALS:
+        raise UnsupportedModelError(
+            f"closed-form term table would hold {size:,} monomials, over the "
+            f"{_MAX_MONOMIALS:,} limit; quadrature evaluates this configuration")
     ru = {}
     for q, eta in MAJORITY_RANK_COEFFS[k].items():
         for p, s, c_ru in expanded_power(q * n_u, m_ru):
@@ -116,7 +144,7 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
             by_nu = groups.setdefault((p, u), {})
             for z in range(big_m + 1):
                 by_nu.setdefault(z - s + 1, {})[s, m_sr + v] = a * c_sr * math.comb(big_m, z)
-    pus, group, nus, row, ss, js, coef = [], [], [], [], [], [], []
+    pus, group, nus, row, ss, js, num = [], [], [], [], [], [], []
     for (p, u), by_nu in groups.items():
         for nu, poly in by_nu.items():
             monomials = [(s, j, c) for (s, j), c in poly.items() if c]
@@ -130,88 +158,87 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
                 row.append(len(nus) - 1)
                 ss.append(s)
                 js.append(j)
-                coef.append(Fraction(c, den))
+                num.append(c)
     ints = partial(np.array, dtype=np.int64)
     return _TermTable(
         s_top=max(ss, default=0), j_top=max(js, default=0),
         p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
         group=ints(group), nu=ints(nus), row=ints(row), s=ints(ss), j=ints(js),
-        coef=tuple(coef),
-        coef_float=np.array([float(c.numerator) / c.denominator for c in coef]))
+        num=tuple(num), den=den,
+        coef_float=np.array([float(c // g) / (den // g)
+                             for c, g in zip(num, map(math.gcd, num, repeat(den)))]))
 
 
-def _closed_form_sum(ctx, table, x, y):
-    """(sum t, sum |t|) over the closed form's terms, in the arithmetic of ctx.
+def _closed_form_sum(table, x, y):
+    """(sum t, sum |t|) over the closed form's terms, in double precision.
 
     The terms are 1 and each monomial of the _TermTable times its (p, u, nu)
     row's Bessel factor, evaluated a column at a time: the Bessel argument
     and e^(-(1+u) Y - arg) per (p, u) group, the nu-power and the Bessel
-    factor per row, then c * X^s * Y^j * bessel per monomial.  x and y are
-    numbers of ctx, so the columns are float arrays in double precision and
-    object arrays of mpf in mpmath.  Each float term takes the operations of
-    a term-by-term scalar loop in the same order, and products and square
-    roots are correctly rounded, so the terms are bitwise those of that
-    loop; exp and the fractional powers come from libm (math.exp and float
-    **), as numpy's versions round some arguments differently.  The sums are
-    accurate sums in ctx (math.fsum, mp.fsum), and the Bessel factor takes
-    the exponentially scaled e^t K_n(t) elementwise (scipy's kve,
-    _kve_mp_rows), which keeps the underflow of a far tail inside one exp().
+    factor per row, then c * X^s * Y^j * bessel per monomial.  Each term
+    takes the operations of a term-by-term scalar loop in the same order, and
+    products and square roots are correctly rounded, so the terms are bitwise
+    those of that loop; exp and the fractional powers come from libm
+    (math.exp and float **), as numpy's versions round some arguments
+    differently.  The sums are math.fsum's, and the Bessel factor takes
+    scipy's exponentially scaled kve = e^t K_n(t), which keeps the underflow
+    of a far tail inside one exp().  Terms that overflow give sum|t| = inf
+    and a NaN sum.
     """
     xs = np.array([x**s for s in range(table.s_top + 1)])
     ys = np.array([y**j for j in range(table.j_top + 1)])
-    if ctx is mp.fp:
-        coef, sqrt, exp = table.coef_float, math.sqrt, math.exp
-        fsum, kve = math.fsum, special.kve
-    else:
-        coef = np.array([ctx.mpf(c.numerator) / c.denominator for c in table.coef])
-        sqrt, exp = ctx.sqrt, ctx.exp
-        fsum, kve = mp.fsum, _kve_mp_rows
     # like the scalar float arithmetic, overflow gives inf without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        arg = 2 * np.array([sqrt(v) for v in (table.p * table.one_u * x * y).tolist()])
-        scale = np.array([exp(v) for v in (-table.one_u * y - arg).tolist()])
+        arg = 2 * np.array([math.sqrt(v) for v in (table.p * table.one_u * x * y).tolist()])
+        scale = np.array([math.exp(v) for v in (-table.one_u * y - arg).tolist()])
         base = (table.p * x / (table.one_u * y))[table.group]
         power = np.array([b ** h for b, h in zip(base.tolist(), (table.nu / 2).tolist())])
         bessel = (power * scale[table.group]
-                  * kve(np.abs(table.nu), arg[table.group]))
-        # in place, so that an mpf term's intermediates die as it is made
-        terms = coef * xs[table.s]
-        terms *= ys[table.j]
-        terms *= bessel[table.row]
-    total = fsum([ctx.one, *terms.tolist()])
-    return total, fsum([ctx.one, *np.abs(terms, out=terms).tolist()])
+                  * special.kve(np.abs(table.nu), arg[table.group]))
+        terms = table.coef_float * xs[table.s] * ys[table.j] * bessel[table.row]
+    abs_total = math.fsum([1.0, *np.abs(terms).tolist()])
+    if not math.isfinite(abs_total):
+        return math.nan, abs_total
+    return math.fsum([1.0, *terms.tolist()]), abs_total
 
 
-def _kve_mp_rows(n, t):
-    """e^t K_n(t) elementwise over object arrays, one _kve_mp call per distinct t."""
-    orders = {}
-    for order, arg in zip(n.tolist(), t.tolist()):
-        orders.setdefault(arg, set()).add(order)
-    kves = {arg: _kve_mp(arg, o) for arg, o in orders.items()}
-    return np.array([kves[arg][order] for order, arg in zip(n.tolist(), t.tolist())])
+def _working_bits(dps, t_lo, t_hi) -> int:
+    """Bits after the point that carry dps digits through K_n(t), t_lo <= t <= t_hi.
 
-
-def _kve_mp(t, orders):
-    """e^t K_n(t) for each n in `orders`, from one power series for K_0 and K_1.
-
-    With L = ln(t/2) + gamma and H_k the k-th harmonic number (DLMF 10.31.1
-    at n = 0 and 1),
-        K_0(t) = sum_k (t^2/4)^k / (k!)^2 (H_k - L),
-        K_1(t) = 1/t + (t/2) sum_k (t^2/4)^k / (k! (k+1)!) (L - (H_k + H_(k+1))/2),
-    and both sums come out of one loop, which stops past the largest term
-    (k > t/2) once a term falls below 2^-wp of the partial sum.  The loop
-    runs in fixed point, on integers in units of 2^-wp, several times faster
-    than in mpf arithmetic.  The terms grow like e^t while K falls like
-    e^-t, so wp exceeds the caller's precision by 2t log2(e) bits, plus 20
-    for the loop's truncations, plus log2(1/t) for t < 1, which keeps t
-    itself exact.  Orders above 1
-    come by the upward recurrence K_{n+1} = K_{n-1} + (2n/t) K_n
-    (DLMF 10.29.1).  Its terms are all positive, so it loses no digits, and
-    the e^t scale passes through it.
+    The K series' terms grow like e^t while K falls like e^-t, so it needs
+    2 t log2(e) bits beyond the digits, plus 20 for its truncations, plus
+    log2(1/t) for t < 1, which keeps t itself, and so every power of it,
+    to the digits.  Rounded up to a multiple of 32, so that the cached logs
+    of _half_log_gamma serve many calls.
     """
-    wp = mp.mp.prec + int(mp.ceil(2 * t / mp.ln2)) + 20 + max(0, -mp.mag(t))
-    one, t_fix = 1 << wp, int(mp.ldexp(t, wp))
-    q = t_fix * t_fix >> (wp + 2)  # t^2/4
+    bits = (math.ceil(dps * math.log2(10)) + math.ceil(2 * t_hi * math.log2(math.e))
+            + 20 + max(0, math.ceil(-math.log2(t_lo))))
+    return -(-bits // 32) * 32
+
+
+@lru_cache(maxsize=None)
+def _half_log_gamma(n: int, wp: int) -> int:
+    """ln(n) / 2 + Euler's gamma, in units of 2^-wp."""
+    with mp.workprec(wp + 20):
+        return int(mp.ldexp(mp.log(n) / 2 + mp.euler, wp))
+
+
+def _bessel_k(t, ell, wp, top):
+    """[K_0(t), ..., K_top(t)] in units of 2^-wp, from t and ell = ln(t/2) + gamma.
+
+    t and ell are integers in units of 2^-wp.  With H_k the k-th harmonic
+    number (DLMF 10.31.1 at n = 0 and 1),
+        K_0(t) = sum_k (t^2/4)^k / (k!)^2 (H_k - ell),
+        K_1(t) = 1/t + (t/2) sum_k (t^2/4)^k / (k! (k+1)!) (ell - (H_k + H_(k+1))/2),
+    and both sums come out of one loop on integers, which stops past the
+    largest term (k > t/2) once a term falls below 2^-wp of the partial sum.
+    Orders above 1 come by the upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n
+    (DLMF 10.29.1), whose terms are all positive, so it loses no digits.
+    _working_bits says how large wp must be for a given accuracy.
+    """
+    one = 1 << wp
+    q = t * t >> (wp + 2)  # t^2/4
+    half_t = t >> (wp + 1)  # floor(t/2)
     a, h = one, 0  # (t^2/4)^k / (k!)^2 and H_k
     i0 = s0 = i1 = s1 = 0
     k = 0
@@ -223,20 +250,67 @@ def _kve_mp(t, orders):
         i1 += b
         s1 += b * (h + h_next)
         k += 1
-        if 2 * k * one > t_fix and a < i0 >> wp:
+        if k > half_t and a < i0 >> wp:
             break
-        a = a * q // (k * k << wp)
+        a = (a * q >> wp) // (k * k)
         h = h_next
-    with mp.workprec(wp):
-        ell = int(mp.ldexp(mp.log(t / 2) + mp.euler, wp))
-        scale = mp.exp(t)
-        # s0, s1 and the products with ell are in units of 2^-2wp
-        k0 = mp.ldexp(s0 - ell * i0, -2 * wp) * scale
-        k1 = (1 / t + t / 2 * mp.ldexp(ell * i1 - s1 // 2, -2 * wp)) * scale
-    kv = [+k0, +k1]
-    for n in range(1, max(orders)):
-        kv.append(kv[n - 1] + 2 * n / t * kv[n])
-    return {n: kv[n] for n in orders}
+    # s0, s1 and the products with ell are in units of 2^-2wp
+    kv = [(s0 - ell * i0) >> wp, (one << wp) // t + (t * (ell * i1 - s1 // 2) >> (2 * wp + 1))]
+    for n in range(1, top):
+        kv.append(kv[n - 1] + (2 * n * kv[n] << wp) // t)
+    return kv
+
+
+def _exact_sum(table, x, y, dps):
+    """(sum t, sum over rows |t|) as Fractions, good to dps digits of sum|t|.
+
+    X = ax 2^-ex and Y = ay 2^-ey are doubles, so each row's polynomial
+    sum c X^s Y^j is an exact integer over den 2^(ex s_top + ey j_top).  With
+    r = sqrt(p (1+u) X Y) and -nu = 2h + o, o in {0, 1}, the row's Bessel
+    factor (p X / r)^nu e^(-(1+u) Y) K_nu(2r) is
+        (p X)^a ((1+u) Y)^h * r^o K_nu(2r) e^(-(1+u) Y),   a = -h - o,
+    where only r and K_nu(2r) (in fixed point, per (p, u) group, with
+    ln r = (ln XY + ln(p (1+u))) / 2) and e^(-(1+u) Y) (a power of one mpf
+    e^-Y, as mantissa and exponent) are not exact.  Each row is then one
+    integer product and one floor division into units of 2^-wp.
+    """
+    ax, dx = x.as_integer_ratio()
+    ay, dy = y.as_integer_ratio()
+    ex, ey = dx.bit_length() - 1, dy.bit_length() - 1
+    pus = (table.p * table.one_u).tolist()
+    t_lo, t_hi = (2 * math.sqrt(n) * math.sqrt(x) * math.sqrt(y)
+                  for n in (min(pus), max(pus)))
+    wp = _working_bits(dps, t_lo, t_hi)
+    one = 1 << wp
+    with mp.workprec(wp + 20):
+        half_log_xy = int(mp.ldexp(mp.log(mp.mpf(x) * y), wp - 1))
+        e_man, e_exp = mp.exp(-mp.mpf(y)).man_exp
+    tops = np.zeros(len(pus), dtype=np.int64)
+    np.maximum.at(tops, table.group, np.abs(table.nu))
+    shift = 2 * wp - ex - ey  # r^2 = p (1+u) ax ay 2^-(ex+ey), in units of 2^-2wp
+    groups = []
+    for p, one_u, top in zip(table.p.tolist(), table.one_u.tolist(), tops.tolist()):
+        pu = p * one_u
+        r = math.isqrt(pu * ax * ay << shift if shift >= 0 else pu * ax * ay >> -shift)
+        kv = _bessel_k(2 * r, half_log_xy + _half_log_gamma(pu, wp), wp, top)
+        groups.append((p * ax, one_u * ay, e_man**one_u, one_u * e_exp, r, kv))
+    xys = [[ax**s * ay**j << ex * (table.s_top - s) + ey * (table.j_top - j)
+            for j in range(table.j_top + 1)] for s in range(table.s_top + 1)]
+    polys = [0] * len(table.nu)
+    for row, s, j, c in zip(table.row.tolist(), table.s.tolist(), table.j.tolist(), table.num):
+        polys[row] += c * xys[s][j]
+    total = abs_total = one
+    for poly, g, nu in zip(polys, table.group.tolist(), table.nu.tolist()):
+        p_ax, u_ay, e_pow, e_shift, r, kv = groups[g]
+        h, o = divmod(-nu, 2)
+        a = -h - o
+        num = poly * kv[abs(nu)] * e_pow * r**o * p_ax ** max(a, 0) * u_ay ** max(h, 0)
+        den = table.den * p_ax ** max(-a, 0) * u_ay ** max(-h, 0)
+        shift = e_shift - wp * o - ex * (table.s_top + a) - ey * (table.j_top + h)
+        term = (num << shift) // den if shift >= 0 else num // (den << -shift)
+        total += term
+        abs_total += abs(term)
+    return Fraction(total, one), Fraction(abs_total, one)
 
 
 def _condition(total, abs_total, eps):
@@ -273,7 +347,7 @@ def _float_pass(k: int, config: SystemConfig, tau: float):
                            config.n_s * config.n_rr, config.n_u)
     x = config.m_ru / config.omega_ru * config.c2 / config.c1
     y = config.m_sr / config.omega_sr * tau
-    return (table, x, y, *_closed_form_sum(mp.fp, table, x, y))
+    return (table, x, y, *_closed_form_sum(table, x, y))
 
 
 def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
@@ -281,28 +355,36 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
 
     The float sum is returned when its error bound, measured from the
     summation condition number, is inside _REL_TOL.  Otherwise the same terms
-    are summed with mpmath at log10(condition) + 17 digits, adding digits
-    until they cover the condition measured at the working precision.  A
-    float sum below its own rounding noise measures no condition; then the
-    OP's lower bound F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.
+    are summed exactly by _exact_sum to log10(condition) + 17 digits, adding
+    digits until they cover the condition that pass measures.  A float sum
+    below its own rounding noise measures no condition; then the OP's lower
+    bound F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.  Float
+    terms that overflow measure nothing either: a bound that rounds to 1
+    gives OP 1, and otherwise the exact pass starts from a double's digits.
     """
     table, x, y, total, abs_total = _float_pass(k, config, tau)
-    cond = _condition(total, abs_total, mp.fp.eps)
-    if _FLOAT_TERM_ERR * cond <= _REL_TOL:
-        return total
-    # a sum still unresolved once its rounding noise lies 17 digits below the
-    # smallest double has no double to return
-    max_dps = _digits(mp.mpf(abs_total) / sys.float_info.min)
-    head = _first_hop_head(config, tau)
-    if abs(total) < mp.fp.eps * abs_total and head >= sys.float_info.min:
-        cond = mp.mpf(abs_total) / head
-    dps = _digits(cond)
+    if math.isfinite(abs_total):
+        cond = _condition(total, abs_total, mp.fp.eps)
+        if _FLOAT_TERM_ERR * cond <= _REL_TOL:
+            return total
+        # a sum still unresolved once its rounding noise lies 17 digits below
+        # the smallest double has no double to return
+        max_dps = _digits(mp.mpf(abs_total) / sys.float_info.min)
+        head = _first_hop_head(config, tau)
+        if abs(total) < mp.fp.eps * abs_total and head >= sys.float_info.min:
+            cond = mp.mpf(abs_total) / head
+        dps = _digits(cond)
+    elif _first_hop_head(config, tau) == 1.0:
+        return 1.0
+    else:  # the exact pass's own sum|t| sets max_dps
+        dps, max_dps = _DOUBLE_DIGITS, math.inf
     while dps <= max_dps:
-        with mp.workdps(dps):
-            total, abs_total = _closed_form_sum(mp.mp, table, mp.mpf(x), mp.mpf(y))
-            need = _digits(_condition(total, abs_total, mp.eps))
-            if need <= dps:
-                return float(total)
+        total, abs_total = _exact_sum(table, x, y, dps)
+        need = _digits(_condition(total, abs_total, Fraction(1, 10**dps)))
+        if need <= dps:
+            return float(total)
+        if math.isinf(max_dps):
+            max_dps = _digits(abs_total / Fraction(sys.float_info.min))
         dps = need
     raise UnresolvedNumericsError(
         f"closed-form OP for k={k} unresolved within {max_dps} digits")

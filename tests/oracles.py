@@ -85,7 +85,8 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
 
     Every (q, p, s, u, v, z) term's coefficient is accumulated into its
     (p, u, nu, s, j) monomial, so the sum over q happens monomial by monomial;
-    analysis._bessel_groups must give the same table field by field.
+    analysis._bessel_groups must give the same table field by field, its
+    coefficients being num/den here over the least common denominator.
     """
     groups = {}
     scale = Fraction(2 * n, math.factorial(m_sr - 1))
@@ -116,9 +117,10 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
                 js.append(j)
                 coef.append(c)
     ints = partial(np.array, dtype=np.int64)
+    den = math.lcm(*(c.denominator for c in coef))
     return _TermTable(
         s_top=max(ss, default=0), j_top=max(js, default=0),
         p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
         group=ints(group), nu=ints(nus), row=ints(row), s=ints(ss), j=ints(js),
-        coef=tuple(coef),
+        num=tuple(c.numerator * (den // c.denominator) for c in coef), den=den,
         coef_float=np.array([float(c.numerator) / c.denominator for c in coef]))

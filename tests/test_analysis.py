@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -57,10 +58,12 @@ ORACLE_VALUES = [
 ]
 
 
-# op_closed_form doubles, bit for bit.  The first ten points take the mpmath
-# pass and were recorded when e^t K_0 and e^t K_1 came from mpmath's besselk;
-# the rest stay on the float path and were recorded when it summed its terms
-# one by one in a Python loop.
+# op_closed_form doubles, bit for bit.  The first ten points take the
+# high-precision pass and were recorded when it summed in mpmath, with e^t K_0
+# and e^t K_1 from mpmath's besselk; the next twelve stay on the float path
+# and were recorded when it summed its terms one by one in a Python loop; the
+# last eight, deep points at m_sr = 3, were recorded when the high-precision
+# pass summed object arrays of mpf.
 GOLDEN_DOUBLES = [
     (dict(snr_db=30), 2, "0x1.d03d74679b94bp-23"),
     (dict(snr_db=30, xi=0.02), 3, "0x1.c547af1558ab9p-22"),
@@ -86,6 +89,14 @@ GOLDEN_DOUBLES = [
     (dict(n_s=1, n_rr=1, n_u=1, snr_db=20), 2, "0x1.c0bc65811389ep-3"),
     # condition ~1e9, near the float path's limit
     (dict(m_sr=2, m_ru=2, snr_db=20, w=0.35), 2, "0x1.bb1f037a533f0p-17"),
+    (dict(m_sr=3, m_ru=3, snr_db=60), 3, "0x1.d9af5b3de2050p-179"),
+    (dict(m_sr=3, m_ru=3, snr_db=80), 3, "0x1.1e60d2c3fdf23p-258"),
+    (dict(m_sr=3, m_ru=3, snr_db=100), 3, "0x1.5a35ee008e37fp-338"),
+    (dict(m_sr=3, m_ru=3, snr_db=120), 3, "0x1.a28b032c11017p-418"),
+    (dict(m_sr=3, m_ru=1, snr_db=60), 3, "0x1.71b832968bd26p-169"),
+    (dict(m_sr=3, m_ru=1, snr_db=80), 3, "0x1.10270cf92ccf0p-235"),
+    (dict(m_sr=3, m_ru=1, snr_db=100), 3, "0x1.919ee1eeb940fp-302"),
+    (dict(m_sr=3, m_ru=1, snr_db=120), 3, "0x1.2857fb826ef10p-368"),
 ]
 
 
@@ -247,26 +258,25 @@ class TestClosedForm:
     def test_unresolved_sum_raises(self, monkeypatch):
         # terms that cancel exactly stay below the rounding noise at any
         # precision; the evaluator must refuse rather than return a value
-        monkeypatch.setattr(analysis, "_closed_form_sum",
-                            lambda ctx, *args: (ctx.zero, 2 * ctx.one))
+        monkeypatch.setattr(analysis, "_exact_sum",
+                            lambda *args: (Fraction(0), Fraction(2)))
         with pytest.raises(ArithmeticError):
-            op_closed_form(1, SystemConfig())
+            op_closed_form(2, SystemConfig(snr_db=60))
 
     @pytest.mark.parametrize("kwargs,k", [(dict(snr_db=60), 2),
                                           (dict(m_sr=2, m_ru=2, snr_db=60), 3)])
     def test_deep_point_takes_one_mp_pass(self, monkeypatch, kwargs, k):
         # the float sum is unresolved here; sum|t| / F_sr(tau*)^N must give
-        # the mp pass enough digits the first time
-        contexts = []
-        real_sum = analysis._closed_form_sum
+        # the exact pass enough digits the first time
+        passes = []
+        for name in ("_closed_form_sum", "_exact_sum"):
+            def counting(*args, name=name, real=getattr(analysis, name)):
+                passes.append(name)
+                return real(*args)
 
-        def counting_sum(ctx, *args):
-            contexts.append(ctx)
-            return real_sum(ctx, *args)
-
-        monkeypatch.setattr(analysis, "_closed_form_sum", counting_sum)
+            monkeypatch.setattr(analysis, name, counting)
         op_closed_form(k, SystemConfig(**kwargs))
-        assert contexts == [mp.fp, mp.mp]
+        assert passes == ["_closed_form_sum", "_exact_sum"]
 
     @pytest.mark.parametrize("m,snr_db,k", [(1, 0, 1), (1, 20, 3), (2, 10, 2),
                                             (2, 20, 3), (3, 10, 3)])
@@ -278,8 +288,8 @@ class TestClosedForm:
         x = c.m_ru / c.omega_ru * c.c2 / c.c1
         y = c.m_sr / c.omega_sr * tau_star(k, c)
         terms = [1.0]
-        for i, coef in enumerate(table.coef):
-            row = int(table.row[i])
+        for i, num in enumerate(table.num):
+            coef, row = Fraction(num, table.den), int(table.row[i])
             g, nu = int(table.group[row]), int(table.nu[row])
             p, one_u = int(table.p[g]), int(table.one_u[g])
             arg = 2 * math.sqrt(p * one_u * x * y)
@@ -288,21 +298,23 @@ class TestClosedForm:
             terms.append(float(coef.numerator) / coef.denominator
                          * x ** int(table.s[i]) * y ** int(table.j[i]) * bessel)
         expect = (math.fsum(terms), math.fsum(map(abs, terms)))
-        assert analysis._closed_form_sum(mp.fp, table, x, y) == expect
+        assert analysis._closed_form_sum(table, x, y) == expect
 
     def test_tables_match_reference_builder(self):
         # the integer build must give the Fraction loop's table field by
-        # field: row order, dtypes, bytes and exact coefficients
+        # field: row order, dtypes, bytes and exact coefficients, each num
+        # over den being the loop's Fraction
         for key in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2)):
             table, expect = analysis._bessel_groups(*key), bessel_groups(*key)
+            assert type(table.den) is int and table.den > 0, key
+            assert all(type(c) is int for c in table.num), key
+            assert [Fraction(c, table.den) for c in table.num] == [
+                Fraction(c, expect.den) for c in expect.num], key
             for name, got, want in zip(table._fields, table, expect):
                 if isinstance(want, np.ndarray):
                     assert (got.dtype, got.shape) == (want.dtype, want.shape), (key, name)
                     assert got.tobytes() == want.tobytes(), (key, name)
-                elif name == "coef":
-                    assert got == want, key
-                    assert all(type(c) is type(w) for c, w in zip(got, want)), key
-                else:
+                elif name not in ("num", "den"):
                     assert type(got) is type(want) and got == want, (key, name)
 
     def test_subnormal_snr_gives_one(self):
@@ -312,6 +324,56 @@ class TestClosedForm:
             assert math.isinf(tau_star(k, c))
             assert op_closed_form(k, c) == 1.0 == op_numerical(k, c)
             assert closed_form_side(k, c, 0.5) == 1
+
+    @pytest.mark.parametrize("snr_db", [-200, -300, -1000, -3000])
+    def test_huge_tau_gives_one(self, snr_db):
+        # tau* is finite but so large that the float terms overflow; the
+        # head bound F_sr(tau*)^N rounds to 1, and so does the OP
+        c = SystemConfig(snr_db=snr_db)
+        for k in (1, 2, 3):
+            tau = tau_star(k, c)
+            assert math.isfinite(tau)
+            assert not math.isfinite(analysis._float_pass(k, c, tau)[-1])
+            assert op_closed_form(k, c) == 1.0 == op_numerical(k, c)
+
+    @pytest.mark.parametrize("kwargs,k", [(dict(m_sr=2, m_ru=2, snr_db=600), 1),
+                                          (dict(m_sr=1, m_ru=4, snr_db=200), 3)])
+    def test_overflowed_float_terms_take_exact_pass(self, monkeypatch, kwargs, k):
+        # the float terms overflow (to inf of both signs at m_ru=4) while the
+        # OP is 4e-237 or 2e-75: the exact pass, whose exponents are
+        # unbounded, gives it
+        c = SystemConfig(**kwargs)
+        assert not math.isfinite(analysis._float_pass(k, c, tau_star(k, c))[-1])
+        passes = []
+        real = analysis._exact_sum
+
+        def counting(*args):
+            passes.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "_exact_sum", counting)
+        assert op_closed_form(k, c) == pytest.approx(op_numerical(k, c), rel=1e-6)
+        assert passes[0] == analysis._DOUBLE_DIGITS
+
+    def test_table_size_counts_before_cancellation(self):
+        # exact where no coefficient cancels, an upper bound elsewhere
+        for key in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2)):
+            assert analysis._table_size(*key) >= len(analysis._bessel_groups(*key).s), key
+        assert analysis._table_size(3, 3, 3, 4, 2) == 13776 == len(
+            analysis._bessel_groups(3, 3, 3, 4, 2).s)
+        assert analysis._table_size(3, 2, 2, 16, 2) == 85680
+        assert analysis._table_size(3, 2, 2, 64, 8) == 58556160
+
+    def test_oversized_table_refused_before_build(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(analysis, "expanded_power", no_build)
+        c = SystemConfig(m_sr=2, m_ru=2, n_s=8, n_rr=8, n_u=8)
+        with pytest.raises(UnsupportedModelError, match="58,556,160 monomials.*quadrature"):
+            op_closed_form(1, c)
+        with pytest.raises(UnsupportedModelError, match="quadrature"):
+            closed_form_side(1, c, 1e-3)
 
     @pytest.mark.parametrize("kwargs,k", [(dict(snr_db=20), 1),
                                           (dict(m_sr=2, m_ru=2, snr_db=20, w=0.35), 2),
@@ -327,31 +389,42 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("key", [(3, 2, 2, 4, 2), (3, 3, 3, 4, 2)])
     def test_bessel_recurrence_matches_besselk(self, key):
-        # at the Bessel arguments of a deep point, where the mp pass runs
+        # every order the table uses, at the Bessel arguments of a deep point,
+        # where the exact pass runs, and at the bits it would use for 40 digits
         table = analysis._bessel_groups(*key)
         c = SystemConfig(snr_db=60, m_sr=key[1], m_ru=key[2])
-        with mp.workdps(50):
-            x = mp.mpf(c.m_ru / c.omega_ru * c.c2 / c.c1)
-            y = mp.mpf(c.m_sr / c.omega_sr * tau_star(key[0], c))
-            for g, (p, one_u) in enumerate(zip(table.p.tolist(), table.one_u.tolist())):
-                t = 2 * mp.sqrt(p * one_u * x * y)
+        x = c.m_ru / c.omega_ru * c.c2 / c.c1
+        y = c.m_sr / c.omega_sr * tau_star(key[0], c)
+        pus = (table.p * table.one_u).tolist()
+        wp = analysis._working_bits(40, *(2 * math.sqrt(n * x * y)
+                                          for n in (min(pus), max(pus))))
+        with mp.workprec(wp + 20):
+            for g, pu in enumerate(pus):
+                t = mp.ldexp(int(mp.ldexp(2 * mp.sqrt(mp.mpf(pu) * x * y), wp)), -wp)
+                ell = int(mp.ldexp(mp.log(t / 2) + mp.euler, wp))
                 orders = {abs(nu) for nu in table.nu[table.group == g].tolist()}
-                for n, kve in analysis._kve_mp(t, orders).items():
-                    exact = mp.besselk(n, t) * mp.exp(t)
-                    assert abs(kve - exact) <= 1e-40 * exact
+                kv = analysis._bessel_k(int(mp.ldexp(t, wp)), ell, wp, max(orders))
+                for n in orders:
+                    exact = mp.besselk(n, t)
+                    assert abs(mp.ldexp(kv[n], -wp) - exact) <= 1e-40 * exact, (g, n)
 
     @pytest.mark.parametrize("dps", [20, 40, 60, 100])
     def test_series_matches_besselk(self, dps):
         # both ends of the series' range: cancellation-free near 0, and
         # terms e^(2t) above the result at t = 60
         with mp.workdps(dps):
-            for i in range(40):
-                t = mp.mpf(1e-4) * mp.mpf(6e5) ** (mp.mpf(i) / 39)
-                kves, tol = analysis._kve_mp(t, {0, 1}), 4 * mp.eps
-                with mp.workdps(dps + 20):
-                    for n in (0, 1):
-                        exact = mp.besselk(n, t) * mp.exp(t)
-                        assert abs(kves[n] - exact) <= tol * exact, (n, t)
+            tol = 4 * mp.eps
+        for i in range(40):
+            t = 1e-4 * 6e5 ** (i / 39)
+            wp = analysis._working_bits(dps, t, t)
+            # t to the pass's bits, and everything else beyond them
+            with mp.workprec(wp + 20):
+                t = mp.ldexp(int(mp.ldexp(t, wp)), -wp)
+                ell = int(mp.ldexp(mp.log(t / 2) + mp.euler, wp))
+                kv = analysis._bessel_k(int(mp.ldexp(t, wp)), ell, wp, 1)
+                for n in (0, 1):
+                    exact = mp.besselk(n, t)
+                    assert abs(mp.ldexp(kv[n], -wp) - exact) <= tol * exact, (n, t)
 
     @pytest.mark.parametrize("kwargs,k,expect", GOLDEN_DOUBLES)
     def test_golden_doubles(self, kwargs, k, expect):

@@ -5,9 +5,9 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -189,17 +189,16 @@ def bisect_values(k, config, target_op, lo_db, hi_db):
     return 0.5 * (lo + hi)
 
 
-def count_contexts(monkeypatch):
-    """The arithmetic context of every closed-form sum from now on."""
-    contexts = []
-    real_sum = analysis._closed_form_sum
+def count_passes(monkeypatch):
+    """The pass, "float" or "exact", of every closed-form sum from now on."""
+    passes = []
+    for name, label in (("_closed_form_sum", "float"), ("_exact_sum", "exact")):
+        def counting(*args, label=label, real=getattr(analysis, name)):
+            passes.append(label)
+            return real(*args)
 
-    def counting_sum(ctx, *args):
-        contexts.append(ctx)
-        return real_sum(ctx, *args)
-
-    monkeypatch.setattr(analysis, "_closed_form_sum", counting_sum)
-    return contexts
+        monkeypatch.setattr(analysis, name, counting)
+    return passes
 
 
 # the paper's target-SNR searches at OP 1e-3, as the design benchmark runs
@@ -221,17 +220,17 @@ class TestFindSnr:
         # and on the side the value-based bisection takes
         config = SystemConfig(**kwargs)
         expect = bisect_values(k, config, 1e-3, lo, hi)
-        contexts = count_contexts(monkeypatch)
+        passes = count_passes(monkeypatch)
         assert find_snr_for_op(k, config, 1e-3, lo, hi) == expect
-        assert contexts and set(contexts) == {mp.fp}
+        assert passes and set(passes) == {"float"}
 
     def test_target_at_deep_point_returns_lo(self, monkeypatch):
         # at 60 dB the float sum lies below its own rounding noise, so a
         # target equal to the point's OP falls back to the value, exactly
         target = op_closed_form(2, SystemConfig(snr_db=60.0))
-        contexts = count_contexts(monkeypatch)
+        passes = count_passes(monkeypatch)
         assert find_snr_for_op(2, SystemConfig(), target, 60.0, 70.0) == 60.0
-        assert contexts == [mp.fp, mp.fp, mp.mp]
+        assert passes == ["float", "float", "exact"]
 
     @pytest.mark.parametrize("target,lo,hi", [(1e-30, 0.0, 10.0), (0.9, 30.0, 60.0)])
     def test_no_bracket_reports_both_endpoints(self, target, lo, hi):
@@ -463,6 +462,24 @@ class TestMain:
             "1.00000000e+00"] * 3
         assert err == ""
 
+    def test_huge_tau_gives_op_one(self, capsys):
+        # tau* is finite but the float terms overflow
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        assert main(["analytic", path, "--set", "snr_db=-1000"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert [line.split(",")[5] for line in out.splitlines()[1:]] == [
+            "1.00000000e+00"] * 3
+        assert err == ""
+
+    def test_oversized_table_exit(self, capsys):
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        code = main(["find-snr", path, "--user", "1", "--target", "1e-3",
+                     "--set", "m_sr=2", "--set", "m_ru=2", "--set", "n_s=8",
+                     "--set", "n_rr=8", "--set", "n_u=8"])
+        assert code == EXIT_UNSUPPORTED
+        err = capsys.readouterr().err
+        assert err.startswith("error: closed-form term table") and "quadrature" in err
+
     def test_unsupported_model_exit(self, capsys):
         path = str(SCENARIO_DIR / "perfect_sic.scn")
         code = main(["find-snr", path, "--set", "n_rt=3", "--user", "1",
@@ -486,8 +503,9 @@ class TestMain:
 
     def test_unresolved_rows_and_exit(self, monkeypatch, capsys):
         # terms that cancel exactly leave every closed-form point unresolved
-        monkeypatch.setattr(analysis, "_closed_form_sum",
-                            lambda ctx, *args: (ctx.zero, 2 * ctx.one))
+        monkeypatch.setattr(analysis, "_closed_form_sum", lambda *args: (0.0, 2.0))
+        monkeypatch.setattr(analysis, "_exact_sum",
+                            lambda *args: (Fraction(0), Fraction(2)))
         path = str(SCENARIO_DIR / "perfect_sic.scn")
         code = main(["sweep", path, "--var", "snr_db", "--start", "10",
                      "--stop", "10", "--points", "1",

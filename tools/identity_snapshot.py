@@ -14,6 +14,10 @@ in and writes into OUTDIR:
   one `m_sr m_ru d_sr snr_db k method result` line each, the result being
   the hex of the OP or the error's type and message (the closed form
   rejects m = 1.5 and 2.5);
+- `grid-deep.txt`: `op_closed_form(...).hex()` deep in outage, where the
+  closed form takes its high-precision pass, on 144 points, m_sr = m_ru in
+  1-3 x snr_db 50-120 in 10 dB steps x xi {0, 0.02} x ranks 1-3, one
+  `m snr_db xi k hex` line each;
 - for each of the shipped scenarios, three sweep CSVs (snr_db 0-40 in 11
   points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
   m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature) and the
@@ -30,7 +34,7 @@ in and writes into OUTDIR:
 
 To check that a change moves no output, copy this script into a checkout
 of the parent commit, snapshot both checkouts and compare with
-`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 17 s on a
+`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 9 s on a
 2-core machine.
 """
 
@@ -99,6 +103,15 @@ def asym_grid_lines():
                         yield f"{m_sr} {m_ru} {d_sr} {snr} {k} {name} {result}\n"
 
 
+def deep_grid_lines():
+    for m in (1, 2, 3):
+        for snr in range(50, 121, 10):
+            for xi in (0.0, 0.02):
+                config = SystemConfig(m_sr=m, m_ru=m, snr_db=snr, xi=xi)
+                for k in (1, 2, 3):
+                    yield f"{m} {snr} {xi} {k} {op_closed_form(k, config).hex()}\n"
+
+
 def run_cli(argv):
     """(exit code, stdout, stderr) of one in-process CLI run."""
     out, err = io.StringIO(), io.StringIO()
@@ -118,6 +131,7 @@ def main(argv=None) -> int:
     os.chdir(ROOT)
     (outdir / "grid.txt").write_text("".join(grid_lines()))
     (outdir / "grid-asym.txt").write_text("".join(asym_grid_lines()))
+    (outdir / "grid-deep.txt").write_text("".join(deep_grid_lines()))
     for scn in sorted(Path("scenarios").glob("*.scn")):
         for name, args in SWEEPS.items():
             csv = outdir / f"{scn.stem}.sweep-{name}.csv"
