@@ -38,6 +38,10 @@ _SIDE_MARGIN = 1e3
 # can check the closed form, and the most subintervals it may use.
 _QUAD_REL_TOL = 1e-13
 _QUAD_MAX_INTERVALS = 800
+# Equal pieces in t = ln y into which the quadrature cuts each interval
+# between its edges before refining: with 16, the op_curve points converge in
+# about 2 passes over 36 intervals, against 6 passes over 18 intervals uncut.
+_QUAD_PIECES = 16
 # Decimal digits a double needs to round-trip; the high-precision pass carries
 # this many beyond the digits the cancellation eats.
 _DOUBLE_DIGITS = 17
@@ -55,15 +59,18 @@ class UnresolvedNumericsError(ArithmeticError):
     """An analytic OP its numerics cannot resolve to _REL_TOL.
 
     The closed form raises it when its sum stays below its own rounding noise
-    at every precision it may use, the quadrature when its error estimate
-    exceeds _REL_TOL times the OP.
+    at every precision it may use and that noise does not show the OP to
+    round to 0, the quadrature when its error estimate exceeds _REL_TOL times
+    the OP.
     """
 
 
 class _TermTable(NamedTuple):
     """The closed form's terms as flat arrays.
 
-    One row per (p, u) group, per (p, u, nu) Bessel factor and per monomial.
+    One row per (p, u) group, per (p, u, nu) Bessel factor and per monomial,
+    and, as the Bessel argument depends only on p (1 + u) and K_nu on |nu|,
+    one per distinct p (1 + u) and per distinct (p (1 + u), |nu|) pair.
     """
 
     s_top: int           # largest power of X
@@ -78,6 +85,12 @@ class _TermTable(NamedTuple):
     num: tuple           # per monomial: the exact coefficient's numerator over den
     den: int             # the coefficients' common denominator
     coef_float: np.ndarray  # per monomial: num/den in lowest terms, as float(n) / d
+    pu: np.ndarray       # per distinct p (1 + u), ascending: its value
+    group_pu: np.ndarray  # per group: its p (1 + u)'s index
+    pu_top: np.ndarray   # per p (1 + u): the largest |nu| of its rows
+    kv_pu: np.ndarray    # per distinct (p (1 + u), |nu|), ascending: its p (1 + u)'s index
+    kv_nu: np.ndarray    # per pair: |nu|
+    row_kv: np.ndarray   # per row: its pair's index
 
 
 def _table_size(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> int:
@@ -136,37 +149,50 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
     den_sr = math.lcm(*(c.denominator for _, _, c in sr))
     den = den_ru * den_sr * math.factorial(m_sr - 1)
     sr = [(u, v, 2 * n * c.numerator * (den_sr // c.denominator)) for u, v, c in sr]
+    # a monomial's (s, j) is keyed as the integer s * stride + j: a tuple key
+    # per monomial would be a tracked object, and at m = 2 enough of them to
+    # set off a full garbage collection during the build
+    stride = m_sr + (n - 1) * (m_sr - 1) + 1  # above every j = m_sr + v
     groups = {}
     for (p, s), a in ru.items():
         a = a.numerator * (den_ru // a.denominator)
         for u, v, c_sr in sr:
             big_m = m_sr - 1 + v
             by_nu = groups.setdefault((p, u), {})
+            key = s * stride + m_sr + v
             for z in range(big_m + 1):
-                by_nu.setdefault(z - s + 1, {})[s, m_sr + v] = a * c_sr * math.comb(big_m, z)
-    pus, group, nus, row, ss, js, num = [], [], [], [], [], [], []
+                by_nu.setdefault(z - s + 1, {})[key] = a * c_sr * math.comb(big_m, z)
+    pus, group, nus, row, keys, num = [], [], [], [], [], []
     for (p, u), by_nu in groups.items():
         for nu, poly in by_nu.items():
-            monomials = [(s, j, c) for (s, j), c in poly.items() if c]
-            if not monomials:
+            size = len(keys)
+            for key, c in poly.items():
+                if c:
+                    keys.append(key)
+                    num.append(c)
+            if len(keys) == size:
                 continue
             if not pus or pus[-1] != (p, u):
                 pus.append((p, u))
             group.append(len(pus) - 1)
             nus.append(nu)
-            for s, j, c in monomials:
-                row.append(len(nus) - 1)
-                ss.append(s)
-                js.append(j)
-                num.append(c)
+            row += [len(nus) - 1] * (len(keys) - size)
     ints = partial(np.array, dtype=np.int64)
+    ss, js = np.divmod(ints(keys), stride)
+    p, one_u, group, nu = (ints([p for p, _ in pus]), ints([1 + u for _, u in pus]),
+                           ints(group), ints(nus))
+    pu, group_pu = np.unique(p * one_u, return_inverse=True)
+    width = np.abs(nu).max(initial=0) + 1
+    pairs, row_kv = np.unique(group_pu[group] * width + np.abs(nu), return_inverse=True)
+    kv_pu, kv_nu = np.divmod(pairs, width)
+    pu_top = np.zeros(len(pu), dtype=np.int64)
+    np.maximum.at(pu_top, kv_pu, kv_nu)
     return _TermTable(
-        s_top=max(ss, default=0), j_top=max(js, default=0),
-        p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
-        group=ints(group), nu=ints(nus), row=ints(row), s=ints(ss), j=ints(js),
-        num=tuple(num), den=den,
+        s_top=int(ss.max(initial=0)), j_top=int(js.max(initial=0)), p=p, one_u=one_u,
+        group=group, nu=nu, row=ints(row), s=ss, j=js, num=tuple(num), den=den,
         coef_float=np.array([float(c // g) / (den // g)
-                             for c, g in zip(num, map(math.gcd, num, repeat(den)))]))
+                             for c, g in zip(num, map(math.gcd, num, repeat(den)))]),
+        pu=pu, group_pu=group_pu, pu_top=pu_top, kv_pu=kv_pu, kv_nu=kv_nu, row_kv=row_kv)
 
 
 def _closed_form_sum(table, x, y):
@@ -174,27 +200,32 @@ def _closed_form_sum(table, x, y):
 
     The terms are 1 and each monomial of the _TermTable times its (p, u, nu)
     row's Bessel factor, evaluated a column at a time: the Bessel argument
-    and e^(-(1+u) Y - arg) per (p, u) group, the nu-power and the Bessel
-    factor per row, then c * X^s * Y^j * bessel per monomial.  Each term
-    takes the operations of a term-by-term scalar loop in the same order, and
-    products and square roots are correctly rounded, so the terms are bitwise
-    those of that loop; exp and the fractional powers come from libm
-    (math.exp and float **), as numpy's versions round some arguments
-    differently.  The sums are math.fsum's, and the Bessel factor takes
-    scipy's exponentially scaled kve = e^t K_n(t), which keeps the underflow
-    of a far tail inside one exp().  Terms that overflow give sum|t| = inf
-    and a NaN sum.
+    per distinct p (1 + u), e^(-(1+u) Y - arg) per (p, u) group, K_|nu| per
+    distinct (p (1 + u), |nu|), the nu-power and the Bessel factor per row,
+    then c * X^s * Y^j * bessel per monomial.  Each term takes the operations
+    of a term-by-term scalar loop in the same order, and products and square
+    roots are correctly rounded, so the terms are bitwise those of that loop;
+    exp and the fractional powers come from libm (math.exp and float **), as
+    numpy's versions round some arguments differently.  The sums are
+    math.fsum's, and the Bessel factor takes scipy's exponentially scaled
+    kve = e^t K_n(t), which keeps the underflow of a far tail inside one
+    exp().  Terms that overflow, in numpy or in a float power, give a sum|t|
+    and a sum that are not finite.
     """
-    xs = np.array([x**s for s in range(table.s_top + 1)])
-    ys = np.array([y**j for j in range(table.j_top + 1)])
     # like the scalar float arithmetic, overflow gives inf without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        arg = 2 * np.array([math.sqrt(v) for v in (table.p * table.one_u * x * y).tolist()])
-        scale = np.array([math.exp(v) for v in (-table.one_u * y - arg).tolist()])
         base = (table.p * x / (table.one_u * y))[table.group]
-        power = np.array([b ** h for b, h in zip(base.tolist(), (table.nu / 2).tolist())])
-        bessel = (power * scale[table.group]
-                  * special.kve(np.abs(table.nu), arg[table.group]))
+        try:
+            xs = np.array([x**s for s in range(table.s_top + 1)])
+            ys = np.array([y**j for j in range(table.j_top + 1)])
+            power = np.array([b**h for b, h in zip(base.tolist(), (table.nu / 2).tolist())])
+        except OverflowError:  # float ** raises where numpy gives inf: a term is inf or NaN
+            return math.nan, math.inf
+        arg = 2 * np.array([math.sqrt(v) for v in (table.pu * x * y).tolist()])
+        exponent = -table.one_u * y - arg[table.group_pu]
+        scale = np.array([math.exp(v) for v in exponent.tolist()])
+        kv = special.kve(table.kv_nu, arg[table.kv_pu])
+        bessel = power * scale[table.group] * kv[table.row_kv]
         terms = table.coef_float * xs[table.s] * ys[table.j] * bessel[table.row]
     abs_total = math.fsum([1.0, *np.abs(terms).tolist()])
     if not math.isfinite(abs_total):
@@ -269,7 +300,7 @@ def _exact_sum(table, x, y, dps):
     r = sqrt(p (1+u) X Y) and -nu = 2h + o, o in {0, 1}, the row's Bessel
     factor (p X / r)^nu e^(-(1+u) Y) K_nu(2r) is
         (p X)^a ((1+u) Y)^h * r^o K_nu(2r) e^(-(1+u) Y),   a = -h - o,
-    where only r and K_nu(2r) (in fixed point, per (p, u) group, with
+    where only r and K_nu(2r) (in fixed point, per distinct p (1+u), with
     ln r = (ln XY + ln(p (1+u))) / 2) and e^(-(1+u) Y) (a power of one mpf
     e^-Y, as mantissa and exponent) are not exact.  Each row is then one
     integer product and one floor division into units of 2^-wp.
@@ -277,23 +308,21 @@ def _exact_sum(table, x, y, dps):
     ax, dx = x.as_integer_ratio()
     ay, dy = y.as_integer_ratio()
     ex, ey = dx.bit_length() - 1, dy.bit_length() - 1
-    pus = (table.p * table.one_u).tolist()
-    t_lo, t_hi = (2 * math.sqrt(n) * math.sqrt(x) * math.sqrt(y)
-                  for n in (min(pus), max(pus)))
+    pus = table.pu.tolist()
+    t_lo, t_hi = (2 * math.sqrt(n) * math.sqrt(x) * math.sqrt(y) for n in (pus[0], pus[-1]))
     wp = _working_bits(dps, t_lo, t_hi)
     one = 1 << wp
     with mp.workprec(wp + 20):
         half_log_xy = int(mp.ldexp(mp.log(mp.mpf(x) * y), wp - 1))
         e_man, e_exp = mp.exp(-mp.mpf(y)).man_exp
-    tops = np.zeros(len(pus), dtype=np.int64)
-    np.maximum.at(tops, table.group, np.abs(table.nu))
     shift = 2 * wp - ex - ey  # r^2 = p (1+u) ax ay 2^-(ex+ey), in units of 2^-2wp
-    groups = []
-    for p, one_u, top in zip(table.p.tolist(), table.one_u.tolist(), tops.tolist()):
-        pu = p * one_u
+    bessel = []  # per distinct p (1+u): r and K_0(2r), ..., K_top(2r)
+    for pu, top in zip(pus, table.pu_top.tolist()):
         r = math.isqrt(pu * ax * ay << shift if shift >= 0 else pu * ax * ay >> -shift)
-        kv = _bessel_k(2 * r, half_log_xy + _half_log_gamma(pu, wp), wp, top)
-        groups.append((p * ax, one_u * ay, e_man**one_u, one_u * e_exp, r, kv))
+        bessel.append((r, _bessel_k(2 * r, half_log_xy + _half_log_gamma(pu, wp), wp, top)))
+    groups = [(p * ax, one_u * ay, e_man**one_u, one_u * e_exp, *bessel[i])
+              for p, one_u, i in zip(table.p.tolist(), table.one_u.tolist(),
+                                      table.group_pu.tolist())]
     xys = [[ax**s * ay**j << ex * (table.s_top - s) + ey * (table.j_top - j)
             for j in range(table.j_top + 1)] for s in range(table.s_top + 1)]
     polys = [0] * len(table.nu)
@@ -356,36 +385,45 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     The float sum is returned when its error bound, measured from the
     summation condition number, is inside _REL_TOL.  Otherwise the same terms
     are summed exactly by _exact_sum to log10(condition) + 17 digits, adding
-    digits until they cover the condition that pass measures.  A float sum
-    below its own rounding noise measures no condition; then the OP's lower
-    bound F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.  Float
-    terms that overflow measure nothing either: a bound that rounds to 1
-    gives OP 1, and otherwise the exact pass starts from a double's digits.
+    digits until they cover the condition that pass measures, up to the
+    digits that put its rounding noise 17 digits below the smallest
+    subnormal, so that a subnormal OP is resolved too.  A float sum below its
+    own rounding noise measures no condition; then the OP's lower bound
+    F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.  Float terms
+    that overflow measure nothing either: a bound that rounds to 1 gives
+    OP 1, and otherwise the exact pass starts from a double's digits.  A sum
+    still unresolved at the most digits is an OP that rounds to 0 when that
+    bound underflows to 0 and the sum and its noise lie within half the
+    smallest subnormal; otherwise it raises UnresolvedNumericsError.
     """
     table, x, y, total, abs_total = _float_pass(k, config, tau)
-    if math.isfinite(abs_total):
+    finite = math.isfinite(abs_total)
+    if finite:
         cond = _condition(total, abs_total, mp.fp.eps)
         if _FLOAT_TERM_ERR * cond <= _REL_TOL:
             return total
-        # a sum still unresolved once its rounding noise lies 17 digits below
-        # the smallest double has no double to return
-        max_dps = _digits(mp.mpf(abs_total) / sys.float_info.min)
-        head = _first_hop_head(config, tau)
+    head = _first_hop_head(config, tau)
+    if finite:
+        max_dps = _digits(mp.mpf(abs_total) / math.ulp(0.0))
         if abs(total) < mp.fp.eps * abs_total and head >= sys.float_info.min:
             cond = mp.mpf(abs_total) / head
         dps = _digits(cond)
-    elif _first_hop_head(config, tau) == 1.0:
+    elif head == 1.0:
         return 1.0
     else:  # the exact pass's own sum|t| sets max_dps
         dps, max_dps = _DOUBLE_DIGITS, math.inf
-    while dps <= max_dps:
+    while True:
         total, abs_total = _exact_sum(table, x, y, dps)
         need = _digits(_condition(total, abs_total, Fraction(1, 10**dps)))
         if need <= dps:
             return float(total)
         if math.isinf(max_dps):
-            max_dps = _digits(abs_total / Fraction(sys.float_info.min))
-        dps = need
+            max_dps = _digits(abs_total / Fraction(math.ulp(0.0)))
+        if dps >= max_dps:
+            break
+        dps = min(need, max_dps)
+    if head == 0.0 and abs(total) + abs_total / 10**dps <= Fraction(math.ulp(0.0)) / 2:
+        return 0.0
     raise UnresolvedNumericsError(
         f"closed-form OP for k={k} unresolved within {max_dps} digits")
 
@@ -498,9 +536,8 @@ def _integrate(f, edges):
     lo, hi = np.array(edges[:-1], dtype=float), np.array(edges[1:], dtype=float)
     value, err = _gk21(f, lo, hi)
     while True:
-        # an absolute floor: a tail near the bottom of the doubles is held
-        # to 1e-280, not to _QUAD_REL_TOL of itself
-        tol = max(1e-280, _QUAD_REL_TOL * abs(value.sum()))
+        # a tail whose _QUAD_REL_TOL underflows is held to the smallest double
+        tol = max(math.ulp(0.0), _QUAD_REL_TOL * abs(value.sum()))
         room = _QUAD_MAX_INTERVALS - len(lo)
         if err.sum() <= tol or room <= 0:
             return value.sum(), err.sum()
@@ -525,9 +562,10 @@ def op_numerical(k: int, config: SystemConfig) -> float:
     F_ru(tau* c2 / (c1 y)) * f_sr(tau* + y) dy,
     with both CDFs in unexpanded power form.  The integral runs over
     t = ln y with a breakpoint where the second-hop CDF turns, near
-    y = tau* c2 / c1, which deep in outage is a tiny fraction of the range,
-    and _integrate evaluates it with the 21-point Gauss-Kronrod rule by
-    batched bisection.  Accepts non-integer fading m.  Raises
+    y = tau* c2 / c1, which deep in outage is a tiny fraction of the range.
+    Each side of it is cut into _QUAD_PIECES equal pieces, and _integrate
+    evaluates the integral with the 21-point Gauss-Kronrod rule by batched
+    bisection from those pieces.  Accepts non-integer fading m.  Raises
     UnresolvedNumericsError when the integrator's error estimate exceeds
     _REL_TOL times the OP.
     """
@@ -565,7 +603,8 @@ def op_numerical(k: int, config: SystemConfig) -> float:
     y_lo = tau * math.expm1(math.log1p(1e-15) / (m_sr * n))
     t_lo, t_hi, t_turn = math.log(y_lo), math.log(x_max - tau), math.log(ratio)
     edges = [t_lo, t_turn, t_hi] if t_lo < t_turn < t_hi else [t_lo, t_hi]
-    tail, err = _integrate(integrand, edges)
+    pieces = [np.linspace(a, b, _QUAD_PIECES + 1)[:-1] for a, b in zip(edges, edges[1:])]
+    tail, err = _integrate(integrand, [*np.concatenate(pieces).tolist(), t_hi])
     op = head + tail
     if err > _REL_TOL * op:
         raise UnresolvedNumericsError(

@@ -86,7 +86,9 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
     Every (q, p, s, u, v, z) term's coefficient is accumulated into its
     (p, u, nu, s, j) monomial, so the sum over q happens monomial by monomial;
     analysis._bessel_groups must give the same table field by field, its
-    coefficients being num/den here over the least common denominator.
+    coefficients being num/den here over the least common denominator, and
+    its indexes of distinct Bessel arguments and orders being derived here
+    from the group and row lists by set and list lookups.
     """
     groups = {}
     scale = Fraction(2 * n, math.factorial(m_sr - 1))
@@ -116,6 +118,11 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
                 ss.append(s)
                 js.append(j)
                 coef.append(c)
+    # the distinct Bessel arguments p (1 + u), ascending, and the distinct
+    # (p (1 + u), |nu|) pairs, ascending, with each group's and row's index
+    pu = sorted({p * (1 + u) for p, u in pus})
+    group_pu = [pu.index(p * (1 + u)) for p, u in pus]
+    pairs = sorted({(group_pu[g], abs(nu)) for g, nu in zip(group, nus)})
     ints = partial(np.array, dtype=np.int64)
     den = math.lcm(*(c.denominator for c in coef))
     return _TermTable(
@@ -123,4 +130,8 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
         p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
         group=ints(group), nu=ints(nus), row=ints(row), s=ints(ss), j=ints(js),
         num=tuple(c.numerator * (den // c.denominator) for c in coef), den=den,
-        coef_float=np.array([float(c.numerator) / c.denominator for c in coef]))
+        coef_float=np.array([float(c.numerator) / c.denominator for c in coef]),
+        pu=ints(pu), group_pu=ints(group_pu),
+        pu_top=ints([max(n for i, n in pairs if i == g) for g in range(len(pu))]),
+        kv_pu=ints([i for i, _ in pairs]), kv_nu=ints([n for _, n in pairs]),
+        row_kv=ints([pairs.index((group_pu[g], abs(nu))) for g, nu in zip(group, nus)]))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -135,6 +136,33 @@ class TestQuadratureOracle:
         with pytest.raises(UnsupportedModelError):
             op_numerical(1, SystemConfig(n_rt=3))
 
+    @pytest.mark.parametrize("kwargs,k", [(dict(m_sr=3, m_ru=3, snr_db=500), 1),
+                                          (dict(m_sr=2, m_ru=2, snr_db=800), 1)])
+    def test_resolves_ops_near_the_bottom_of_the_doubles(self, kwargs, k):
+        # OPs of 7e-295 and a subnormal 4e-317: the integral is refined to
+        # _QUAD_REL_TOL of itself, and agrees with the closed form
+        c = SystemConfig(**kwargs)
+        op = op_numerical(k, c)
+        assert 0.0 < op < 1e-290
+        assert op == pytest.approx(op_closed_form(k, c), rel=1e-6)
+
+    def test_two_passes_from_equal_pieces(self, monkeypatch):
+        # cut into _QUAD_PIECES pieces a side, an op_curve-like grid needs
+        # about two passes of the rule, where the bare edges took six
+        passes = []
+        real = analysis._gk21
+
+        def counting(*args):
+            passes[-1] += 1
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "_gk21", counting)
+        for m, snrs in ((1, (10, 20, 30, 40, 50, 60)), (2, (10, 15, 20, 25, 30, 40, 60))):
+            for snr, xi, k in itertools.product(snrs, (0.0, 0.02), (1, 2, 3)):
+                passes.append(0)
+                op_numerical(k, SystemConfig(m_sr=m, m_ru=m, snr_db=snr, xi=xi))
+        assert len(passes) == 78 and np.mean(passes) <= 2.5
+
 
 # configurations off the frozen grid: non-integer m, and hops of unequal
 # rates and mean gains
@@ -150,7 +178,7 @@ QUADPACK_EXTRA = [
 def quadpack(f, edges):
     """scipy's QUADPACK quad in place of analysis._integrate, at its settings."""
     return integrate.quad(f, edges[0], edges[-1], points=edges[1:-1] or None,
-                          epsabs=1e-280, epsrel=analysis._QUAD_REL_TOL,
+                          epsabs=math.ulp(0.0), epsrel=analysis._QUAD_REL_TOL,
                           limit=analysis._QUAD_MAX_INTERVALS)
 
 
@@ -303,7 +331,8 @@ class TestClosedForm:
     def test_tables_match_reference_builder(self):
         # the integer build must give the Fraction loop's table field by
         # field: row order, dtypes, bytes and exact coefficients, each num
-        # over den being the loop's Fraction
+        # over den being the loop's Fraction, and the indexes of distinct
+        # Bessel arguments and orders that the reference derives from its rows
         for key in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 4), (1, 2)):
             table, expect = analysis._bessel_groups(*key), bessel_groups(*key)
             assert type(table.den) is int and table.den > 0, key
@@ -327,21 +356,45 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("snr_db", [-200, -300, -1000, -3000])
     def test_huge_tau_gives_one(self, snr_db):
-        # tau* is finite but so large that the float terms overflow; the
-        # head bound F_sr(tau*)^N rounds to 1, and so does the OP
-        c = SystemConfig(snr_db=snr_db)
-        for k in (1, 2, 3):
+        # tau* is finite but so large that the float terms overflow (at m=3
+        # in the float power Y^j itself); the head bound F_sr(tau*)^N rounds
+        # to 1, and so does the OP
+        for m, k in itertools.product((1, 3), (1, 2, 3)):
+            c = SystemConfig(snr_db=snr_db, m_sr=m, m_ru=m)
             tau = tau_star(k, c)
             assert math.isfinite(tau)
             assert not math.isfinite(analysis._float_pass(k, c, tau)[-1])
             assert op_closed_form(k, c) == 1.0 == op_numerical(k, c)
 
+    @pytest.mark.parametrize("kwargs,k", [
+        *((dict(m_sr=2, m_ru=2, snr_db=900), k) for k in (1, 2, 3)),
+        (dict(m_sr=3, m_ru=3, snr_db=400), 2), (dict(m_sr=3, m_ru=3, snr_db=400), 3),
+        (dict(m_sr=3, m_ru=3, snr_db=550), 1)])
+    def test_underflowed_op_gives_zero(self, kwargs, k):
+        # the OP and its lower bound F_sr(tau*)^N lie below the doubles, and
+        # the exact pass at its most digits leaves the sum within its own
+        # rounding noise, far below half the smallest subnormal: the OP
+        # rounds to 0, as the quadrature's does
+        c = SystemConfig(**kwargs)
+        assert analysis._first_hop_head(c, tau_star(k, c)) == 0.0
+        assert op_closed_form(k, c) == 0.0 == op_numerical(k, c)
+
+    def test_subnormal_op_resolved(self):
+        # an OP of 4e-317 takes digits down to the smallest subnormal
+        c = SystemConfig(m_sr=2, m_ru=2, snr_db=800)
+        op = op_closed_form(1, c)
+        assert 0.0 < op < sys.float_info.min
+        assert op == pytest.approx(op_numerical(1, c), rel=1e-6)
+
     @pytest.mark.parametrize("kwargs,k", [(dict(m_sr=2, m_ru=2, snr_db=600), 1),
-                                          (dict(m_sr=1, m_ru=4, snr_db=200), 3)])
+                                          (dict(m_sr=1, m_ru=4, snr_db=200), 3),
+                                          (dict(m_sr=3, m_ru=3, snr_db=700), 1),
+                                          (dict(m_sr=3, m_ru=3, snr_db=1000), 3)])
     def test_overflowed_float_terms_take_exact_pass(self, monkeypatch, kwargs, k):
-        # the float terms overflow (to inf of both signs at m_ru=4) while the
-        # OP is 4e-237 or 2e-75: the exact pass, whose exponents are
-        # unbounded, gives it
+        # the float terms overflow (to inf of both signs at m_ru=4, in the
+        # float power (p X / ((1+u) Y))^(nu/2) at m=3) while the OP is
+        # 4e-237, 2e-75 or below the doubles: the exact pass, whose exponents
+        # are unbounded, gives it
         c = SystemConfig(**kwargs)
         assert not math.isfinite(analysis._float_pass(k, c, tau_star(k, c))[-1])
         passes = []
@@ -386,6 +439,50 @@ class TestClosedForm:
         op = op_closed_form(k, c)
         for target in (op / 2, math.nextafter(op, 0), op, math.nextafter(op, 1), op * 2):
             assert closed_form_side(k, c, target) == (op > target) - (op < target)
+
+    @pytest.mark.parametrize("key,count", [((1, 1, 1, 4, 2), 27), ((1, 2, 2, 4, 2), 234),
+                                           ((3, 2, 2, 4, 2), 245), ((3, 3, 3, 4, 2), 482)])
+    def test_float_pass_evaluates_kve_once_per_pair(self, monkeypatch, key, count):
+        # the Bessel argument depends only on p (1+u) and K on |nu|, so the
+        # float pass evaluates kve once per distinct pair, not once per row
+        # (40, 440, 480 and 912 rows)
+        table = analysis._bessel_groups(*key)
+        pairs = {(p * (1 + u), abs(nu)) for p, u, nu in zip(
+            table.p[table.group].tolist(), (table.one_u[table.group] - 1).tolist(),
+            table.nu.tolist())}
+        evaluations = []
+        real = special.kve
+
+        def counting(nu, t):
+            evaluations.append(np.broadcast(nu, t).size)
+            return real(nu, t)
+
+        monkeypatch.setattr(special, "kve", counting)
+        analysis._closed_form_sum(table, 0.7, 0.3)
+        assert evaluations == [count] == [len(pairs)]
+
+    @pytest.mark.parametrize("kwargs,k,count", [(dict(snr_db=60), 2, 28),
+                                                (dict(m_sr=2, m_ru=2, snr_db=60), 3, 29),
+                                                (dict(m_sr=3, m_ru=3, snr_db=60), 3, 29)])
+    def test_exact_pass_evaluates_bessel_once_per_argument(self, monkeypatch, kwargs, k,
+                                                           count):
+        # one _bessel_k per distinct p (1+u), up to the largest order of any
+        # group sharing it, in place of one per (p, u) group (44 or 48)
+        c = SystemConfig(**kwargs)
+        table, x, y, *_ = analysis._float_pass(k, c, tau_star(k, c))
+        tops = []
+        real = analysis._bessel_k
+
+        def counting(t, ell, wp, top):
+            tops.append(top)
+            return real(t, ell, wp, top)
+
+        monkeypatch.setattr(analysis, "_bessel_k", counting)
+        analysis._exact_sum(table, x, y, 40)
+        assert len(tops) == count == len(set((table.p * table.one_u).tolist()))
+        assert tops == [max(abs(nu) for nu, g in zip(table.nu.tolist(), table.group.tolist())
+                            if table.p[g] * table.one_u[g] == pu)
+                        for pu in sorted(set((table.p * table.one_u).tolist()))]
 
     @pytest.mark.parametrize("key", [(3, 2, 2, 4, 2), (3, 3, 3, 4, 2)])
     def test_bessel_recurrence_matches_besselk(self, key):

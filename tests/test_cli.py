@@ -471,6 +471,19 @@ class TestMain:
             "1.00000000e+00"] * 3
         assert err == ""
 
+    @pytest.mark.parametrize("m,snr_db", [(3, 700), (2, 900)])
+    def test_extreme_snr_gives_op_zero(self, capsys, m, snr_db):
+        # at m=3 and 700 dB the float power (p X / ((1+u) Y))^(nu/2)
+        # overflows, and at m=2 and 900 dB the OP underflows; both print
+        # OP 0, as the quadrature does
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        assert main(["analytic", path, "--set", f"m_sr={m}", "--set", f"m_ru={m}",
+                     "--set", f"snr_db={snr_db}"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert [line.split(",")[5] for line in out.splitlines()[1:]] == [
+            "0.00000000e+00"] * 3
+        assert err == ""
+
     def test_oversized_table_exit(self, capsys):
         path = str(SCENARIO_DIR / "perfect_sic.scn")
         code = main(["find-snr", path, "--user", "1", "--target", "1e-3",

@@ -18,6 +18,11 @@ in and writes into OUTDIR:
   closed form takes its high-precision pass, on 144 points, m_sr = m_ru in
   1-3 x snr_db 50-120 in 10 dB steps x xi {0, 0.02} x ranks 1-3, one
   `m snr_db xi k hex` line each;
+- `grid-extreme.txt`: `op_closed_form` and `op_numerical` at extreme SNR,
+  where float terms overflow and OPs reach the bottom of the doubles or
+  underflow, m_sr = m_ru = 3 at snr_db 400-700 and m_sr = m_ru = 2 at
+  snr_db 800-1000, in 50 dB steps x ranks 1-3, one
+  `m snr_db k method result` line each, the result as in `grid-asym.txt`;
 - for each of the shipped scenarios, three sweep CSVs (snr_db 0-40 in 11
   points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
   m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature) and the
@@ -34,8 +39,8 @@ in and writes into OUTDIR:
 
 To check that a change moves no output, copy this script into a checkout
 of the parent commit, snapshot both checkouts and compare with
-`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 9 s on a
-2-core machine.
+`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 25 s on a
+2-core machine, half of it in the extreme-SNR grid's high-precision passes.
 """
 
 from __future__ import annotations
@@ -88,6 +93,15 @@ def grid_lines():
                         yield f"{m} {snr} {w} {xi} {k} {op_closed_form(k, config).hex()}\n"
 
 
+def method_results(k, config):
+    """(method, hex of the OP or the error's type and message) per analytic method."""
+    for name, op in (("closed", op_closed_form), ("quad", op_numerical)):
+        try:
+            yield name, op(k, config).hex()
+        except (ArithmeticError, ValueError) as exc:
+            yield name, f"{type(exc).__name__}: {exc}"
+
+
 def asym_grid_lines():
     for m_sr, m_ru in ((1, 2), (2, 1), (1, 3), (3, 1), (1.5, 2.5)):
         for d_sr in (0.3, 0.7):
@@ -95,11 +109,7 @@ def asym_grid_lines():
                 config = SystemConfig(m_sr=m_sr, m_ru=m_ru, d_sr=d_sr, alpha=2.7,
                                       snr_db=snr)
                 for k in (1, 2, 3):
-                    for name, op in (("closed", op_closed_form), ("quad", op_numerical)):
-                        try:
-                            result = op(k, config).hex()
-                        except (ArithmeticError, ValueError) as exc:
-                            result = f"{type(exc).__name__}: {exc}"
+                    for name, result in method_results(k, config):
                         yield f"{m_sr} {m_ru} {d_sr} {snr} {k} {name} {result}\n"
 
 
@@ -110,6 +120,15 @@ def deep_grid_lines():
                 config = SystemConfig(m_sr=m, m_ru=m, snr_db=snr, xi=xi)
                 for k in (1, 2, 3):
                     yield f"{m} {snr} {xi} {k} {op_closed_form(k, config).hex()}\n"
+
+
+def extreme_grid_lines():
+    for m, snrs in ((3, range(400, 701, 50)), (2, range(800, 1001, 50))):
+        for snr in snrs:
+            config = SystemConfig(m_sr=m, m_ru=m, snr_db=snr)
+            for k in (1, 2, 3):
+                for name, result in method_results(k, config):
+                    yield f"{m} {snr} {k} {name} {result}\n"
 
 
 def run_cli(argv):
@@ -132,6 +151,7 @@ def main(argv=None) -> int:
     (outdir / "grid.txt").write_text("".join(grid_lines()))
     (outdir / "grid-asym.txt").write_text("".join(asym_grid_lines()))
     (outdir / "grid-deep.txt").write_text("".join(deep_grid_lines()))
+    (outdir / "grid-extreme.txt").write_text("".join(extreme_grid_lines()))
     for scn in sorted(Path("scenarios").glob("*.scn")):
         for name, args in SWEEPS.items():
             csv = outdir / f"{scn.stem}.sweep-{name}.csv"
