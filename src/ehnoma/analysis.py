@@ -385,7 +385,8 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     The float sum is returned when its error bound, measured from the
     summation condition number, is inside _REL_TOL.  Otherwise the same terms
     are summed exactly by _exact_sum to log10(condition) + 17 digits, adding
-    digits until they cover the condition that pass measures, up to the
+    digits until they cover the condition that pass measures (at least
+    doubling them while a pass's sum is below its own noise), up to the
     digits that put its rounding noise 17 digits below the smallest
     subnormal, so that a subnormal OP is resolved too.  A float sum below its
     own rounding noise measures no condition; then the OP's lower bound
@@ -421,6 +422,8 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
             max_dps = _digits(abs_total / Fraction(math.ulp(0.0)))
         if dps >= max_dps:
             break
+        if abs(total) * 10**dps < abs_total:  # below its noise: need is no measure
+            need = max(need, 2 * dps)
         dps = min(need, max_dps)
     if head == 0.0 and abs(total) + abs_total / 10**dps <= Fraction(math.ulp(0.0)) / 2:
         return 0.0

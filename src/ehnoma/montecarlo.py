@@ -12,13 +12,21 @@ trials, so each stage's arrays stay in cache.  A numpy Generator consumes
 its stream in sequence, and chunked draws of a C-order array take the same
 numbers as one draw of the whole array: the block's stream, and so its
 counts, do not depend on the chunk size.
+
+Blocks run on a thread pool, one thread per block at most.  The Philox
+draws and the numpy ufuncs that make up a block release the GIL, and blocks
+share no mutable state, so threads overlap like processes without starting
+any or copying their results.  The majority vote works on one (n_rt, K, n)
+copy of a chunk's row maxima, each step one array operation over all users;
+it only compares and selects, so its gains are exact.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,8 +35,6 @@ from .link import SystemConfig
 BLOCK_SIZE = 1 << 18
 # trials per chunk within a block (see the module docstring)
 CHUNK_SIZE = 1 << 13
-# blocks handed to a pool worker at a time
-_JOBS_PER_TASK = 4
 # two-sided 95% standard normal quantile
 _Z_95 = 1.96
 
@@ -81,46 +87,54 @@ def _chunks(n: int):
         yield lo, min(lo + CHUNK_SIZE, n)
 
 
-def _first_max(values) -> tuple:
-    """Elementwise (max, lowest index of the max) over a list of arrays."""
-    best, arg = values[0], np.zeros(len(values[0]), dtype=np.intp)
+def _first_max(values, index):
+    """Elementwise (max, lowest index of the max) over the first axis of
+    values; the index has dtype `index`."""
+    best, arg = values[0], np.zeros(values[0].shape, dtype=index)
     for j in range(1, len(values)):
-        arg = np.where(values[j] > best, j, arg)
+        # j exceeds every earlier index, so the max sets it where values[j] is larger
+        np.maximum(arg, (values[j] > best) * index.type(j), out=arg)
         best = np.maximum(best, values[j])
     return best, arg
 
 
-def _selected_gains(rowmax: np.ndarray) -> list:
+def _selected_gains(rowmax: np.ndarray) -> np.ndarray:
     """Each user's gain at the relay antenna the majority vote picks, ascending.
 
-    rowmax[:, k, j] is user k's best gain from relay antenna j.  Each user
-    votes for its best antenna; the most votes win, and a tie goes to the
-    largest sum of the voting users' optimal gains, then the lowest index.
+    rowmax[t, k, j] is user k's best gain from relay antenna j in trial t.
+    Each user votes for its best antenna; the most votes win, and a tie goes
+    to the largest sum of the voting users' optimal gains, then the lowest
+    index.  Returns a (K, n) array whose column t holds trial t's selected
+    gains in ascending order.  Every step compares or selects, so the gains
+    are rowmax's own bits.
     """
-    k_users, n_rt = rowmax.shape[1:]
-    gains = [[rowmax[:, k, j] for j in range(n_rt)] for k in range(k_users)]
-    gmax, votes = zip(*(_first_max(g) for g in gains))
-    counts = [sum((v == j).astype(np.intp) for v in votes) for j in range(n_rt)]
-    best, i_r = _first_max(counts)
-    tied = sum((c == best).astype(np.intp) for c in counts) > 1
-    if tied.any():
-        score = [np.where(counts[j] == best,
-                          sum(np.where(v == j, g, 0.0) for v, g in zip(votes, gmax)),
-                          -1.0)
-                 for j in range(n_rt)]
-        i_r = np.where(tied, _first_max(score)[1], i_r)
-    picked = []
-    for g in gains:
-        sel = g[0]
-        for j in range(1, n_rt):
-            sel = np.where(i_r == j, g[j], sel)
-        picked.append(sel)
+    n_rt = rowmax.shape[2]
+    index = np.min_scalar_type(max(rowmax.shape[1:]))  # holds any index or count
+    g = np.array(rowmax.transpose(2, 1, 0), order="C")  # (n_rt, K, n), a copy
+    gmax, vote = _first_max(g, index)
+    counts = [(vote == j).sum(axis=0, dtype=index) for j in range(n_rt)]
+    best, i_r = _first_max(counts, index)
+    tied = np.flatnonzero(sum(c == best for c in counts) > 1)
+    if len(tied):
+        voters, gains = vote[:, tied], gmax[:, tied]
+        score = [np.where(c[tied] == best[tied],
+                          sum((v == j) * g_k for v, g_k in zip(voters, gains)), -1.0)
+                 for j, c in enumerate(counts)]
+        i_r[tied] = _first_max(score, index)[1]
+    # select in place in g's buffer: row 0 takes row j's bits where i_r == j
+    bits = g.view(np.int64)
+    for j in range(1, n_rt):
+        flip = np.bitwise_xor(bits[j], bits[0], out=bits[j])
+        flip &= (i_r == j) * np.int64(-1)
+        bits[0] ^= flip
+    sel = g[0]
     # sorting network of compare-exchanges, ascending
-    for top in range(k_users - 1, 0, -1):
+    for top in range(len(sel) - 1, 0, -1):
         for j in range(top):
-            lo, hi = picked[j], picked[j + 1]
-            picked[j], picked[j + 1] = np.minimum(lo, hi), np.maximum(lo, hi)
-    return picked
+            lo = np.minimum(sel[j], sel[j + 1])
+            np.maximum(sel[j], sel[j + 1], out=sel[j + 1])
+            sel[j] = lo
+    return sel
 
 
 def simulate_block(config: SystemConfig, seed: int, block: int, n: int) -> np.ndarray:
@@ -139,45 +153,37 @@ def simulate_block(config: SystemConfig, seed: int, block: int, n: int) -> np.nd
     for lo, hi in _chunks(n):
         rowmax = _max_of_iid(rng, config.m_ru, config.omega_ru,
                              config.n_u, (hi - lo, k_users, n_rt))
-        x = config.snr_linear * g_sr[lo:hi]
-        for k, y in enumerate(_selected_gains(rowmax)):
-            xy = x * y
-            bad = np.zeros(hi - lo, dtype=bool)
-            for a_l, s, th in stages[:k + 1]:
-                bad |= xy * a_l < th * (xy * s + c1 * y + c2)
-            out[k] += np.count_nonzero(bad)
+        y = _selected_gains(rowmax)  # (K, n), rank k in row k - 1
+        xy = config.snr_linear * g_sr[lo:hi] * y
+        c1y = c1 * y
+        # rank k is in outage when any stage l <= k fails, so stage l
+        # tests the rows of ranks l and up
+        bad = np.zeros(y.shape, dtype=bool)
+        for l, (a_l, s, th) in enumerate(stages):
+            bad[l:] |= xy[l:] * a_l < th * (xy[l:] * s + c1y[l:] + c2)
+        out += np.count_nonzero(bad, axis=1)
     return out
-
-
-def _block_job(args):
-    return simulate_block(*args)
 
 
 def estimate_op(config: SystemConfig, trials: int, seed: int = 0,
                 workers: int = 1) -> McEstimate:
     """Monte Carlo outage estimate with 95% confidence intervals.
 
+    The blocks run on at most `workers` threads, one per block at most.
     Bit-identical output for identical (config, trials, seed) regardless of
     worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     config.check_feasible()
-    jobs = []
-    lo = 0
-    block = 0
-    while lo < trials:
-        n = min(BLOCK_SIZE, trials - lo)
-        jobs.append((config, seed, block, n))
-        lo += n
-        block += 1
-    # a worker beyond one per task of _JOBS_PER_TASK blocks would sit idle
-    workers = min(workers, -(-len(jobs) // _JOBS_PER_TASK))
+    sizes = [min(BLOCK_SIZE, trials - lo) for lo in range(0, trials, BLOCK_SIZE)]
+    run = partial(simulate_block, config, seed)
+    workers = min(workers, len(sizes))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_block_job, jobs, chunksize=_JOBS_PER_TASK))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(len(sizes)), sizes))
     else:
-        parts = [simulate_block(*j) for j in jobs]
+        parts = list(map(run, range(len(sizes)), sizes))
     counts = np.sum(parts, axis=0)
     op_hat = counts / trials
     halfwidths = tuple(_ci_halfwidth(int(c), trials) for c in counts)

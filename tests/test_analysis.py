@@ -379,6 +379,22 @@ class TestClosedForm:
         assert analysis._first_hop_head(c, tau_star(k, c)) == 0.0
         assert op_closed_form(k, c) == 0.0 == op_numerical(k, c)
 
+    def test_unresolved_passes_double_their_digits(self, monkeypatch):
+        # each exact pass leaves the sum below its own noise, so the next
+        # doubles the digits up to the cap (345 here) instead of adding 17:
+        # 6 passes where adding 17 at a time took 21
+        c = SystemConfig(m_sr=3, m_ru=3, snr_db=600)
+        passes = []
+        real = analysis._exact_sum
+
+        def counting(*args):
+            passes.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(analysis, "_exact_sum", counting)
+        assert op_closed_form(2, c) == 0.0
+        assert passes == [17, 34, 68, 136, 272, 345]
+
     def test_subnormal_op_resolved(self):
         # an OP of 4e-317 takes digits down to the smallest subnormal
         c = SystemConfig(m_sr=2, m_ru=2, snr_db=800)

@@ -536,12 +536,24 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
 
+def loaded_by_import(*modules):
+    """Which of modules a fresh interpreter holds after `import ehnoma, ehnoma.cli`."""
+    src = Path(ehnoma.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ehnoma, ehnoma.cli; "
+            "print(*(name in sys.modules for name in sys.argv[2:]))")
+    run = subprocess.run([sys.executable, "-c", code, str(src), *modules],
+                         capture_output=True, text=True, timeout=120, check=True)
+    return run.stdout.split()
+
+
 def test_import_leaves_out_scipy_integrate():
     # scipy.integrate drags in scipy.optimize, scipy.sparse and scipy.linalg,
     # a large share of a fresh process's start-up time and memory
-    src = Path(ehnoma.__file__).resolve().parent.parent
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ehnoma, ehnoma.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    run = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert run.stdout == "False\n"
+    assert loaded_by_import("scipy.integrate") == ["False"]
+
+
+def test_import_leaves_out_process_pools():
+    # the simulator runs its blocks on threads, so nothing loads the
+    # machinery that starts and feeds worker processes
+    assert loaded_by_import("multiprocessing", "concurrent.futures.process") == [
+        "False", "False"]

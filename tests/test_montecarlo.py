@@ -1,5 +1,8 @@
 """Monte Carlo kernel: determinism, distributional checks, CI behavior."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import special
@@ -170,17 +173,43 @@ def full_matrix_outage_rate(c, n, g):
 class TestEstimateOp:
     def test_identical_across_worker_counts(self):
         c = SystemConfig()
-        trials = 4 * BLOCK_SIZE + 1234  # five blocks: two pool workers
+        trials = 4 * BLOCK_SIZE + 1234  # five blocks, fewer than 16 workers
         one = estimate_op(c, trials, seed=5, workers=1)
-        two = estimate_op(c, trials, seed=5, workers=2)
-        assert one == two
+        for workers in (2, 16):
+            assert estimate_op(c, trials, seed=5, workers=workers) == one
+
+    def test_concurrent_calls_match_sequential(self):
+        """Two estimates at once, from two threads, each on two workers, give
+        their sequential one-worker results: the blocks share no state."""
+        runs = [(SystemConfig(snr_db=10), 7), (SystemConfig(snr_db=12, m_sr=2, m_ru=2), 8)]
+        trials = BLOCK_SIZE + 3000  # two blocks each
+        expected = [estimate_op(c, trials, seed=s, workers=1) for c, s in runs]
+        got = [None, None]
+
+        def run(i):
+            c, s = runs[i]
+            got[i] = estimate_op(c, trials, seed=s, workers=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == expected
 
     @pytest.mark.parametrize("blocks,workers,expected", [
-        (1, 16, None), (3, 16, None), (4, 2, None), (5, 2, 2), (5, 16, 2),
-        (8, 2, 2), (9, 16, 3), (17, 3, 3), (17, 1, None),
+        (1, 16, None), (3, 16, 3), (4, 2, 2), (5, 2, 2), (5, 16, 5),
+        (8, 2, 2), (9, 16, 9), (17, 3, 3), (17, 1, None),
     ])
     def test_pool_size_capped_by_tasks(self, monkeypatch, blocks, workers, expected):
-        """At most one worker per task of four blocks; in-process when one."""
+        """Each block is one task: at most one thread per block, and none, in
+        the caller's thread, when that is one."""
         started = []
 
         class RecordingPool:
@@ -193,10 +222,10 @@ class TestEstimateOp:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo, "simulate_block",
                             lambda config, seed, block, n: np.zeros(3, dtype=np.int64))
         est = estimate_op(SystemConfig(), blocks * BLOCK_SIZE, workers=workers)

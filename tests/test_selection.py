@@ -2,10 +2,12 @@
 and invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehnoma.montecarlo import _selected_gains
+from oracles import majority_gains
 
 
 def rng(seed):
@@ -80,3 +82,13 @@ class TestSelect:
         rg = ranked(h)
         assert all(a <= b for a, b in zip(rg, rg[1:]))
         assert any(rg == sorted(h[:, i].max(axis=1).tolist()) for i in range(2))
+
+
+@pytest.mark.parametrize("k_users,n_rt,n_u", [(3, 2, 2), (2, 2, 2), (3, 3, 2),
+                                             (2, 3, 3), (4, 2, 1), (4, 4, 1)])
+def test_tie_heavy_draws_match_oracle(k_users, n_rt, n_u):
+    """Gains in {0, 1, 2} make ties in a user's own best antenna, in the vote
+    and in the voters' gain sums common; the kernel's gains must equal the
+    full-matrix oracle's exactly."""
+    h = rng(11).integers(0, 3, size=(20000, k_users, n_rt, n_u)).astype(float)
+    assert np.array_equal(_selected_gains(h.max(axis=-1)).T, majority_gains(h))

@@ -39,8 +39,8 @@ in and writes into OUTDIR:
 
 To check that a change moves no output, copy this script into a checkout
 of the parent commit, snapshot both checkouts and compare with
-`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 25 s on a
-2-core machine, half of it in the extreme-SNR grid's high-precision passes.
+`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 12 s on a
+2-core machine, about 4 s of it in the extreme-SNR grid.
 """
 
 from __future__ import annotations
