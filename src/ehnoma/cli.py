@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -22,14 +23,16 @@ EXIT_UNRESOLVED = 6
 
 CSV_HEADER = "scenario,variable,value,user,method,op,ci_halfwidth,trials"
 METHOD_ORDER = ("analytic", "quadrature", "montecarlo")
+SWEEP_VARIABLES = ("snr_db", "w", "d_sr", "xi")
+SPACINGS = ("linear", "log")
 
 # find-snr answers within this many dB; find-w's golden-section search stops
 # once its bracket is this narrow
 _SNR_TOL_DB = 0.05
 _W_TOL = 1e-3
 
-_LIST_KEYS = ("a", "gamma_th")
-_INT_KEYS = ("n_s", "n_rr", "n_rt", "n_u")
+# each scenario key's type (tuple, int or float), from SystemConfig's fields
+_KEY_TYPES = get_type_hints(SystemConfig)
 
 
 class ScenarioParseError(ValueError):
@@ -52,11 +55,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_value(key: str, text: str):
     """Type a scenario value: a float list, an integer or a float."""
-    if key in _LIST_KEYS:
+    kind = _KEY_TYPES[key]
+    if kind is tuple:
         return tuple(float(x) for x in text.split(","))
-    if key in _INT_KEYS:
-        return int(text)
-    return float(text)
+    return kind(text)
 
 
 def parse_scenario(text: str, overrides=()) -> SystemConfig:
@@ -77,18 +79,16 @@ def parse_scenario(text: str, overrides=()) -> SystemConfig:
         if "=" not in pair:
             raise ScenarioParseError(f"override must be KEY=VALUE, got {pair!r}")
         items.append((f"override {pair!r}", pair))
+    entries = [(where, *map(str.strip, item.split("=", 1))) for where, item in items]
+    unknown = {key for _, key, _ in entries} - _KEY_TYPES.keys()
+    if unknown:
+        raise ScenarioParseError(f"unknown scenario keys: {sorted(unknown)}")
     values = {}
-    for where, item in items:
-        key, _, val = item.partition("=")
-        key, val = key.strip(), val.strip()
+    for where, key, val in entries:
         try:
             values[key] = _parse_value(key, val)
         except ValueError as exc:
             raise ScenarioParseError(f"{where}: bad value for {key}: {val!r}") from exc
-    known = {f.name for f in fields(SystemConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ScenarioParseError(f"unknown scenario keys: {sorted(unknown)}")
     try:
         return SystemConfig(**values)
     except ValueError as exc:
@@ -106,19 +106,18 @@ def load_scenario(path: str, overrides=()) -> SystemConfig:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    variable: str                 # snr_db | w | d_sr | xi
+    variable: str                 # one of SWEEP_VARIABLES
     start: float
     stop: float
     points: int
     base: SystemConfig
     methods: tuple = ("analytic",)
-    spacing: str = "linear"       # linear | log
+    spacing: str = "linear"       # one of SPACINGS
     trials: int = 100_000
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
-        if self.variable not in ("snr_db", "w", "d_sr", "xi"):
+        if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"unsupported sweep variable {self.variable!r}")
         if self.points < 1:
             raise ValueError("grid must be nonempty")
@@ -127,8 +126,8 @@ class SweepSpec:
         bad = set(self.methods) - set(METHOD_ORDER)
         if bad:
             raise ValueError(f"unknown methods: {sorted(bad)}")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"spacing must be linear or log, got {self.spacing!r}")
+        if self.spacing not in SPACINGS:
+            raise ValueError(f"spacing must be {' or '.join(SPACINGS)}, got {self.spacing!r}")
         if self.spacing == "log" and min(self.start, self.stop) <= 0:
             raise ValueError("log spacing needs start > 0 and stop > 0")
         for v in self.grid():
@@ -141,20 +140,21 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
-def _point_rows(scenario: str, variable: str, value: float, config: SystemConfig,
-                methods, trials: int, seed: int, workers: int):
-    """Rows for one grid point, in (user, method) order."""
+def _point_rows(scenario: str, variable: str, config: SystemConfig,
+                methods, trials: int = 0, seed: int = 0):
+    """Rows for config's value of variable, in (user, method) order."""
     rows = []
+    value = "%.10g" % getattr(config, variable)
     ordered = [m for m in METHOD_ORDER if m in methods]
     feasible = config.feasible
     mc = None
     if "montecarlo" in ordered and feasible:
-        mc = estimate_op(config, trials=trials, seed=seed, workers=workers)
+        mc = estimate_op(config, trials=trials, seed=seed)
     for k in range(1, config.k_users + 1):
         for method in ordered:
             row = {
                 "scenario": scenario, "variable": variable,
-                "value": "%.10g" % value, "user": k, "method": method,
+                "value": value, "user": k, "method": method,
                 "op": "", "ci_halfwidth": "", "trials": "",
             }
             if not feasible:
@@ -182,10 +182,8 @@ def run_sweep(spec: SweepSpec):
     rows = []
     for value in spec.grid():
         config = replace(spec.base, **{spec.variable: float(value)})
-        rows.extend(
-            _point_rows("sweep", spec.variable, float(value), config,
-                        spec.methods, spec.trials, spec.seed, spec.workers)
-        )
+        rows.extend(_point_rows("sweep", spec.variable, config,
+                                spec.methods, spec.trials, spec.seed))
     return rows
 
 
@@ -295,19 +293,17 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo OP")
     sim.add_argument("--trials", type=int, default=1_000_000)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--workers", type=int, default=1)
 
     sw = sub.add_parser("sweep", parents=[common], help="sweep one variable")
-    sw.add_argument("--var", required=True, choices=("snr_db", "w", "d_sr", "xi"))
+    sw.add_argument("--var", required=True, choices=SWEEP_VARIABLES)
     sw.add_argument("--start", type=float, required=True)
     sw.add_argument("--stop", type=float, required=True)
     sw.add_argument("--points", type=int, required=True)
-    sw.add_argument("--spacing", choices=("linear", "log"), default="linear")
+    sw.add_argument("--spacing", choices=SPACINGS, default="linear")
     sw.add_argument("--methods", default="analytic",
                     help="comma list from analytic,quadrature,montecarlo")
     sw.add_argument("--trials", type=int, default=100_000)
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--workers", type=int, default=1)
 
     fs = sub.add_parser("find-snr", parents=[common],
                         help="SNR required to hit a target OP")
@@ -323,20 +319,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# main's exit code for each error it reports, the first match winning:
+# InfeasibleConfigError and UnsupportedModelError are ValueErrors, and any
+# other ValueError is an argument the library rejects
+_EXIT_CODES = (
+    (InfeasibleConfigError, EXIT_INFEASIBLE),
+    (UnsupportedModelError, EXIT_UNSUPPORTED),
+    (UnresolvedNumericsError, EXIT_UNRESOLVED),
+    (SearchError, EXIT_SEARCH),
+    (ValueError, EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = load_scenario(args.scenario, args.set or ())
-        if args.command in ("analytic", "quadrature", "simulate"):
-            methods = {"analytic": ("analytic",), "quadrature": ("quadrature",),
-                       "simulate": ("montecarlo",)}[args.command]
-            if args.command == "simulate":
-                config.check_feasible()
-                rows = _point_rows("scenario", "snr_db", config.snr_db, config,
-                                   methods, args.trials, args.seed, args.workers)
-            else:
-                rows = _point_rows("scenario", "snr_db", config.snr_db, config,
-                                   methods, 0, 0, 1)
+        if args.command in ("analytic", "quadrature"):
+            rows = _point_rows("scenario", "snr_db", config, (args.command,))
+            write_output(rows, args.out)
+        elif args.command == "simulate":
+            config.check_feasible()
+            rows = _point_rows("scenario", "snr_db", config, ("montecarlo",),
+                               args.trials, args.seed)
             write_output(rows, args.out)
         elif args.command == "sweep":
             spec = SweepSpec(
@@ -344,7 +349,6 @@ def main(argv=None) -> int:
                 stop=args.stop, points=args.points, base=config,
                 methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
                 spacing=args.spacing, trials=args.trials, seed=args.seed,
-                workers=args.workers,
             )
             write_output(run_sweep(spec), args.out)
         elif args.command == "find-snr":
@@ -354,24 +358,9 @@ def main(argv=None) -> int:
             grid = np.linspace(0.05, 0.95, args.points)
             w_star, op_star = find_optimal_w(args.user, config, grid)
             print(f"{w_star:.4f} {op_star:.8e}")
-    except ScenarioParseError as exc:
+    except tuple(error for error, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InfeasibleConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except UnsupportedModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except UnresolvedNumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNRESOLVED
-    except SearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEARCH
-    except ValueError as exc:  # an argument the library rejects
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for error, code in _EXIT_CODES if isinstance(exc, error))
     return EXIT_OK
 
 

@@ -13,17 +13,19 @@ its stream in sequence, and chunked draws of a C-order array take the same
 numbers as one draw of the whole array: the block's stream, and so its
 counts, do not depend on the chunk size.
 
-Blocks run on a thread pool, one thread per block at most.  The Philox
-draws and the numpy ufuncs that make up a block release the GIL, and blocks
-share no mutable state, so threads overlap like processes without starting
-any or copying their results.  The majority vote works on one (n_rt, K, n)
-copy of a chunk's row maxima, each step one array operation over all users;
-it only compares and selects, so its gains are exact.
+Blocks run on a thread pool, one thread per block at most and by default
+one per core the process may use.  The Philox draws and the numpy ufuncs
+that make up a block release the GIL, and blocks share no mutable state, so
+threads overlap like processes without starting any or copying their
+results.  The majority vote works on one (n_rt, K, n) copy of a chunk's row
+maxima, each step one array operation over all users; it only compares and
+selects, so its gains are exact.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -37,6 +39,9 @@ BLOCK_SIZE = 1 << 18
 CHUNK_SIZE = 1 << 13
 # two-sided 95% standard normal quantile
 _Z_95 = 1.96
+# estimate_op's default thread count: the cores this process may run on
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -166,10 +171,11 @@ def simulate_block(config: SystemConfig, seed: int, block: int, n: int) -> np.nd
 
 
 def estimate_op(config: SystemConfig, trials: int, seed: int = 0,
-                workers: int = 1) -> McEstimate:
+                workers: int = _CORES) -> McEstimate:
     """Monte Carlo outage estimate with 95% confidence intervals.
 
-    The blocks run on at most `workers` threads, one per block at most.
+    The blocks run on at most `workers` threads, one per block at most; the
+    default is one per core the process may use, read at import.
     Bit-identical output for identical (config, trials, seed) regardless of
     worker count.
     """

@@ -6,13 +6,15 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 import ehnoma
-from ehnoma import SystemConfig, analysis, op_closed_form
+from ehnoma import SystemConfig, analysis, cli, estimate_op, op_closed_form
 from ehnoma.cli import (
     CSV_HEADER,
     EXIT_INFEASIBLE,
@@ -24,8 +26,6 @@ from ehnoma.cli import (
     ScenarioParseError,
     SearchError,
     SweepSpec,
-    _INT_KEYS,
-    _LIST_KEYS,
     find_optimal_w,
     find_snr_for_op,
     load_scenario,
@@ -36,6 +36,7 @@ from ehnoma.cli import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+KEY_TYPES = get_type_hints(SystemConfig)
 
 
 def _fmt_num(v) -> str:
@@ -49,9 +50,9 @@ def serialize_scenario(config: SystemConfig) -> str:
     lines = []
     for f in fields(SystemConfig):
         v = getattr(config, f.name)
-        if f.name in _LIST_KEYS:
+        if KEY_TYPES[f.name] is tuple:
             lines.append(f"{f.name} = " + ", ".join(_fmt_num(x) for x in v))
-        elif f.name in _INT_KEYS:
+        elif KEY_TYPES[f.name] is int:
             lines.append(f"{f.name} = {int(v)}")
         else:
             lines.append(f"{f.name} = {_fmt_num(v)}")
@@ -82,9 +83,10 @@ class TestScenarioFormat:
         c = parse_scenario("a = 0.5, 0.3, 0.2\ngamma_th = 1, 1, 1\n")
         assert c.a == (0.5, 0.3, 0.2)
 
-    def test_integer_keys_reject_floats(self):
-        with pytest.raises(ScenarioParseError):
-            parse_scenario("n_u = 2.5\n")
+    @pytest.mark.parametrize("key", [k for k, kind in KEY_TYPES.items() if kind is int])
+    def test_integer_keys_reject_floats(self, key):
+        with pytest.raises(ScenarioParseError, match=f"bad value for {key}: '2.5'"):
+            parse_scenario(f"{key} = 2.5\n")
 
     def test_missing_equals(self):
         with pytest.raises(ScenarioParseError, match="line 1"):
@@ -326,6 +328,23 @@ class TestMain:
         assert code == EXIT_OK
         assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 6
 
+    def test_default_thread_count_moves_no_byte(self, tmp_path, capsys, monkeypatch):
+        # simulate and a Monte Carlo sweep run their blocks on every core the
+        # process may use; their CSVs equal the rows of one-worker estimates
+        path = write_scenario(tmp_path)
+        runs = (["simulate", path, "--trials", "600000", "--seed", "5"],
+                ["sweep", path, "--var", "snr_db", "--start", "10", "--stop", "20",
+                 "--points", "2", "--methods", "analytic,montecarlo",
+                 "--trials", "300000", "--seed", "5"])
+        outputs = []
+        for argv in runs:
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        monkeypatch.setattr(cli, "estimate_op", partial(estimate_op, workers=1))
+        for argv, out in zip(runs, outputs):
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == out
+
     def test_find_snr_prints_db(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         code = main(["find-snr", path, "--user", "1", "--target", "1e-2"])
@@ -351,7 +370,8 @@ class TestMain:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [["find-w", "{path}"],
-                                      ["simulate", "{path}", "--trials", "abc"]])
+                                      ["simulate", "{path}", "--trials", "abc"],
+                                      ["simulate", "{path}", "--workers", "2"]])
     def test_usage_error_exit(self, tmp_path, capsys, argv):
         # argparse would exit 2, which is EXIT_INFEASIBLE
         path = write_scenario(tmp_path)
@@ -406,6 +426,8 @@ class TestMain:
         (["simulate", "{path}", "--set", "snr_db=-4000"],
          "snr_db=-4000.0, d_sr=0.5 and alpha=2.0 give a linear SNR or mean channel "
          "gain that is not a finite double > 0"),
+        # keys are checked before any value is typed
+        (["analytic", "{path}", "--set", "snr=abc"], "unknown scenario keys: ['snr']"),
     ])
     def test_invalid_argument_exit(self, tmp_path, capsys, argv, message):
         # invalid input, not a search failure

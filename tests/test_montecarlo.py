@@ -1,5 +1,7 @@
 """Monte Carlo kernel: determinism, distributional checks, CI behavior."""
 
+import inspect
+import os
 import sys
 import threading
 
@@ -177,6 +179,11 @@ class TestEstimateOp:
         one = estimate_op(c, trials, seed=5, workers=1)
         for workers in (2, 16):
             assert estimate_op(c, trials, seed=5, workers=workers) == one
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_default_workers_are_usable_cores(self):
+        default = inspect.signature(estimate_op).parameters["workers"].default
+        assert default == len(os.sched_getaffinity(0))
 
     def test_concurrent_calls_match_sequential(self):
         """Two estimates at once, from two threads, each on two workers, give
