@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import get_type_hints
 
 import numpy as np
@@ -40,7 +40,7 @@ class ScenarioParseError(ValueError):
 
 
 class SearchError(RuntimeError):
-    """Bracket or grid failure in a root/optimum search."""
+    """The bracket of a root search does not straddle its target."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,46 +104,10 @@ def load_scenario(path: str, overrides=()) -> SystemConfig:
     return parse_scenario(text, overrides)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str                 # one of SWEEP_VARIABLES
-    start: float
-    stop: float
-    points: int
-    base: SystemConfig
-    methods: tuple = ("analytic",)
-    spacing: str = "linear"       # one of SPACINGS
-    trials: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(f"unsupported sweep variable {self.variable!r}")
-        if self.points < 1:
-            raise ValueError("grid must be nonempty")
-        if not self.methods:
-            raise ValueError("at least one method must be requested")
-        bad = set(self.methods) - set(METHOD_ORDER)
-        if bad:
-            raise ValueError(f"unknown methods: {sorted(bad)}")
-        if self.spacing not in SPACINGS:
-            raise ValueError(f"spacing must be {' or '.join(SPACINGS)}, got {self.spacing!r}")
-        if self.spacing == "log" and min(self.start, self.stop) <= 0:
-            raise ValueError("log spacing needs start > 0 and stop > 0")
-        for v in self.grid():
-            # reject values outside the variable's domain up front
-            replace(self.base, **{self.variable: float(v)})
-
-    def grid(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.logspace(np.log10(self.start), np.log10(self.stop), self.points)
-        return np.linspace(self.start, self.stop, self.points)
-
-
-def _point_rows(scenario: str, variable: str, config: SystemConfig,
-                methods, trials: int = 0, seed: int = 0):
-    """Rows for config's value of variable, in (user, method) order."""
-    rows = []
+def _point_lines(scenario: str, variable: str, config: SystemConfig,
+                 methods, trials: int = 0, seed: int = 0):
+    """CSV lines for config's value of variable, in (user, method) order."""
+    lines = []
     value = "%.10g" % getattr(config, variable)
     ordered = [m for m in METHOD_ORDER if m in methods]
     feasible = config.feasible
@@ -152,50 +116,58 @@ def _point_rows(scenario: str, variable: str, config: SystemConfig,
         mc = estimate_op(config, trials=trials, seed=seed)
     for k in range(1, config.k_users + 1):
         for method in ordered:
-            row = {
-                "scenario": scenario, "variable": variable,
-                "value": value, "user": k, "method": method,
-                "op": "", "ci_halfwidth": "", "trials": "",
-            }
+            op = ci_halfwidth = n_trials = ""
             if not feasible:
-                row["op"] = "infeasible"
-                rows.append(row)
-                continue
-            if method == "montecarlo":
-                row["op"] = "%.8e" % mc.op_hat[k - 1]
-                row["ci_halfwidth"] = "%.8e" % mc.ci_halfwidth[k - 1]
-                row["trials"] = str(trials)
+                op = "infeasible"
+            elif method == "montecarlo":
+                op = "%.8e" % mc.op_hat[k - 1]
+                ci_halfwidth = "%.8e" % mc.ci_halfwidth[k - 1]
+                n_trials = str(trials)
             else:
-                op = op_closed_form if method == "analytic" else op_numerical
+                op_fn = op_closed_form if method == "analytic" else op_numerical
                 try:
-                    row["op"] = "%.8e" % op(k, config)
+                    op = "%.8e" % op_fn(k, config)
                 except UnsupportedModelError:
-                    row["op"] = "unsupported"
+                    op = "unsupported"
                 except UnresolvedNumericsError:
-                    row["op"] = "unresolved"
-            rows.append(row)
-    return rows
+                    op = "unresolved"
+            lines.append(f"{scenario},{variable},{value},{k},{method},"
+                         f"{op},{ci_halfwidth},{n_trials}")
+    return lines
 
 
-def run_sweep(spec: SweepSpec):
-    """Evaluate every requested method on every grid point, deterministically."""
-    rows = []
-    for value in spec.grid():
-        config = replace(spec.base, **{spec.variable: float(value)})
-        rows.extend(_point_rows("sweep", spec.variable, config,
-                                spec.methods, spec.trials, spec.seed))
-    return rows
+def run_sweep(base: SystemConfig, variable: str, values, methods,
+              trials: int, seed: int):
+    """CSV lines of every requested method at each value of variable, deterministically."""
+    if variable not in SWEEP_VARIABLES:
+        raise ValueError(f"unsupported sweep variable {variable!r}")
+    if len(values) == 0:
+        raise ValueError("sweep needs at least one value")
+    if not methods:
+        raise ValueError("at least one method must be requested")
+    bad = set(methods) - set(METHOD_ORDER)
+    if bad:
+        raise ValueError(f"unknown methods: {sorted(bad)}")
+    # every point's config is built before any is evaluated, so a value
+    # outside the variable's domain is rejected up front
+    configs = [replace(base, **{variable: float(v)}) for v in values]
+    return [line for config in configs
+            for line in _point_lines("sweep", variable, config, methods, trials, seed)]
 
 
-def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(str(r[c]) for c in CSV_HEADER.split(",")))
-    return "\n".join(lines) + "\n"
+def _grid(start: float, stop: float, points: int, spacing: str) -> np.ndarray:
+    """The values of sweep's --start, --stop, --points and --spacing."""
+    if points < 1:
+        raise ValueError("grid must be nonempty")
+    if spacing == "log":
+        if min(start, stop) <= 0:
+            raise ValueError("log spacing needs start > 0 and stop > 0")
+        return np.logspace(np.log10(start), np.log10(stop), points)
+    return np.linspace(start, stop, points)
 
 
-def write_output(rows, out: str | None) -> None:
-    text = rows_to_csv(rows)
+def write_output(lines, out: str | None) -> None:
+    text = "\n".join([CSV_HEADER, *lines]) + "\n"
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -213,7 +185,7 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
     closed form's float sum.
     """
     if not 0 < target_op < 1:
-        raise SearchError(f"target OP must be in (0,1), got {target_op}")
+        raise ValueError(f"target OP must be in (0,1), got {target_op}")
 
     def side(snr_db):
         return closed_form_side(k, replace(config, snr_db=snr_db), target_op)
@@ -243,8 +215,6 @@ def find_optimal_w(k: int, config: SystemConfig, grid):
     grid = np.asarray(sorted(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("w grid must be nonempty")
-    if np.any((grid <= 0) | (grid >= 1)):
-        raise SearchError("w grid must lie inside (0, 1)")
     # no stage's feasibility depends on w, so an infeasible configuration
     # raises InfeasibleConfigError at the first grid point
     ops = [op_closed_form(k, replace(config, w=float(w))) for w in grid]
@@ -336,21 +306,17 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = load_scenario(args.scenario, args.set or ())
         if args.command in ("analytic", "quadrature"):
-            rows = _point_rows("scenario", "snr_db", config, (args.command,))
-            write_output(rows, args.out)
+            write_output(_point_lines("scenario", "snr_db", config, (args.command,)),
+                         args.out)
         elif args.command == "simulate":
             config.check_feasible()
-            rows = _point_rows("scenario", "snr_db", config, ("montecarlo",),
-                               args.trials, args.seed)
-            write_output(rows, args.out)
+            write_output(_point_lines("scenario", "snr_db", config, ("montecarlo",),
+                                      args.trials, args.seed), args.out)
         elif args.command == "sweep":
-            spec = SweepSpec(
-                variable=args.var, start=args.start,
-                stop=args.stop, points=args.points, base=config,
-                methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-                spacing=args.spacing, trials=args.trials, seed=args.seed,
-            )
-            write_output(run_sweep(spec), args.out)
+            values = _grid(args.start, args.stop, args.points, args.spacing)
+            methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+            write_output(run_sweep(config, args.var, values, methods,
+                                   args.trials, args.seed), args.out)
         elif args.command == "find-snr":
             snr = find_snr_for_op(args.user, config, args.target, args.lo, args.hi)
             print(f"{snr:.2f}")

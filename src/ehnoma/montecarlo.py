@@ -181,6 +181,8 @@ def estimate_op(config: SystemConfig, trials: int, seed: int = 0,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     config.check_feasible()
     sizes = [min(BLOCK_SIZE, trials - lo) for lo in range(0, trials, BLOCK_SIZE)]
     run = partial(simulate_block, config, seed)

@@ -23,13 +23,7 @@ from ehnoma import (
     op_closed_form,
     op_numerical,
 )
-from ehnoma.cli import (
-    SweepSpec,
-    find_optimal_w,
-    find_snr_for_op,
-    rows_to_csv,
-    run_sweep,
-)
+from ehnoma.cli import find_optimal_w, find_snr_for_op, run_sweep
 from ehnoma.fading import MAJORITY_RANK_COEFFS
 from oracles import expanded_sum, ks_distance, majority_gains, rank_cdf
 
@@ -266,14 +260,13 @@ def test_criterion_7_determinism(monkeypatch):
     estimates = {w: estimate_op(c, trials, seed=3, workers=w) for w in (1, 4, 16)}
     if not estimates[1] == estimates[4] == estimates[16]:
         problems.append("estimate_op differs across worker counts")
-    spec = SweepSpec(variable="snr_db", start=10, stop=20, points=3,
-                     base=SystemConfig(), methods=("analytic", "montecarlo"),
-                     trials=50_000, seed=1)
-    a = rows_to_csv(run_sweep(spec))
-    b = rows_to_csv(run_sweep(spec))
+    sweep = partial(run_sweep, SystemConfig(), "snr_db", np.linspace(10, 20, 3),
+                    ("analytic", "montecarlo"), 50_000, 1)
+    a = sweep()
+    b = sweep()
     # the sweep's estimates run on every core; the same on one worker
     monkeypatch.setattr(cli, "estimate_op", partial(estimate_op, workers=1))
-    c_ = rows_to_csv(run_sweep(spec))
+    c_ = sweep()
     if not a == b == c_:
         problems.append("sweep CSV differs across runs or from one worker")
     _report(

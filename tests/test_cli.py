@@ -25,14 +25,13 @@ from ehnoma.cli import (
     EXIT_UNSUPPORTED,
     ScenarioParseError,
     SearchError,
-    SweepSpec,
     find_optimal_w,
     find_snr_for_op,
     load_scenario,
     main,
     parse_scenario,
-    rows_to_csv,
     run_sweep,
+    write_output,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -107,71 +106,86 @@ class TestScenarioFormat:
             load_scenario(str(f))
 
 
+def as_rows(lines):
+    """CSV lines as dicts keyed by the header's columns."""
+    return [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines]
+
+
 class TestSweepSpec:
-    def base(self, **kw):
-        args = dict(variable="snr_db", start=0.0, stop=10.0,
-                    points=3, base=SystemConfig())
-        args.update(kw)
-        return SweepSpec(**args)
+    """A sweep's values from the CLI's grid flags; the sweeps run_sweep rejects."""
 
-    def test_linear_grid(self):
-        assert self.base().grid() == pytest.approx([0.0, 5.0, 10.0])
+    def grid_values(self, tmp_path, capsys, *flags):
+        """The value of each point of an analytic sweep over flags."""
+        path = write_scenario(tmp_path)
+        assert main(["sweep", path, "--points", "3", *flags]) == EXIT_OK
+        rows = as_rows(capsys.readouterr().out.splitlines()[1:])
+        return [float(r["value"]) for r in rows if r["user"] == "1"]
 
-    def test_log_grid(self):
-        g = self.base(variable="xi", start=0.001, stop=0.1, points=3,
-                      spacing="log").grid()
-        assert g == pytest.approx([0.001, 0.01, 0.1])
+    def test_linear_grid(self, tmp_path, capsys):
+        values = self.grid_values(tmp_path, capsys, "--var", "snr_db",
+                                  "--start", "0", "--stop", "10")
+        assert values == pytest.approx([0.0, 5.0, 10.0])
+
+    def test_log_grid(self, tmp_path, capsys):
+        values = self.grid_values(tmp_path, capsys, "--var", "xi", "--start", "0.001",
+                                  "--stop", "0.1", "--spacing", "log")
+        assert values == pytest.approx([0.001, 0.01, 0.1])
 
     @pytest.mark.parametrize("kw", [
-        {"variable": "zeta"}, {"points": 0}, {"methods": ()},
-        {"methods": ("exact",)}, {"spacing": "geometric"},
-        {"variable": "w", "start": 0.5, "stop": 1.5},
+        {"variable": "zeta"}, {"values": []}, {"methods": ()},
+        {"methods": ("exact",)}, {"variable": "w", "values": [0.5, 1.5]},
     ])
     def test_rejects_invalid(self, kw):
+        args = dict(base=SystemConfig(), variable="snr_db", values=[0.0, 5.0, 10.0],
+                    methods=("analytic",), trials=100_000, seed=0)
+        args.update(kw)
         with pytest.raises(ValueError):
-            self.base(**kw)
+            run_sweep(**args)
+
+    def test_domain_checked_before_any_point(self, monkeypatch):
+        def evaluated(*args):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(cli, "op_closed_form", evaluated)
+        with pytest.raises(ValueError, match=re.escape("w must be in (0, 1)")):
+            run_sweep(SystemConfig(), "w", [0.5, 1.5], ("analytic",), 100_000, 0)
 
 
 class TestRunSweep:
     def test_row_structure_and_order(self):
-        spec = SweepSpec(variable="snr_db", start=10, stop=20,
-                         points=2, base=SystemConfig(),
-                         methods=("montecarlo", "analytic"), trials=2000)
-        rows = run_sweep(spec)
+        rows = as_rows(run_sweep(SystemConfig(), "snr_db", [10.0, 20.0],
+                                 ("montecarlo", "analytic"), 2000, 0))
         assert len(rows) == 2 * 3 * 2
         # analytic precedes montecarlo inside each grid point
         assert [r["method"] for r in rows[:6]] == ["analytic", "montecarlo"] * 3
-        assert rows[0]["user"] == 1 and rows[2]["user"] == 2
+        assert rows[0]["user"] == "1" and rows[2]["user"] == "2"
         mc = rows[1]
         assert mc["trials"] == "2000" and mc["ci_halfwidth"] != ""
         assert rows[0]["ci_halfwidth"] == "" and rows[0]["trials"] == ""
 
     def test_analytic_rows_match_library(self):
-        spec = SweepSpec(variable="snr_db", start=15, stop=15,
-                         points=1, base=SystemConfig())
-        rows = run_sweep(spec)
+        rows = as_rows(run_sweep(SystemConfig(), "snr_db", [15.0], ("analytic",), 0, 0))
         expect = op_closed_form(2, SystemConfig(snr_db=15))
-        got = float(next(r["op"] for r in rows if r["user"] == 2))
+        got = float(next(r["op"] for r in rows if r["user"] == "2"))
         assert got == pytest.approx(expect, rel=1e-8)
 
     def test_infeasible_points_marked(self):
-        spec = SweepSpec(variable="xi", start=0.0, stop=0.1,
-                         points=3, base=SystemConfig())
-        rows = run_sweep(spec)
+        rows = as_rows(run_sweep(SystemConfig(), "xi", np.linspace(0.0, 0.1, 3),
+                                 ("analytic",), 0, 0))
         by_value = {}
         for r in rows:
             by_value.setdefault(r["value"], set()).add(r["op"])
         assert by_value["0.1"] == {"infeasible"}
         assert "infeasible" not in by_value["0"]
 
-    def test_csv_is_deterministic(self):
-        spec = SweepSpec(variable="w", start=0.3, stop=0.7,
-                         points=3, base=SystemConfig(),
-                         methods=("analytic", "montecarlo"), trials=5000)
-        a = rows_to_csv(run_sweep(spec))
-        b = rows_to_csv(run_sweep(spec))
-        assert a == b
-        assert a.startswith(CSV_HEADER + "\n")
+    def test_csv_is_deterministic(self, tmp_path):
+        sweep = partial(run_sweep, SystemConfig(), "w", np.linspace(0.3, 0.7, 3),
+                        ("analytic", "montecarlo"), 5000, 0)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_output(sweep(), str(a))
+        write_output(sweep(), str(b))
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().startswith(CSV_HEADER + "\n")
 
 
 def bisect_values(k, config, target_op, lo_db, hi_db):
@@ -257,7 +271,7 @@ class TestFindSnr:
             find_snr_for_op(1, SystemConfig(), 1e-30, 0.0, 10.0)
 
     def test_bad_target(self):
-        with pytest.raises(SearchError):
+        with pytest.raises(ValueError, match=re.escape("target OP must be in (0,1)")):
             find_snr_for_op(1, SystemConfig(), 0.0, 0.0, 60.0)
 
 
@@ -272,7 +286,7 @@ class TestFindW:
             assert op_closed_form(1, SystemConfig(w=w_star + dw)) >= op_star
 
     def test_grid_validation(self):
-        with pytest.raises(SearchError):
+        with pytest.raises(ValueError, match=re.escape("w must be in (0, 1)")):
             find_optimal_w(1, SystemConfig(), grid=[0.0, 0.5])
 
 
@@ -371,7 +385,10 @@ class TestMain:
 
     @pytest.mark.parametrize("argv", [["find-w", "{path}"],
                                       ["simulate", "{path}", "--trials", "abc"],
-                                      ["simulate", "{path}", "--workers", "2"]])
+                                      ["simulate", "{path}", "--workers", "2"],
+                                      ["sweep", "{path}", "--var", "snr_db", "--start", "1",
+                                       "--stop", "10", "--points", "2",
+                                       "--spacing", "geometric"]])
     def test_usage_error_exit(self, tmp_path, capsys, argv):
         # argparse would exit 2, which is EXIT_INFEASIBLE
         path = write_scenario(tmp_path)
@@ -428,6 +445,11 @@ class TestMain:
          "gain that is not a finite double > 0"),
         # keys are checked before any value is typed
         (["analytic", "{path}", "--set", "snr=abc"], "unknown scenario keys: ['snr']"),
+        (["find-snr", "{path}", "--user", "1", "--target", "2"],
+         "target OP must be in (0,1), got 2.0"),
+        (["find-snr", "{path}", "--user", "1", "--target", "nan"],
+         "target OP must be in (0,1), got nan"),
+        (["simulate", "{path}", "--seed", "-1"], "seed must be >= 0"),
     ])
     def test_invalid_argument_exit(self, tmp_path, capsys, argv, message):
         # invalid input, not a search failure

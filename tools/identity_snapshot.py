@@ -23,11 +23,13 @@ in and writes into OUTDIR:
   underflow, m_sr = m_ru = 3 at snr_db 400-700 and m_sr = m_ru = 2 at
   snr_db 800-1000, in 50 dB steps x ranks 1-3, one
   `m snr_db k method result` line each, the result as in `grid-asym.txt`;
-- for each of the shipped scenarios, four sweep CSVs (snr_db 0-40 in 11
+- for each of the shipped scenarios, five sweep CSVs (snr_db 0-40 in 11
   points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
   m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature; snr_db
   10-20 in 3 points analytic and Monte Carlo, 300,000 trials, two blocks,
-  at seed 2, whose estimates run on every core) and the
+  at seed 2, whose estimates run on every core; xi 0.001-0.02 in 3
+  log-spaced points analytic and quadrature, feasible on every shipped
+  scenario) and the
   stdout, stderr and exit code of `find-snr --user 2 --target 1e-3`, of
   `find-snr --user 3 --target 1e-6`, a deep target, of `find-w --user 1`
   and of `simulate --trials 300000 --seed 4`, the last also with
@@ -67,6 +69,8 @@ SWEEPS = {
             "--methods", "analytic,quadrature", "--set", "m_sr=2", "--set", "m_ru=2"],
     "mc": ["--var", "snr_db", "--start", "10", "--stop", "20", "--points", "3",
            "--methods", "analytic,montecarlo", "--trials", "300000", "--seed", "2"],
+    "xi-log": ["--var", "xi", "--start", "0.001", "--stop", "0.02", "--points", "3",
+               "--spacing", "log", "--methods", "analytic,quadrature"],
 }
 # output file label: (command, arguments after the scenario)
 COMMANDS = {
