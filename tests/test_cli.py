@@ -133,7 +133,8 @@ class TestSweepSpec:
 
     @pytest.mark.parametrize("kw", [
         {"variable": "zeta"}, {"values": []}, {"methods": ()},
-        {"methods": ("exact",)}, {"variable": "w", "values": [0.5, 1.5]},
+        {"methods": ("exact",)}, {"methods": ("analytic", "exact")},
+        {"variable": "w", "values": [0.5, 1.5]},
     ])
     def test_rejects_invalid(self, kw):
         args = dict(base=SystemConfig(), variable="snr_db", values=[0.0, 5.0, 10.0],
