@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
 import mpmath as mp
@@ -49,6 +49,19 @@ _DOUBLE_DIGITS = 17
 # about 300 bytes a monomial (measured from 86k to 566k monomials), so this
 # keeps a table near 300 MB.
 _MAX_MONOMIALS = 1_000_000
+# The float pass sums a table of at least this many monomials by binary
+# exponent (_bucket_sums), and a smaller one with math.fsum alone.  On one
+# point the two cost the same at 640-672 monomials, and bucketing costs 0.7x
+# fsum at 820 and 0.3x at 2,700.
+_BUCKET_MIN_TERMS = 700
+# Veltkamp's splitter for a 53-bit double: t * _SPLITTER - (t * _SPLITTER - t)
+# is t rounded to 26 significant bits.  It holds while t * _SPLITTER does not
+# overflow, which _SPLIT_GUARD keeps far off.
+_SPLITTER = 2.0**27 + 1
+_SPLIT_GUARD = 2.0**990
+# Most monomials one batched float pass holds: the pass's arrays take about
+# 100 bytes a monomial.
+_BATCH_TERMS = 8192
 
 
 class UnsupportedModelError(ValueError):
@@ -79,6 +92,7 @@ class _TermTable(NamedTuple):
     one_u: np.ndarray    # per group: 1 + u
     group: np.ndarray    # per (p, u, nu) row: its group's index
     nu: np.ndarray       # per row: the Bessel order nu
+    half_nu: tuple       # per row: nu / 2, the float power of its Bessel factor
     row: np.ndarray      # per monomial: its row's index
     s: np.ndarray        # per monomial: the power of X
     j: np.ndarray        # per monomial: the power of Y
@@ -189,48 +203,153 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
     np.maximum.at(pu_top, kv_pu, kv_nu)
     return _TermTable(
         s_top=int(ss.max(initial=0)), j_top=int(js.max(initial=0)), p=p, one_u=one_u,
-        group=group, nu=nu, row=ints(row), s=ss, j=js, num=tuple(num), den=den,
+        group=group, nu=nu, half_nu=tuple((nu / 2).tolist()), row=ints(row), s=ss, j=js,
+        num=tuple(num), den=den,
         coef_float=np.array([float(c // g) / (den // g)
                              for c, g in zip(num, map(math.gcd, num, repeat(den)))]),
         pu=pu, group_pu=group_pu, pu_top=pu_top, kv_pu=kv_pu, kv_nu=kv_nu, row_kv=row_kv)
 
 
 def _closed_form_sum(table, x, y):
-    """(sum t, sum |t|) over the closed form's terms, in double precision.
+    """(sum t, sum |t|) at one point, as _closed_form_sums gives them."""
+    return _closed_form_sums(table, (x,), (y,))[0]
 
-    The terms are 1 and each monomial of the _TermTable times its (p, u, nu)
-    row's Bessel factor, evaluated a column at a time: the Bessel argument
-    per distinct p (1 + u), e^(-(1+u) Y - arg) per (p, u) group, K_|nu| per
-    distinct (p (1 + u), |nu|), the nu-power and the Bessel factor per row,
-    then c * X^s * Y^j * bessel per monomial.  Each term takes the operations
-    of a term-by-term scalar loop in the same order, and products and square
-    roots are correctly rounded, so the terms are bitwise those of that loop;
-    exp and the fractional powers come from libm (math.exp and float **), as
-    numpy's versions round some arguments differently.  The sums are
-    math.fsum's, and the Bessel factor takes scipy's exponentially scaled
-    kve = e^t K_n(t), which keeps the underflow of a far tail inside one
-    exp().  Terms that overflow, in numpy or in a float power, give a sum|t|
-    and a sum that are not finite.
+
+def _closed_form_sums(table, xs, ys):
+    """[(sum t, sum |t|)] over the closed form's terms at each point (xs[i], ys[i]).
+
+    The sums are the correctly rounded ones, math.fsum's, which _bucket_sums
+    makes from far fewer numbers on tables of at least _BUCKET_MIN_TERMS
+    monomials.  A point whose terms overflow, in numpy or in a float power,
+    gives a sum|t| and a sum that are not finite.
     """
+    terms, overflowed = _closed_form_terms(table, xs, ys)
+    if len(table.s) >= _BUCKET_MIN_TERMS:
+        sums = _bucket_sums(terms)
+    else:
+        sums = list(map(_fsums, terms.tolist(), np.abs(terms).tolist()))
+    for i in overflowed:  # a term is inf or NaN
+        sums[i] = (math.nan, math.inf)
+    return sums
+
+
+def _closed_form_terms(table, xs, ys):
+    """(terms, overflowed): a row of terms per point (xs[i], ys[i]), and the
+    points whose float powers overflow, whose rows are NaN.
+
+    The terms, after the closed form's leading 1, are each monomial of the
+    _TermTable times its (p, u, nu) row's Bessel factor, evaluated a column
+    at a time for every point at once: the Bessel argument per distinct
+    p (1 + u), e^(-(1+u) Y - arg) per (p, u) group, K_|nu| per distinct
+    (p (1 + u), |nu|), the nu-power and the Bessel factor per row, then
+    c * X^s * Y^j * bessel per monomial.  Each term takes the operations of
+    a term-by-term scalar loop in the same order, and products and square
+    roots are correctly rounded, so the terms are bitwise those of that loop;
+    exp and the fractional powers come from libm (math.exp and float **,
+    point by point), as numpy's versions round some arguments differently.
+    The Bessel factor takes scipy's exponentially scaled kve = e^t K_n(t),
+    which keeps the underflow of a far tail inside one exp(), in one call
+    over every point.
+    """
+    # one point's X and Y broadcast as scalars, and several points' as columns
+    x, y = ((xs[0], ys[0]) if len(xs) == 1
+            else (np.array(xs)[:, None], np.array(ys)[:, None]))
+    # each point's X^s, Y^j and row powers, side by side
+    s_end, j_end = table.s_top + 1, table.s_top + table.j_top + 2
+    size = j_end + len(table.half_nu)
+    powers, overflowed = np.empty((len(xs), size)), []
     # like the scalar float arithmetic, overflow gives inf without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        base = (table.p * x / (table.one_u * y))[table.group]
-        try:
-            xs = np.array([x**s for s in range(table.s_top + 1)])
-            ys = np.array([y**j for j in range(table.j_top + 1)])
-            power = np.array([b**h for b, h in zip(base.tolist(), (table.nu / 2).tolist())])
-        except OverflowError:  # float ** raises where numpy gives inf: a term is inf or NaN
-            return math.nan, math.inf
-        arg = 2 * np.array([math.sqrt(v) for v in (table.pu * x * y).tolist()])
-        exponent = -table.one_u * y - arg[table.group_pu]
-        scale = np.array([math.exp(v) for v in exponent.tolist()])
-        kv = special.kve(table.kv_nu, arg[table.kv_pu])
-        bessel = power * scale[table.group] * kv[table.row_kv]
-        terms = table.coef_float * xs[table.s] * ys[table.j] * bessel[table.row]
-    abs_total = math.fsum([1.0, *np.abs(terms).tolist()])
+        base = (table.p * x / (table.one_u * y)).take(table.group, axis=-1)
+        point_bases = base.reshape(len(xs), -1).tolist()
+        for i, (xi, yi, bases) in enumerate(zip(xs, ys, point_bases)):
+            try:
+                powers[i] = np.fromiter(chain(map(pow, repeat(xi), range(table.s_top + 1)),
+                                              map(pow, repeat(yi), range(table.j_top + 1)),
+                                              map(pow, bases, table.half_nu)), float, size)
+            except OverflowError:  # float ** raises where numpy gives inf
+                powers[i] = math.nan
+                overflowed.append(i)
+        if len(xs) == 1:
+            powers = powers[0]
+        x_pow, y_pow = powers[..., :s_end], powers[..., s_end:j_end]
+        power = powers[..., j_end:]
+        arg = 2 * np.sqrt(table.pu * x * y)
+        exponent = -table.one_u * y - arg.take(table.group_pu, axis=-1)
+        scale = np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
+                            exponent.size).reshape(exponent.shape)
+        kv = special.kve(table.kv_nu, arg.take(table.kv_pu, axis=-1))
+        bessel = (power * scale.take(table.group, axis=-1)
+                  * kv.take(table.row_kv, axis=-1))
+        terms = (table.coef_float * x_pow.take(table.s, axis=-1)
+                 * y_pow.take(table.j, axis=-1) * bessel.take(table.row, axis=-1))
+    return terms.reshape(len(xs), -1), overflowed
+
+
+def _fsums(terms, magnitudes):
+    """(fsum([1, *terms]), fsum([1, *magnitudes])), the first NaN if the second is not
+    finite."""
+    abs_total = math.fsum([1.0, *magnitudes])
     if not math.isfinite(abs_total):
         return math.nan, abs_total
-    return math.fsum([1.0, *terms.tolist()]), abs_total
+    return math.fsum([1.0, *terms]), abs_total
+
+
+def _split(terms):
+    """(head, tail) of each term by Veltkamp's splitter: head + tail = t exactly.
+
+    The head is t rounded to 26 significant bits, and so the tail has at
+    most 26 (Dekker, 1971), for |t| below _SPLIT_GUARD.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = terms * _SPLITTER
+        head = head - (head - terms)
+        return head, terms - head
+
+
+def _bucket_sums(terms):
+    """[_fsums(row, |row|) for row in terms], from one sum per binary exponent.
+
+    _split cuts each t exactly into a head of 26 significant bits and a
+    tail.  For t of binary exponent e, the head is a multiple of 2^(e-26) of
+    size at most 2^e and the tail a multiple of t's unit in the last place
+    of size at most 2^(e-27), so each of the two is at most 2^26 of its
+    unit.  np.bincount sums the heads and the tails per (row, sign, e) in
+    double precision, and each partial sum stays a multiple of its unit
+    below 2^53 of it, so it is exact while a bucket holds fewer than 2^27
+    terms (a table holds at most _MAX_MONOMIALS).  math.fsum of 1 and a row's bucket sums, the
+    negative ones negated for sum |t|, is then the correctly rounded sum of
+    its terms, the same double as math.fsum of the terms themselves.  A row
+    with a term at or above _SPLIT_GUARD, where t * _SPLITTER could
+    overflow, or one not finite (NaN fails the comparison too), keeps
+    math.fsum of its terms.
+    """
+    rows = len(terms)
+    head, tail = _split(terms)
+    exponent = np.frexp(terms)[1]
+    low = exponent.min()
+    width = int(exponent.max() - low) + 1
+    # bucket (row, sign, e): a row's negative terms after its positive ones
+    bucket = width * np.signbit(terms)
+    bucket += exponent - low
+    if rows > 1:
+        bucket += 2 * width * np.arange(rows)[:, None]
+    size, shape = 2 * width * rows, (rows, 2, width)
+    # per row: the heads of its positive terms, of its negative ones, then
+    # the same of the tails
+    sums = np.concatenate([np.bincount(bucket.ravel(), head.ravel(), size).reshape(shape),
+                           np.bincount(bucket.ravel(), tail.ravel(), size).reshape(shape)],
+                          axis=1)
+    # the exponents span far more buckets than the terms fill
+    used = np.flatnonzero(sums.any(axis=0))
+    flat = sums.reshape(rows, -1)
+    signed = flat.take(used, axis=1).tolist()
+    sums[:, 1::2] *= -1
+    absolute = flat.take(used, axis=1).tolist()
+    return [(math.fsum([1.0, *plus]), math.fsum([1.0, *both])) if top < _SPLIT_GUARD
+            else _fsums(terms[i].tolist(), np.abs(terms[i]).tolist())
+            for i, (top, plus, both) in enumerate(zip(np.abs(terms).max(axis=1).tolist(),
+                                                      signed, absolute))]
 
 
 def _working_bits(dps, t_lo, t_hi) -> int:
@@ -370,19 +489,27 @@ def _int_m(m) -> int:
     return int(m)
 
 
-def _float_pass(k: int, config: SystemConfig, tau: float):
-    """The closed form's table, X and Y, and (sum t, sum |t|) in double precision."""
+def _point(k: int, config: SystemConfig, tau: float):
+    """The closed form's table, X and Y."""
     table = _bessel_groups(k, _int_m(config.m_sr), _int_m(config.m_ru),
                            config.n_s * config.n_rr, config.n_u)
     x = config.m_ru / config.omega_ru * config.c2 / config.c1
     y = config.m_sr / config.omega_sr * tau
+    return table, x, y
+
+
+def _float_pass(k: int, config: SystemConfig, tau: float):
+    """The closed form's table, X and Y, and (sum t, sum |t|) in double precision."""
+    table, x, y = _point(k, config, tau)
     return (table, x, y, *_closed_form_sum(table, x, y))
 
 
-def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
+def _closed_form(k: int, config: SystemConfig, tau: float, table, x, y, total,
+                 abs_total) -> float:
     """The closed form at the precision its own cancellation calls for.
 
-    The float sum is returned when its error bound, measured from the
+    Takes the float pass's table, X, Y, sum t and sum |t|.  The float sum is
+    returned when its error bound, measured from the
     summation condition number, is inside _REL_TOL.  Otherwise the same terms
     are summed exactly by _exact_sum to log10(condition) + 17 digits, adding
     digits until they cover the condition that pass measures (at least
@@ -397,7 +524,6 @@ def _closed_form(k: int, config: SystemConfig, tau: float) -> float:
     bound underflows to 0 and the sum and its noise lie within half the
     smallest subnormal; otherwise it raises UnresolvedNumericsError.
     """
-    table, x, y, total, abs_total = _float_pass(k, config, tau)
     finite = math.isfinite(abs_total)
     if finite:
         cond = _condition(total, abs_total, mp.fp.eps)
@@ -452,7 +578,44 @@ def op_closed_form(k: int, config: SystemConfig) -> float:
         return 0.0
     if math.isinf(tau):
         return 1.0
-    return min(max(_closed_form(k, config, tau), 0.0), 1.0)
+    return _clamp(_closed_form(k, config, tau, *_float_pass(k, config, tau)))
+
+
+def op_closed_form_batch(k: int, configs) -> list:
+    """[op_closed_form(k, c) for c in configs], with the float passes batched.
+
+    Every point is checked and its tau* found, in order, before any is
+    summed.  The points that need the float pass then take it together, in
+    slices of at most _BATCH_TERMS monomials over runs of points that share
+    a term table, and each is resolved in order as op_closed_form resolves
+    it, so the values are op_closed_form's.
+    """
+    ops, points = [], []
+    for config in configs:
+        _check_scope(config)
+        tau = tau_star(k, config)
+        if tau == 0.0:
+            ops.append(0.0)
+        elif math.isinf(tau):
+            ops.append(1.0)
+        else:
+            points.append((len(ops), config, tau, *_point(k, config, tau)))
+            ops.append(None)
+    sums = []
+    for _, run in groupby(points, key=lambda point: id(point[3])):
+        run = list(run)
+        table = run[0][3]
+        step = max(1, _BATCH_TERMS // len(table.s))
+        for start in range(0, len(run), step):
+            part = run[start:start + step]
+            sums += _closed_form_sums(table, [p[4] for p in part], [p[5] for p in part])
+    for (i, config, tau, table, x, y), point_sums in zip(points, sums):
+        ops[i] = _clamp(_closed_form(k, config, tau, table, x, y, *point_sums))
+    return ops
+
+
+def _clamp(op: float) -> float:
+    return min(max(op, 0.0), 1.0)
 
 
 def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
@@ -462,15 +625,19 @@ def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
     error bound, _FLOAT_TERM_ERR * sum|t|, from target: the OP is then on the
     same side, and so is op_closed_form's value, which is the float sum or a
     high-precision sum far inside that bound.  Otherwise op_closed_form's
-    value is compared exactly, so equality keeps its meaning.
+    value, resolved from the same float pass, is compared exactly, so
+    equality keeps its meaning.
     """
     _check_scope(config)
     tau = tau_star(k, config)
     if 0.0 < tau < math.inf:
-        *_, total, abs_total = _float_pass(k, config, tau)
+        point = _float_pass(k, config, tau)
+        total, abs_total = point[-2:]
         if abs(total - target) > _SIDE_MARGIN * _FLOAT_TERM_ERR * abs_total:
             return 1 if total > target else -1
-    op = op_closed_form(k, config)
+        op = _clamp(_closed_form(k, config, tau, *point))
+    else:
+        op = op_closed_form(k, config)
     return (op > target) - (op < target)
 
 

@@ -10,7 +10,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .analysis import (UnresolvedNumericsError, UnsupportedModelError, closed_form_side,
-                       op_closed_form, op_numerical)
+                       op_closed_form, op_closed_form_batch, op_numerical)
 from .link import InfeasibleConfigError, SystemConfig
 from .montecarlo import estimate_op
 
@@ -217,7 +217,7 @@ def find_optimal_w(k: int, config: SystemConfig, grid):
         raise ValueError("w grid must be nonempty")
     # no stage's feasibility depends on w, so an infeasible configuration
     # raises InfeasibleConfigError at the first grid point
-    ops = [op_closed_form(k, replace(config, w=float(w))) for w in grid]
+    ops = op_closed_form_batch(k, [replace(config, w=float(w)) for w in grid])
     i = int(np.argmin(ops))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -45,23 +46,25 @@ class SystemConfig:
     m_ru: float = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        object.__setattr__(self, "gamma_th", tuple(float(v) for v in self.gamma_th))
-        if len(self.a) != len(self.gamma_th) or not self.a:
+        object.__setattr__(self, "a", tuple(map(float, self.a)))
+        object.__setattr__(self, "gamma_th", tuple(map(float, self.gamma_th)))
+        a, gamma_th = self.a, self.gamma_th
+        if len(a) != len(gamma_th) or not a:
             raise ValueError("a and gamma_th must be nonempty parallel arrays")
-        for name in ("a", "gamma_th", "xi", "w", "zeta", "snr_db", "d_sr", "alpha",
-                     "m_sr", "m_ru"):
-            value = getattr(self, name)
-            for v in value if isinstance(value, tuple) else (value,):
-                if not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {value}")
-        if abs(sum(self.a) - 1.0) > 1e-12:
-            raise ValueError(f"power factors must sum to 1, got {sum(self.a)}")
-        if any(x <= 0 for x in self.a) or any(
-            self.a[i] < self.a[i + 1] for i in range(len(self.a) - 1)
-        ):
+        if not all(map(math.isfinite, (*a, *gamma_th, self.xi, self.w, self.zeta,
+                                       self.snr_db, self.d_sr, self.alpha, self.m_sr,
+                                       self.m_ru))):
+            for name in ("a", "gamma_th", "xi", "w", "zeta", "snr_db", "d_sr", "alpha",
+                         "m_sr", "m_ru"):
+                value = getattr(self, name)
+                for v in value if isinstance(value, tuple) else (value,):
+                    if not math.isfinite(v):
+                        raise ValueError(f"{name} must be finite, got {value}")
+        if abs(sum(a) - 1.0) > 1e-12:
+            raise ValueError(f"power factors must sum to 1, got {sum(a)}")
+        if min(a) <= 0 or any(map(operator.lt, a, a[1:])):
             raise ValueError("power factors must be positive and nonincreasing")
-        if any(g < 0 for g in self.gamma_th):
+        if min(gamma_th) < 0:
             raise ValueError("SINR thresholds must be nonnegative")
         if not 0 <= self.xi <= 1:
             raise ValueError("SIC error factor xi must be in [0, 1]")
@@ -153,11 +156,13 @@ def tau_star(k: int, config: SystemConfig) -> float:
     """
     if not 1 <= k <= config.k_users:
         raise ValueError(f"need 1 <= k <= K, got k={k} with K={config.k_users}")
-    gam = config.snr_linear
+    gam, c1 = config.snr_linear, config.c1
+    a, gamma_th, xi = config.a, config.gamma_th, config.xi
     vals = []
     for l in range(1, k + 1):
-        margin = config.stage_margin(l)
+        # config.stage_margin(l), inline
+        margin = a[l - 1] - (xi * sum(a[: l - 1]) + sum(a[l:])) * gamma_th[l - 1]
         if margin <= 0:
             raise InfeasibleConfigError(l, margin)
-        vals.append(config.gamma_th[l - 1] * config.c1 / (gam * margin))
+        vals.append(gamma_th[l - 1] * c1 / (gam * margin))
     return max(vals)

@@ -128,7 +128,8 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
     return _TermTable(
         s_top=max(ss, default=0), j_top=max(js, default=0),
         p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
-        group=ints(group), nu=ints(nus), row=ints(row), s=ints(ss), j=ints(js),
+        group=ints(group), nu=ints(nus), half_nu=tuple(nu / 2 for nu in nus), row=ints(row),
+        s=ints(ss), j=ints(js),
         num=tuple(c.numerator * (den // c.denominator) for c in coef), den=den,
         coef_float=np.array([float(c.numerator) / c.denominator for c in coef]),
         pu=ints(pu), group_pu=ints(group_pu),

@@ -456,12 +456,16 @@ class TestClosedForm:
         for target in (op / 2, math.nextafter(op, 0), op, math.nextafter(op, 1), op * 2):
             assert closed_form_side(k, c, target) == (op > target) - (op < target)
 
-    @pytest.mark.parametrize("key,count", [((1, 1, 1, 4, 2), 27), ((1, 2, 2, 4, 2), 234),
-                                           ((3, 2, 2, 4, 2), 245), ((3, 3, 3, 4, 2), 482)])
-    def test_float_pass_evaluates_kve_once_per_pair(self, monkeypatch, key, count):
+    @pytest.mark.parametrize("key,count,points", [
+        pytest.param((1, 1, 1, 4, 2), 27, 1, id="key0-27"),
+        pytest.param((1, 2, 2, 4, 2), 234, 1, id="key1-234"),
+        pytest.param((3, 2, 2, 4, 2), 245, 1, id="key2-245"),
+        pytest.param((3, 3, 3, 4, 2), 482, 1, id="key3-482"),
+        pytest.param((3, 2, 2, 4, 2), 3 * 245, 3, id="key2-3points-735")])
+    def test_float_pass_evaluates_kve_once_per_pair(self, monkeypatch, key, count, points):
         # the Bessel argument depends only on p (1+u) and K on |nu|, so the
         # float pass evaluates kve once per distinct pair, not once per row
-        # (40, 440, 480 and 912 rows)
+        # (40, 440, 480 and 912 rows), in one call for all its points
         table = analysis._bessel_groups(*key)
         pairs = {(p * (1 + u), abs(nu)) for p, u, nu in zip(
             table.p[table.group].tolist(), (table.one_u[table.group] - 1).tolist(),
@@ -474,8 +478,11 @@ class TestClosedForm:
             return real(nu, t)
 
         monkeypatch.setattr(special, "kve", counting)
-        analysis._closed_form_sum(table, 0.7, 0.3)
-        assert evaluations == [count] == [len(pairs)]
+        if points == 1:
+            analysis._closed_form_sum(table, 0.7, 0.3)
+        else:
+            analysis._closed_form_sums(table, [0.7, 0.9, 1.3], [0.3, 0.2, 0.5])
+        assert evaluations == [count] == [points * len(pairs)]
 
     @pytest.mark.parametrize("kwargs,k,count", [(dict(snr_db=60), 2, 28),
                                                 (dict(m_sr=2, m_ru=2, snr_db=60), 3, 29),
@@ -580,6 +587,173 @@ class TestClosedForm:
             warnings.simplefilter("error")
             for k in (1, 2, 3):
                 op_closed_form(k, SystemConfig())
+
+
+def hexes(pairs):
+    """Each (sum, sum|t|) pair as hex strings, so that NaNs compare equal."""
+    return [tuple(float.hex(v) for v in pair) for pair in pairs]
+
+
+def fsum_pairs(terms):
+    """(fsum([1, *t]), fsum([1, *|t|])) of each row."""
+    return [(math.fsum([1.0, *row]), math.fsum([1.0, *map(abs, row)]))
+            for row in terms.tolist()]
+
+
+def check_bucket_sums(terms):
+    terms = np.atleast_2d(np.asarray(terms, dtype=float))
+    assert hexes(analysis._bucket_sums(terms)) == hexes(fsum_pairs(terms))
+
+
+class TestBucketSums:
+    """_bucket_sums against math.fsum, which it must match bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_real_term_arrays(self, m):
+        # the float pass's own terms, m_sr = m_ru = m at 0-120 dB in 10 dB
+        # steps, one row per SNR, which the bucket index keeps apart
+        for k, xi in itertools.product((1, 2, 3), (0.0, 0.02)):
+            configs = [SystemConfig(m_sr=m, m_ru=m, snr_db=snr, xi=xi)
+                       for snr in range(0, 121, 10)]
+            points = [analysis._point(k, c, tau_star(k, c)) for c in configs]
+            table, xs, ys = points[0][0], [p[1] for p in points], [p[2] for p in points]
+            terms, overflowed = analysis._closed_form_terms(table, xs, ys)
+            assert not overflowed and np.isfinite(terms).all()
+            assert np.abs(terms).max() < analysis._SPLIT_GUARD
+            check_bucket_sums(terms)
+
+    def test_random_mixed_sign_arrays(self):
+        # full 53-bit mantissas of both signs over 1e-300 to 1e300, each array
+        # over its own span of decades, half of them cancelling to a residue
+        rng = np.random.default_rng(2015)
+        bucketed = 0
+        for _ in range(2000):
+            n = int(rng.integers(1, 1500))
+            lo = rng.uniform(-300, 300)
+            hi = min(300.0, lo + rng.uniform(0, 40))
+            t = rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.uniform(lo, hi, n)
+            if rng.random() < 0.5:
+                t = np.concatenate([t, -t * (1 + rng.uniform(-1e-12, 1e-12, n))])
+                rng.shuffle(t)
+            bucketed += np.abs(t).max() < analysis._SPLIT_GUARD
+            check_bucket_sums(t)
+        assert bucketed > 1800
+
+    def test_subnormals(self):
+        rng = np.random.default_rng(7)
+        tiny = 2.0**-1074
+        for n in (1, 2, 3, 100, 5000):
+            sub = rng.choice([-1.0, 1.0], n) * rng.integers(1, 2**52, n) * tiny
+            assert (np.abs(sub) < sys.float_info.min).all()
+            check_bucket_sums(sub)
+            for scale in (1e-300, 1e-310, 1.0):
+                normal = rng.choice([-1.0, 1.0], n) * rng.random(n) * scale
+                check_bucket_sums(rng.permutation(np.concatenate([sub, normal])))
+        check_bucket_sums([tiny, -tiny, tiny, 3 * tiny, sys.float_info.min])
+
+    def test_exact_cancellation_and_signed_zeros(self):
+        rng = np.random.default_rng(11)
+        t = rng.standard_normal(3000) * 10.0 ** rng.uniform(-30, 30, 3000)
+        both = rng.permutation(np.concatenate([t, -t]))
+        assert analysis._bucket_sums(np.atleast_2d(both))[0][0] == 1.0
+        check_bucket_sums(both)
+        check_bucket_sums([0.0, -0.0, 0.0])
+        check_bucket_sums([-0.0] * 7)
+        check_bucket_sums([-0.0, 5e-324, -5e-324, 1e-300, -1e-300])
+
+    def test_one_exponent_at_the_table_bound(self):
+        # 2^20 terms, more than a table may hold, of one binary exponent:
+        # the largest mantissas of one sign, and random ones of both
+        n = 2**20
+        assert n > analysis._MAX_MONOMIALS
+        top = np.full(n, math.nextafter(2.0**10, 0))
+        rng = np.random.default_rng(3)
+        mixed = rng.choice([-1.0, 1.0], n) * (1 + rng.random(n)) * 2.0**9
+        for t in (top, -top, mixed):
+            assert len(set(np.frexp(t)[1].tolist())) == 1
+            check_bucket_sums(t)
+
+    def test_overflow_guard(self):
+        guard = analysis._SPLIT_GUARD
+        below = math.nextafter(guard, 0)
+        big = sys.float_info.max
+        # below the guard the buckets sum, at or above it math.fsum does
+        for t in ([below, -1.0, 3.5], [below] * 1000, [below, -below, 1e-300],
+                  [guard, 1.0], [guard, -below, 2.5], [2 * guard, -guard],
+                  [big / 2, -big / 2, 7.0], [big / 2, big / 2]):
+            check_bucket_sums(t)
+        # an exact sum past the largest double raises, as in math.fsum
+        for t in ([big, big], [big, -big, 7.0], [big, below, big / 2]):
+            with pytest.raises(OverflowError):
+                fsum_pairs(np.array([t]))
+            with pytest.raises(OverflowError):
+                analysis._bucket_sums(np.array([t]))
+
+    def test_split_is_exact_with_26_bit_heads(self):
+        # the bucket sums are exact because each head and tail has at most
+        # 26 significant bits and head + tail = t
+        rng = np.random.default_rng(5)
+        t = np.concatenate([
+            rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-300, 297, 500),
+            rng.integers(1, 2**52, 100) * 2.0**-1074,
+            [math.nextafter(analysis._SPLIT_GUARD, 0), -math.nextafter(1.0, 2), 0.0]])
+        head, tail = analysis._split(t)
+
+        def bits(v):
+            n = abs(v.as_integer_ratio()[0])
+            return (n >> ((n & -n).bit_length() - 1)).bit_length() if n else 0
+
+        for v, h, r in zip(t.tolist(), head.tolist(), tail.tolist()):
+            assert Fraction(h) + Fraction(r) == Fraction(v)
+            assert bits(h) <= 26 and bits(r) <= 26, v
+
+
+class TestFloatPassBatch:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_batch_matches_single_points(self, m):
+        # one pass over a grid returns each point's own sums, bit for bit
+        grids = ([SystemConfig(m_sr=m, m_ru=m, w=w) for w in np.linspace(0.05, 0.95, 31)],
+                 [SystemConfig(m_sr=m, m_ru=m, snr_db=s) for s in np.linspace(0, 40, 11)])
+        for configs, k in itertools.product(grids, (1, 2, 3)):
+            points = [analysis._point(k, c, tau_star(k, c)) for c in configs]
+            table = points[0][0]
+            assert all(p[0] is table for p in points)
+            batch = analysis._closed_form_sums(table, [p[1] for p in points],
+                                               [p[2] for p in points])
+            single = [analysis._closed_form_sum(*p) for p in points]
+            assert hexes(batch) == hexes(single)
+
+    def test_mixed_batch_matches_op_closed_form(self, monkeypatch):
+        # float-decided, exact-pass, float-power-overflow, tau* = 0 and
+        # tau* = inf points in one batch, across two term tables
+        k = 1
+        configs = [SystemConfig(snr_db=20), SystemConfig(snr_db=60),
+                   SystemConfig(m_sr=3, m_ru=3, snr_db=700),
+                   SystemConfig(gamma_th=(0.0, 0.0, 0.0)), SystemConfig(snr_db=-3200),
+                   SystemConfig(snr_db=30), SystemConfig(m_sr=3, m_ru=3, snr_db=10),
+                   SystemConfig(snr_db=25)]
+        taus = [tau_star(k, c) for c in configs]
+        assert taus[3] == 0.0 and math.isinf(taus[4])
+        decided = []
+        for c, tau in zip(configs, taus):
+            if 0 < tau < math.inf:
+                *_, total, abs_total = analysis._float_pass(k, c, tau)
+                decided.append(math.isfinite(abs_total) and analysis._FLOAT_TERM_ERR
+                               * abs_total / abs(total) <= analysis._REL_TOL)
+        assert decided == [True, False, False, True, True, True]
+        table, x, y = analysis._point(k, configs[2], taus[2])
+        assert analysis._closed_form_terms(table, [x], [y])[1] == [0]
+        expect = hexes([[op_closed_form(k, c)] for c in configs])
+        assert hexes([[op] for op in analysis.op_closed_form_batch(k, configs)]) == expect
+        monkeypatch.setattr(analysis, "_BATCH_TERMS", 100)  # slices of two m=1 points
+        assert hexes([[op] for op in analysis.op_closed_form_batch(k, configs)]) == expect
+
+    def test_batch_keeps_each_points_checks(self):
+        with pytest.raises(UnsupportedModelError):
+            analysis.op_closed_form_batch(1, [SystemConfig(), SystemConfig(m_sr=1.5)])
+        with pytest.raises(ValueError, match="need 1 <= k <= K"):
+            analysis.op_closed_form_batch(4, [SystemConfig()])
+        assert analysis.op_closed_form_batch(1, []) == []
 
 
 class TestMethodRelationships:

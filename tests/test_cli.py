@@ -206,6 +206,32 @@ def bisect_values(k, config, target_op, lo_db, hi_db):
     return 0.5 * (lo + hi)
 
 
+def scan_values(k, config, grid):
+    """find_optimal_w's grid scan and golden section, one op_closed_form call a point."""
+    grid = sorted(grid)
+    ops = [op_closed_form(k, replace(config, w=float(w))) for w in grid]
+    i = int(np.argmin(ops))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+
+    def f(w):
+        return op_closed_form(k, replace(config, w=float(w)))
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-3:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    w_star = 0.5 * (a + b)
+    return float(w_star), f(w_star)
+
+
 def count_passes(monkeypatch):
     """The pass, "float" or "exact", of every closed-form sum from now on."""
     passes = []
@@ -243,11 +269,12 @@ class TestFindSnr:
 
     def test_target_at_deep_point_returns_lo(self, monkeypatch):
         # at 60 dB the float sum lies below its own rounding noise, so a
-        # target equal to the point's OP falls back to the value, exactly
+        # target equal to the point's OP falls back to the value, exactly,
+        # resolved from the probe's one float pass
         target = op_closed_form(2, SystemConfig(snr_db=60.0))
         passes = count_passes(monkeypatch)
         assert find_snr_for_op(2, SystemConfig(), target, 60.0, 70.0) == 60.0
-        assert passes == ["float", "float", "exact"]
+        assert passes == ["float", "exact"]
 
     @pytest.mark.parametrize("target,lo,hi", [(1e-30, 0.0, 10.0), (0.9, 30.0, 60.0)])
     def test_no_bracket_reports_both_endpoints(self, target, lo, hi):
@@ -289,6 +316,15 @@ class TestFindW:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match=re.escape("w must be in (0, 1)")):
             find_optimal_w(1, SystemConfig(), grid=[0.0, 0.5])
+
+    @pytest.mark.parametrize("m,k,points", [(1, 1, 91), (1, 2, 91), (1, 3, 91),
+                                            (2, 1, 31), (2, 2, 31)])
+    def test_batched_grid_matches_point_scan(self, m, k, points):
+        # the grid's batched float passes pick the bracket and value that one
+        # op_closed_form call per grid point picks
+        c = SystemConfig(m_sr=m, m_ru=m)
+        grid = np.linspace(0.05, 0.95, points)
+        assert find_optimal_w(k, c, grid) == scan_values(k, c, grid)
 
 
 class TestMain:

@@ -23,15 +23,18 @@ in and writes into OUTDIR:
   underflow, m_sr = m_ru = 3 at snr_db 400-700 and m_sr = m_ru = 2 at
   snr_db 800-1000, in 50 dB steps x ranks 1-3, one
   `m snr_db k method result` line each, the result as in `grid-asym.txt`;
-- for each of the shipped scenarios, five sweep CSVs (snr_db 0-40 in 11
+- for each of the shipped scenarios, six sweep CSVs (snr_db 0-40 in 11
   points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
   m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature; snr_db
   10-20 in 3 points analytic and Monte Carlo, 300,000 trials, two blocks,
   at seed 2, whose estimates run on every core; xi 0.001-0.02 in 3
   log-spaced points analytic and quadrature, feasible on every shipped
-  scenario) and the
+  scenario; m_sr = m_ru = 3 at w 0.1-0.9 in 9 points analytic, whose
+  float passes sum by exponent bucket) and the
   stdout, stderr and exit code of `find-snr --user 2 --target 1e-3`, of
-  `find-snr --user 3 --target 1e-6`, a deep target, of `find-w --user 1`
+  `find-snr --user 3 --target 1e-6`, a deep target, of `find-w --user 1`,
+  of `find-w --user 3`, of `find-w --user 2 --points 31` with m_sr = m_ru
+  = 2, whose batched grid sums by exponent bucket,
   and of `simulate --trials 300000 --seed 4`, the last also with
   `--set n_rt=3`, which reaches the majority vote's tie-break, and of
   `analytic` and `find-snr --user 2 --target 1e-3` with `--set m_sr=1.5`,
@@ -41,10 +44,10 @@ in and writes into OUTDIR:
   every row, the rank-1 search succeeds, as it needs only stage 1, and the
   rank-3 search fails on stage 2.
 
-To check that a change moves no output, copy this script into a checkout
-of the parent commit, snapshot both checkouts and compare with
-`diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes about 12-15 s on
-a 2-core machine, about 4 s of it in the extreme-SNR grid.
+That is 166 files.  To check that a change moves no output, copy this
+script into a checkout of the parent commit, snapshot both checkouts and
+compare with `diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes
+about 14-15 s on a 2-core machine, about 4 s of it in the extreme-SNR grid.
 """
 
 from __future__ import annotations
@@ -71,12 +74,17 @@ SWEEPS = {
            "--methods", "analytic,montecarlo", "--trials", "300000", "--seed", "2"],
     "xi-log": ["--var", "xi", "--start", "0.001", "--stop", "0.02", "--points", "3",
                "--spacing", "log", "--methods", "analytic,quadrature"],
+    "w-m33": ["--var", "w", "--start", "0.1", "--stop", "0.9", "--points", "9",
+              "--methods", "analytic", "--set", "m_sr=3", "--set", "m_ru=3"],
 }
 # output file label: (command, arguments after the scenario)
 COMMANDS = {
     "find-snr": ("find-snr", ["--user", "2", "--target", "1e-3"]),
     "find-snr-deep": ("find-snr", ["--user", "3", "--target", "1e-6"]),
     "find-w": ("find-w", ["--user", "1"]),
+    "find-w-user3": ("find-w", ["--user", "3"]),
+    "find-w-m22": ("find-w", ["--user", "2", "--points", "31", "--set", "m_sr=2",
+                              "--set", "m_ru=2"]),
     "simulate": ("simulate", ["--trials", "300000", "--seed", "4"]),
     "simulate-n_rt3": ("simulate", ["--trials", "300000", "--seed", "4",
                                     "--set", "n_rt=3"]),
