@@ -210,11 +210,6 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
         pu=pu, group_pu=group_pu, pu_top=pu_top, kv_pu=kv_pu, kv_nu=kv_nu, row_kv=row_kv)
 
 
-def _closed_form_sum(table, x, y):
-    """(sum t, sum |t|) at one point, as _closed_form_sums gives them."""
-    return _closed_form_sums(table, (x,), (y,))[0]
-
-
 def _closed_form_sums(table, xs, ys):
     """[(sum t, sum |t|)] over the closed form's terms at each point (xs[i], ys[i]).
 
@@ -489,27 +484,12 @@ def _int_m(m) -> int:
     return int(m)
 
 
-def _point(k: int, config: SystemConfig, tau: float):
-    """The closed form's table, X and Y."""
-    table = _bessel_groups(k, _int_m(config.m_sr), _int_m(config.m_ru),
-                           config.n_s * config.n_rr, config.n_u)
-    x = config.m_ru / config.omega_ru * config.c2 / config.c1
-    y = config.m_sr / config.omega_sr * tau
-    return table, x, y
-
-
-def _float_pass(k: int, config: SystemConfig, tau: float):
-    """The closed form's table, X and Y, and (sum t, sum |t|) in double precision."""
-    table, x, y = _point(k, config, tau)
-    return (table, x, y, *_closed_form_sum(table, x, y))
-
-
 def _closed_form(k: int, config: SystemConfig, tau: float, table, x, y, total,
                  abs_total) -> float:
-    """The closed form at the precision its own cancellation calls for.
+    """The closed form at the precision its own cancellation calls for, in [0, 1].
 
-    Takes the float pass's table, X, Y, sum t and sum |t|.  The float sum is
-    returned when its error bound, measured from the
+    Takes a point of _points and its float sums, sum t and sum |t|.  The
+    float sum is returned when its error bound, measured from the
     summation condition number, is inside _REL_TOL.  Otherwise the same terms
     are summed exactly by _exact_sum to log10(condition) + 17 digits, adding
     digits until they cover the condition that pass measures (at least
@@ -528,7 +508,7 @@ def _closed_form(k: int, config: SystemConfig, tau: float, table, x, y, total,
     if finite:
         cond = _condition(total, abs_total, mp.fp.eps)
         if _FLOAT_TERM_ERR * cond <= _REL_TOL:
-            return total
+            return _clamp(total)
     head = _first_hop_head(config, tau)
     if finite:
         max_dps = _digits(mp.mpf(abs_total) / math.ulp(0.0))
@@ -543,7 +523,7 @@ def _closed_form(k: int, config: SystemConfig, tau: float, table, x, y, total,
         total, abs_total = _exact_sum(table, x, y, dps)
         need = _digits(_condition(total, abs_total, Fraction(1, 10**dps)))
         if need <= dps:
-            return float(total)
+            return _clamp(float(total))
         if math.isinf(max_dps):
             max_dps = _digits(abs_total / Fraction(math.ulp(0.0)))
         if dps >= max_dps:
@@ -557,6 +537,10 @@ def _closed_form(k: int, config: SystemConfig, tau: float, table, x, y, total,
         f"closed-form OP for k={k} unresolved within {max_dps} digits")
 
 
+def _clamp(op: float) -> float:
+    return min(max(op, 0.0), 1.0)
+
+
 def _check_scope(config: SystemConfig) -> None:
     if config.k_users != 3 or config.n_rt != 2:
         raise UnsupportedModelError(
@@ -564,31 +548,12 @@ def _check_scope(config: SystemConfig) -> None:
         )
 
 
-def op_closed_form(k: int, config: SystemConfig) -> float:
-    """Closed-form outage probability of the rank-k user.
+def _points(k: int, configs):
+    """(ops, points): each config checked and its tau* found, in order.
 
-    Requires integer fading parameters on both hops and the 3-user,
-    2-transmit-antenna majority-selection scope.  The value is accurate to
-    1e-6 relative; rounding can put it a hair outside [0, 1], so it is clamped.
-    A linear SNR so small that tau* is infinite (a subnormal) gives OP 1.
-    """
-    _check_scope(config)
-    tau = tau_star(k, config)
-    if tau == 0.0:
-        return 0.0
-    if math.isinf(tau):
-        return 1.0
-    return _clamp(_closed_form(k, config, tau, *_float_pass(k, config, tau)))
-
-
-def op_closed_form_batch(k: int, configs) -> list:
-    """[op_closed_form(k, c) for c in configs], with the float passes batched.
-
-    Every point is checked and its tau* found, in order, before any is
-    summed.  The points that need the float pass then take it together, in
-    slices of at most _BATCH_TERMS monomials over runs of points that share
-    a term table, and each is resolved in order as op_closed_form resolves
-    it, so the values are op_closed_form's.
+    ops[i] is 0.0 where config i's tau* is 0, 1.0 where it is infinite and
+    None elsewhere; points holds (i, config, tau*, table, X, Y) for each of
+    the others, the closed form's term table, X and Y at config i.
     """
     ops, points = [], []
     for config in configs:
@@ -599,8 +564,41 @@ def op_closed_form_batch(k: int, configs) -> list:
         elif math.isinf(tau):
             ops.append(1.0)
         else:
-            points.append((len(ops), config, tau, *_point(k, config, tau)))
+            table = _bessel_groups(k, _int_m(config.m_sr), _int_m(config.m_ru),
+                                   config.n_s * config.n_rr, config.n_u)
+            points.append((len(ops), config, tau, table,
+                           config.m_ru / config.omega_ru * config.c2 / config.c1,
+                           config.m_sr / config.omega_sr * tau))
             ops.append(None)
+    return ops, points
+
+
+def op_closed_form(k: int, config: SystemConfig) -> float:
+    """Closed-form outage probability of the rank-k user.
+
+    Requires integer fading parameters on both hops and the 3-user,
+    2-transmit-antenna majority-selection scope.  The value is accurate to
+    1e-6 relative; rounding can put it a hair outside [0, 1], so it is clamped.
+    A linear SNR so small that tau* is infinite (a subnormal) gives OP 1.
+    """
+    (op,), points = _points(k, (config,))
+    for _, _, tau, table, x, y in points:  # none where tau* settles the OP
+        op = _closed_form(k, config, tau, table, x, y,
+                          *_closed_form_sums(table, (x,), (y,))[0])
+    return op
+
+
+def op_closed_form_batch(k: int, configs) -> list:
+    """[op_closed_form(k, c) for c in configs], with the float passes batched.
+
+    Every config goes through _points, as op_closed_form's one does, before
+    any is summed.  The points then take the float pass together, in slices
+    of at most _BATCH_TERMS monomials over runs of points that share a term
+    table, and each is resolved in order by _closed_form from its own sums,
+    which are bit for bit those of a single point, so the values are
+    op_closed_form's.
+    """
+    ops, points = _points(k, configs)
     sums = []
     for _, run in groupby(points, key=lambda point: id(point[3])):
         run = list(run)
@@ -610,12 +608,8 @@ def op_closed_form_batch(k: int, configs) -> list:
             part = run[start:start + step]
             sums += _closed_form_sums(table, [p[4] for p in part], [p[5] for p in part])
     for (i, config, tau, table, x, y), point_sums in zip(points, sums):
-        ops[i] = _clamp(_closed_form(k, config, tau, table, x, y, *point_sums))
+        ops[i] = _closed_form(k, config, tau, table, x, y, *point_sums)
     return ops
-
-
-def _clamp(op: float) -> float:
-    return min(max(op, 0.0), 1.0)
 
 
 def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
@@ -628,16 +622,12 @@ def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
     value, resolved from the same float pass, is compared exactly, so
     equality keeps its meaning.
     """
-    _check_scope(config)
-    tau = tau_star(k, config)
-    if 0.0 < tau < math.inf:
-        point = _float_pass(k, config, tau)
-        total, abs_total = point[-2:]
+    (op,), points = _points(k, (config,))
+    for _, _, tau, table, x, y in points:
+        ((total, abs_total),) = _closed_form_sums(table, (x,), (y,))
         if abs(total - target) > _SIDE_MARGIN * _FLOAT_TERM_ERR * abs_total:
             return 1 if total > target else -1
-        op = _clamp(_closed_form(k, config, tau, *point))
-    else:
-        op = op_closed_form(k, config)
+        op = _closed_form(k, config, tau, table, x, y, total, abs_total)
     return (op > target) - (op < target)
 
 

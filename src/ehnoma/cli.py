@@ -180,12 +180,14 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
     """SNR (dB) at which the analytic OP of user k crosses target_op.
 
     Bisection on the monotone (nonincreasing) analytic OP curve; the bracket
-    endpoints must straddle the target.  Each step needs only the side of the
-    target the OP lies on, which closed_form_side mostly reads off the
-    closed form's float sum.
+    needs lo_db < hi_db, and its endpoints must straddle the target.  Each
+    step needs only the side of the target the OP lies on, which
+    closed_form_side mostly reads off the closed form's float sum.
     """
     if not 0 < target_op < 1:
         raise ValueError(f"target OP must be in (0,1), got {target_op}")
+    if not lo_db < hi_db:
+        raise ValueError(f"bracket [{lo_db}, {hi_db}] dB needs lo < hi")
 
     def side(snr_db):
         return closed_form_side(k, replace(config, snr_db=snr_db), target_op)
@@ -321,7 +323,8 @@ def main(argv=None) -> int:
             snr = find_snr_for_op(args.user, config, args.target, args.lo, args.hi)
             print(f"{snr:.2f}")
         elif args.command == "find-w":
-            grid = np.linspace(0.05, 0.95, args.points)
+            # a negative count is an empty grid, which find_optimal_w rejects
+            grid = np.linspace(0.05, 0.95, max(args.points, 0))
             w_star, op_star = find_optimal_w(args.user, config, grid)
             print(f"{w_star:.4f} {op_star:.8e}")
     except tuple(error for error, _ in _EXIT_CODES) as exc:

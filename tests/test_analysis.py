@@ -245,6 +245,19 @@ class TestGaussKronrod:
         assert value == pytest.approx(op_numerical(k, config), rel=1e-13, abs=0)
 
 
+def table_point(k, config):
+    """The closed form's (table, X, Y) at config, from its one point of _points."""
+    ((_, _, _, table, x, y),) = analysis._points(k, [config])[1]
+    return table, x, y
+
+
+def float_sums(k, config):
+    """(sum t, sum |t|) of the closed form's float pass at config."""
+    table, x, y = table_point(k, config)
+    ((total, abs_total),) = analysis._closed_form_sums(table, (x,), (y,))
+    return total, abs_total
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("kwargs,k,expect", ORACLE_VALUES)
     def test_matches_oracle(self, kwargs, k, expect):
@@ -297,14 +310,15 @@ class TestClosedForm:
         # the float sum is unresolved here; sum|t| / F_sr(tau*)^N must give
         # the exact pass enough digits the first time
         passes = []
-        for name in ("_closed_form_sum", "_exact_sum"):
+        for name in ("_closed_form_sums", "_exact_sum"):
             def counting(*args, name=name, real=getattr(analysis, name)):
-                passes.append(name)
+                # a pass per point: the float pass takes X's, the exact pass one X
+                passes.extend([name] * np.size(args[1]))
                 return real(*args)
 
             monkeypatch.setattr(analysis, name, counting)
         op_closed_form(k, SystemConfig(**kwargs))
-        assert passes == ["_closed_form_sum", "_exact_sum"]
+        assert passes == ["_closed_form_sums", "_exact_sum"]
 
     @pytest.mark.parametrize("m,snr_db,k", [(1, 0, 1), (1, 20, 3), (2, 10, 2),
                                             (2, 20, 3), (3, 10, 3)])
@@ -326,7 +340,7 @@ class TestClosedForm:
             terms.append(float(coef.numerator) / coef.denominator
                          * x ** int(table.s[i]) * y ** int(table.j[i]) * bessel)
         expect = (math.fsum(terms), math.fsum(map(abs, terms)))
-        assert analysis._closed_form_sum(table, x, y) == expect
+        assert analysis._closed_form_sums(table, (x,), (y,)) == [expect]
 
     def test_tables_match_reference_builder(self):
         # the integer build must give the Fraction loop's table field by
@@ -354,6 +368,15 @@ class TestClosedForm:
             assert op_closed_form(k, c) == 1.0 == op_numerical(k, c)
             assert closed_form_side(k, c, 0.5) == 1
 
+    @pytest.mark.parametrize("kwargs,tau,op", [(dict(gamma_th=(0.0, 0.0, 0.0)), 0.0, 0.0),
+                                               (dict(snr_db=-3200), math.inf, 1.0)])
+    def test_side_where_tau_settles_the_op(self, kwargs, tau, op):
+        # tau* = 0 gives OP 0 and an infinite tau* OP 1, and the side is that OP's
+        c = SystemConfig(**kwargs)
+        for k, target in itertools.product((1, 2, 3), (0.0, 0.5, 1.0)):
+            assert tau_star(k, c) == tau
+            assert closed_form_side(k, c, target) == (op > target) - (op < target)
+
     @pytest.mark.parametrize("snr_db", [-200, -300, -1000, -3000])
     def test_huge_tau_gives_one(self, snr_db):
         # tau* is finite but so large that the float terms overflow (at m=3
@@ -363,7 +386,7 @@ class TestClosedForm:
             c = SystemConfig(snr_db=snr_db, m_sr=m, m_ru=m)
             tau = tau_star(k, c)
             assert math.isfinite(tau)
-            assert not math.isfinite(analysis._float_pass(k, c, tau)[-1])
+            assert not math.isfinite(float_sums(k, c)[1])
             assert op_closed_form(k, c) == 1.0 == op_numerical(k, c)
 
     @pytest.mark.parametrize("kwargs,k", [
@@ -412,7 +435,7 @@ class TestClosedForm:
         # 4e-237, 2e-75 or below the doubles: the exact pass, whose exponents
         # are unbounded, gives it
         c = SystemConfig(**kwargs)
-        assert not math.isfinite(analysis._float_pass(k, c, tau_star(k, c))[-1])
+        assert not math.isfinite(float_sums(k, c)[1])
         passes = []
         real = analysis._exact_sum
 
@@ -478,10 +501,7 @@ class TestClosedForm:
             return real(nu, t)
 
         monkeypatch.setattr(special, "kve", counting)
-        if points == 1:
-            analysis._closed_form_sum(table, 0.7, 0.3)
-        else:
-            analysis._closed_form_sums(table, [0.7, 0.9, 1.3], [0.3, 0.2, 0.5])
+        analysis._closed_form_sums(table, [0.7, 0.9, 1.3][:points], [0.3, 0.2, 0.5][:points])
         assert evaluations == [count] == [points * len(pairs)]
 
     @pytest.mark.parametrize("kwargs,k,count", [(dict(snr_db=60), 2, 28),
@@ -492,7 +512,7 @@ class TestClosedForm:
         # one _bessel_k per distinct p (1+u), up to the largest order of any
         # group sharing it, in place of one per (p, u) group (44 or 48)
         c = SystemConfig(**kwargs)
-        table, x, y, *_ = analysis._float_pass(k, c, tau_star(k, c))
+        table, x, y = table_point(k, c)
         tops = []
         real = analysis._bessel_k
 
@@ -615,8 +635,8 @@ class TestBucketSums:
         for k, xi in itertools.product((1, 2, 3), (0.0, 0.02)):
             configs = [SystemConfig(m_sr=m, m_ru=m, snr_db=snr, xi=xi)
                        for snr in range(0, 121, 10)]
-            points = [analysis._point(k, c, tau_star(k, c)) for c in configs]
-            table, xs, ys = points[0][0], [p[1] for p in points], [p[2] for p in points]
+            points = analysis._points(k, configs)[1]
+            table, xs, ys = points[0][3], [p[4] for p in points], [p[5] for p in points]
             terms, overflowed = analysis._closed_form_terms(table, xs, ys)
             assert not overflowed and np.isfinite(terms).all()
             assert np.abs(terms).max() < analysis._SPLIT_GUARD
@@ -715,12 +735,13 @@ class TestFloatPassBatch:
         grids = ([SystemConfig(m_sr=m, m_ru=m, w=w) for w in np.linspace(0.05, 0.95, 31)],
                  [SystemConfig(m_sr=m, m_ru=m, snr_db=s) for s in np.linspace(0, 40, 11)])
         for configs, k in itertools.product(grids, (1, 2, 3)):
-            points = [analysis._point(k, c, tau_star(k, c)) for c in configs]
+            points = [table_point(k, c) for c in configs]
             table = points[0][0]
             assert all(p[0] is table for p in points)
             batch = analysis._closed_form_sums(table, [p[1] for p in points],
                                                [p[2] for p in points])
-            single = [analysis._closed_form_sum(*p) for p in points]
+            single = [analysis._closed_form_sums(table, (x,), (y,))[0]
+                      for table, x, y in points]
             assert hexes(batch) == hexes(single)
 
     def test_mixed_batch_matches_op_closed_form(self, monkeypatch):
@@ -734,14 +755,17 @@ class TestFloatPassBatch:
                    SystemConfig(snr_db=25)]
         taus = [tau_star(k, c) for c in configs]
         assert taus[3] == 0.0 and math.isinf(taus[4])
+        ops, points = analysis._points(k, configs)
+        assert ops == [None, None, None, 0.0, 1.0, None, None, None]
+        assert [p[0] for p in points] == [0, 1, 2, 5, 6, 7]
         decided = []
         for c, tau in zip(configs, taus):
             if 0 < tau < math.inf:
-                *_, total, abs_total = analysis._float_pass(k, c, tau)
+                total, abs_total = float_sums(k, c)
                 decided.append(math.isfinite(abs_total) and analysis._FLOAT_TERM_ERR
                                * abs_total / abs(total) <= analysis._REL_TOL)
         assert decided == [True, False, False, True, True, True]
-        table, x, y = analysis._point(k, configs[2], taus[2])
+        table, x, y = table_point(k, configs[2])
         assert analysis._closed_form_terms(table, [x], [y])[1] == [0]
         expect = hexes([[op_closed_form(k, c)] for c in configs])
         assert hexes([[op] for op in analysis.op_closed_form_batch(k, configs)]) == expect

@@ -233,11 +233,12 @@ def scan_values(k, config, grid):
 
 
 def count_passes(monkeypatch):
-    """The pass, "float" or "exact", of every closed-form sum from now on."""
+    """The pass, "float" or "exact", of every closed-form point summed from now on."""
     passes = []
-    for name, label in (("_closed_form_sum", "float"), ("_exact_sum", "exact")):
+    for name, label in (("_closed_form_sums", "float"), ("_exact_sum", "exact")):
         def counting(*args, label=label, real=getattr(analysis, name)):
-            passes.append(label)
+            # the float pass takes X's, the exact pass one X
+            passes.extend([label] * np.size(args[1]))
             return real(*args)
 
         monkeypatch.setattr(analysis, name, counting)
@@ -297,6 +298,16 @@ class TestFindSnr:
     def test_no_bracket(self):
         with pytest.raises(SearchError):
             find_snr_for_op(1, SystemConfig(), 1e-30, 0.0, 10.0)
+
+    @pytest.mark.parametrize("lo,hi", [(40.0, 0.0), (20.0, 20.0), (math.nan, 60.0)])
+    def test_bracket_needs_lo_below_hi(self, monkeypatch, lo, hi):
+        # invalid input (a ValueError, where a failed search raises a
+        # SearchError), found before any point is summed
+        passes = count_passes(monkeypatch)
+        message = f"bracket [{lo}, {hi}] dB needs lo < hi"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            find_snr_for_op(1, SystemConfig(), 1e-3, lo, hi)
+        assert passes == []
 
     def test_bad_target(self):
         with pytest.raises(ValueError, match=re.escape("target OP must be in (0,1)")):
@@ -487,6 +498,10 @@ class TestMain:
         (["find-snr", "{path}", "--user", "1", "--target", "nan"],
          "target OP must be in (0,1), got nan"),
         (["simulate", "{path}", "--seed", "-1"], "seed must be >= 0"),
+        (["find-snr", "{path}", "--user", "1", "--target", "1e-3", "--lo", "40",
+          "--hi", "0"], "bracket [40.0, 0.0] dB needs lo < hi"),
+        (["find-w", "{path}", "--user", "1", "--points", "-3"],
+         "w grid must be nonempty"),
     ])
     def test_invalid_argument_exit(self, tmp_path, capsys, argv, message):
         # invalid input, not a search failure
@@ -597,7 +612,8 @@ class TestMain:
 
     def test_unresolved_rows_and_exit(self, monkeypatch, capsys):
         # terms that cancel exactly leave every closed-form point unresolved
-        monkeypatch.setattr(analysis, "_closed_form_sum", lambda *args: (0.0, 2.0))
+        monkeypatch.setattr(analysis, "_closed_form_sums",
+                            lambda table, xs, ys: [(0.0, 2.0)] * len(xs))
         monkeypatch.setattr(analysis, "_exact_sum",
                             lambda *args: (Fraction(0), Fraction(2)))
         path = str(SCENARIO_DIR / "perfect_sic.scn")

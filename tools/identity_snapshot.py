@@ -42,12 +42,14 @@ in and writes into OUTDIR:
   `find-snr --user 1 --target 1e-3` and `find-snr --user 3 --target 1e-3`
   with `--set xi=0.1`, which makes stage 2 infeasible: `analytic` marks
   every row, the rank-1 search succeeds, as it needs only stage 1, and the
-  rank-3 search fails on stage 2.
+  rank-3 search fails on stage 2; and of two invalid inputs,
+  `find-snr --user 1 --target 1e-3 --lo 40 --hi 0`, a reversed bracket,
+  and `find-w --user 1 --points -3`, a negative grid size.
 
-That is 166 files.  To check that a change moves no output, copy this
+That is 184 files.  To check that a change moves no output, copy this
 script into a checkout of the parent commit, snapshot both checkouts and
 compare with `diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes
-about 14-15 s on a 2-core machine, about 4 s of it in the extreme-SNR grid.
+about 9-15 s on a 2-core machine, about 4 s of it in the extreme-SNR grid.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ COMMANDS = {
                                           "--set", "xi=0.1"]),
     "find-snr-user3-xi0.1": ("find-snr", ["--user", "3", "--target", "1e-3",
                                           "--set", "xi=0.1"]),
+    "find-snr-reversed": ("find-snr", ["--user", "1", "--target", "1e-3",
+                                       "--lo", "40", "--hi", "0"]),
+    "find-w-points-3": ("find-w", ["--user", "1", "--points", "-3"]),
 }
 
 
