@@ -7,13 +7,16 @@ unexpanded power-form CDFs; the two paths share no series machinery, so their
 agreement is a genuine cross-check.  The quadrature is QUADPACK's 21-point
 Gauss-Kronrod rule with its error estimate, refined by bisecting the worst
 intervals a batch at a time and evaluating the integrand on arrays, so the
-module needs only scipy.special from scipy.
+module needs only scipy.special from scipy.  The CLI's target-OP and optimal-w
+searches run on the closed form and live here too, so that nothing outside
+this module loads scipy.special or mpmath.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, groupby, repeat
@@ -24,7 +27,8 @@ import numpy as np
 from scipy import special
 
 from .fading import MAJORITY_RANK_COEFFS, expanded_power
-from .link import SystemConfig, tau_star
+from .link import (SearchError, SystemConfig, UnresolvedNumericsError, UnsupportedModelError,
+                   tau_star)
 
 # Every check on an OP in this package compares at this relative tolerance.
 _REL_TOL = 1e-6
@@ -62,20 +66,10 @@ _SPLIT_GUARD = 2.0**990
 # Most monomials one batched float pass holds: the pass's arrays take about
 # 100 bytes a monomial.
 _BATCH_TERMS = 8192
-
-
-class UnsupportedModelError(ValueError):
-    """Raised when an analytic operation is asked for outside its closed-form scope."""
-
-
-class UnresolvedNumericsError(ArithmeticError):
-    """An analytic OP its numerics cannot resolve to _REL_TOL.
-
-    The closed form raises it when its sum stays below its own rounding noise
-    at every precision it may use and that noise does not show the OP to
-    round to 0, the quadrature when its error estimate exceeds _REL_TOL times
-    the OP.
-    """
+# find_snr_for_op answers within this many dB; find_optimal_w's golden-section
+# search stops once its bracket is this narrow
+_SNR_TOL_DB = 0.05
+_W_TOL = 1e-3
 
 
 class _TermTable(NamedTuple):
@@ -629,6 +623,76 @@ def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
             return 1 if total > target else -1
         op = _closed_form(k, config, tau, table, x, y, total, abs_total)
     return (op > target) - (op < target)
+
+
+def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
+                    lo_db: float, hi_db: float) -> float:
+    """SNR (dB) at which the analytic OP of user k crosses target_op.
+
+    Bisection on the monotone (nonincreasing) analytic OP curve; the bracket
+    needs lo_db < hi_db, and its endpoints must straddle the target.  Each
+    step needs only the side of the target the OP lies on, which
+    closed_form_side mostly reads off the closed form's float sum.
+    """
+    if not 0 < target_op < 1:
+        raise ValueError(f"target OP must be in (0,1), got {target_op}")
+    if not lo_db < hi_db:
+        raise ValueError(f"bracket [{lo_db}, {hi_db}] dB needs lo < hi")
+
+    def side(snr_db):
+        return closed_form_side(k, replace(config, snr_db=snr_db), target_op)
+
+    side_lo = side(lo_db)
+    if side_lo == 0:
+        return lo_db
+    if not side_lo > 0 > side(hi_db):
+        f_lo = op_closed_form(k, replace(config, snr_db=lo_db))
+        f_hi = op_closed_form(k, replace(config, snr_db=hi_db))
+        raise SearchError(
+            f"bracket [{lo_db}, {hi_db}] dB does not straddle OP={target_op:g} "
+            f"(endpoints {f_lo:.3e}, {f_hi:.3e})"
+        )
+    lo, hi = lo_db, hi_db
+    while hi - lo > 2 * _SNR_TOL_DB:
+        mid = 0.5 * (lo + hi)
+        if side(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def find_optimal_w(k: int, config: SystemConfig, grid):
+    """(w*, op*) minimizing the analytic OP over the power-splitting ratio."""
+    grid = np.asarray(sorted(grid), dtype=float)
+    if grid.size == 0:
+        raise ValueError("w grid must be nonempty")
+    # no stage's feasibility depends on w, so an infeasible configuration
+    # raises InfeasibleConfigError at the first grid point
+    ops = op_closed_form_batch(k, [replace(config, w=float(w)) for w in grid])
+    i = int(np.argmin(ops))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+
+    def f(w):
+        return op_closed_form(k, replace(config, w=float(w)))
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > _W_TOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    w_star = 0.5 * (a + b)
+    return float(w_star), f(w_star)
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 11 non-negative

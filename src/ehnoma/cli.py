@@ -1,17 +1,27 @@
-"""Scenario files, parameter sweeps, target-OP search and CSV emission."""
+"""Scenario files, parameter sweeps, exit codes and CSV emission.
+
+The analytic engine (`ehnoma.analysis`, which loads scipy.special and
+mpmath) is imported only where an analytic result is asked for, so that
+`simulate` and a Monte Carlo sweep start without it.  The analytic names
+this module offers (`closed_form_side`, `op_closed_form`,
+`op_closed_form_batch`, `op_numerical`, `find_snr_for_op` and
+`find_optimal_w`) resolve through the module `__getattr__` to analysis's
+own functions on first access, so a caller that binds one pays the import
+then, and each call goes straight to the engine.
+"""
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from dataclasses import replace
 from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import (UnresolvedNumericsError, UnsupportedModelError, closed_form_side,
-                       op_closed_form, op_closed_form_batch, op_numerical)
-from .link import InfeasibleConfigError, SystemConfig
+from .link import (InfeasibleConfigError, SearchError, SystemConfig, UnresolvedNumericsError,
+                   UnsupportedModelError)
 from .montecarlo import estimate_op
 
 EXIT_OK = 0
@@ -26,21 +36,22 @@ METHOD_ORDER = ("analytic", "quadrature", "montecarlo")
 SWEEP_VARIABLES = ("snr_db", "w", "d_sr", "xi")
 SPACINGS = ("linear", "log")
 
-# find-snr answers within this many dB; find-w's golden-section search stops
-# once its bracket is this narrow
-_SNR_TOL_DB = 0.05
-_W_TOL = 1e-3
+# analysis's names offered here too, resolved by __getattr__
+_ANALYTIC_NAMES = frozenset({"closed_form_side", "op_closed_form", "op_closed_form_batch",
+                             "op_numerical", "find_snr_for_op", "find_optimal_w"})
 
 # each scenario key's type (tuple, int or float), from SystemConfig's fields
 _KEY_TYPES = get_type_hints(SystemConfig)
 
 
+def __getattr__(name):
+    if name in _ANALYTIC_NAMES:
+        return getattr(importlib.import_module(".analysis", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class ScenarioParseError(ValueError):
     pass
-
-
-class SearchError(RuntimeError):
-    """The bracket of a root search does not straddle its target."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,7 +135,9 @@ def _point_lines(scenario: str, variable: str, config: SystemConfig,
                 ci_halfwidth = "%.8e" % mc.ci_halfwidth[k - 1]
                 n_trials = str(trials)
             else:
-                op_fn = op_closed_form if method == "analytic" else op_numerical
+                from . import analysis
+                op_fn = (analysis.op_closed_form if method == "analytic"
+                         else analysis.op_numerical)
                 try:
                     op = "%.8e" % op_fn(k, config)
                 except UnsupportedModelError:
@@ -173,76 +186,6 @@ def write_output(lines, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
-                    lo_db: float, hi_db: float) -> float:
-    """SNR (dB) at which the analytic OP of user k crosses target_op.
-
-    Bisection on the monotone (nonincreasing) analytic OP curve; the bracket
-    needs lo_db < hi_db, and its endpoints must straddle the target.  Each
-    step needs only the side of the target the OP lies on, which
-    closed_form_side mostly reads off the closed form's float sum.
-    """
-    if not 0 < target_op < 1:
-        raise ValueError(f"target OP must be in (0,1), got {target_op}")
-    if not lo_db < hi_db:
-        raise ValueError(f"bracket [{lo_db}, {hi_db}] dB needs lo < hi")
-
-    def side(snr_db):
-        return closed_form_side(k, replace(config, snr_db=snr_db), target_op)
-
-    side_lo = side(lo_db)
-    if side_lo == 0:
-        return lo_db
-    if not side_lo > 0 > side(hi_db):
-        f_lo = op_closed_form(k, replace(config, snr_db=lo_db))
-        f_hi = op_closed_form(k, replace(config, snr_db=hi_db))
-        raise SearchError(
-            f"bracket [{lo_db}, {hi_db}] dB does not straddle OP={target_op:g} "
-            f"(endpoints {f_lo:.3e}, {f_hi:.3e})"
-        )
-    lo, hi = lo_db, hi_db
-    while hi - lo > 2 * _SNR_TOL_DB:
-        mid = 0.5 * (lo + hi)
-        if side(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def find_optimal_w(k: int, config: SystemConfig, grid):
-    """(w*, op*) minimizing the analytic OP over the power-splitting ratio."""
-    grid = np.asarray(sorted(grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("w grid must be nonempty")
-    # no stage's feasibility depends on w, so an infeasible configuration
-    # raises InfeasibleConfigError at the first grid point
-    ops = op_closed_form_batch(k, [replace(config, w=float(w)) for w in grid])
-    i = int(np.argmin(ops))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    def f(w):
-        return op_closed_form(k, replace(config, w=float(w)))
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _W_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    w_star = 0.5 * (a + b)
-    return float(w_star), f(w_star)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -320,12 +263,15 @@ def main(argv=None) -> int:
             write_output(run_sweep(config, args.var, values, methods,
                                    args.trials, args.seed), args.out)
         elif args.command == "find-snr":
-            snr = find_snr_for_op(args.user, config, args.target, args.lo, args.hi)
+            from . import analysis
+            snr = analysis.find_snr_for_op(args.user, config, args.target, args.lo,
+                                           args.hi)
             print(f"{snr:.2f}")
         elif args.command == "find-w":
+            from . import analysis
             # a negative count is an empty grid, which find_optimal_w rejects
             grid = np.linspace(0.05, 0.95, max(args.points, 0))
-            w_star, op_star = find_optimal_w(args.user, config, grid)
+            w_star, op_star = analysis.find_optimal_w(args.user, config, grid)
             print(f"{w_star:.4f} {op_star:.8e}")
     except tuple(error for error, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,8 @@
-"""EH relay signal model: power splitting, SINR and outage thresholds."""
+"""EH relay signal model: power splitting, SINR and outage thresholds.
+
+It also holds the package's error types, so that the CLI can map each to its
+exit code without importing the analytic engine.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +20,24 @@ class InfeasibleConfigError(ValueError):
         super().__init__(
             f"stage l={stage} infeasible: a_l - Sigma_l*gamma_th_l = {margin:.6g} <= 0"
         )
+
+
+class UnsupportedModelError(ValueError):
+    """Raised when an analytic operation is asked for outside its closed-form scope."""
+
+
+class UnresolvedNumericsError(ArithmeticError):
+    """An analytic OP its numerics cannot resolve to analysis._REL_TOL.
+
+    The closed form raises it when its sum stays below its own rounding noise
+    at every precision it may use and that noise does not show the OP to
+    round to 0, the quadrature when its error estimate exceeds _REL_TOL times
+    the OP.
+    """
+
+
+class SearchError(RuntimeError):
+    """The bracket of a root search does not straddle its target."""
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,9 @@ class TestSweepSpec:
         def evaluated(*args):
             raise AssertionError("a point was evaluated")
 
-        monkeypatch.setattr(cli, "op_closed_form", evaluated)
+        # _point_lines reaches the engine through the analysis module
+        monkeypatch.setattr(analysis, "op_closed_form", evaluated)
+        monkeypatch.setattr(analysis, "op_numerical", evaluated)
         with pytest.raises(ValueError, match=re.escape("w must be in (0, 1)")):
             run_sweep(SystemConfig(), "w", [0.5, 1.5], ("analytic",), 100_000, 0)
 
@@ -633,11 +635,16 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
 
-def loaded_by_import(*modules):
-    """Which of modules a fresh interpreter holds after `import ehnoma, ehnoma.cli`."""
+def loaded_by_import(*modules, argv=None):
+    """Which of modules a fresh interpreter holds after `import ehnoma, ehnoma.cli`.
+
+    Given argv, the interpreter also runs `ehnoma.cli.main(argv)`, which must
+    return EXIT_OK.
+    """
     src = Path(ehnoma.__file__).resolve().parent.parent
+    run_main = f"assert ehnoma.cli.main({argv!r}) == {EXIT_OK}; " if argv else ""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import ehnoma, ehnoma.cli; "
-            "print(*(name in sys.modules for name in sys.argv[2:]))")
+            + run_main + "print(*(name in sys.modules for name in sys.argv[2:]))")
     run = subprocess.run([sys.executable, "-c", code, str(src), *modules],
                          capture_output=True, text=True, timeout=120, check=True)
     return run.stdout.split()
@@ -654,3 +661,40 @@ def test_import_leaves_out_process_pools():
     # machinery that starts and feeds worker processes
     assert loaded_by_import("multiprocessing", "concurrent.futures.process") == [
         "False", "False"]
+
+
+# what the analytic engine loads, and the engine itself: scipy.special's
+# array-API shim pulls in numpy.testing, numpy.f2py and numpy.ma, most of a
+# fresh process's start-up time
+ANALYTIC_ENGINE = ("scipy.special", "mpmath", "ehnoma.analysis")
+
+
+def test_import_leaves_out_analytic_engine():
+    assert loaded_by_import(*ANALYTIC_ENGINE) == ["False"] * 3
+
+
+@pytest.mark.parametrize("command, engine", [
+    (["simulate", "--trials", "1000"], "False"),
+    (["sweep", "--var", "snr_db", "--start", "10", "--stop", "20", "--points", "2",
+      "--methods", "montecarlo", "--trials", "1000"], "False"),
+    # the engine is loaded where an analytic result is asked for, so the
+    # rows above cannot pass for want of any path that loads it
+    (["analytic"], "True"),
+], ids=["simulate", "sweep-montecarlo", "analytic"])
+def test_only_analytic_runs_load_analytic_engine(command, engine, tmp_path):
+    argv = [command[0], str(SCENARIO_DIR / "perfect_sic.scn"), *command[1:],
+            "--out", str(tmp_path / "out.csv")]
+    assert loaded_by_import(*ANALYTIC_ENGINE, argv=argv) == [engine] * 3
+
+
+@pytest.mark.parametrize("module, names", [
+    (ehnoma, ("op_closed_form", "op_numerical")),
+    (cli, ("closed_form_side", "op_closed_form", "op_closed_form_batch", "op_numerical",
+           "find_snr_for_op", "find_optimal_w")),
+], ids=["ehnoma", "cli"])
+def test_analytic_names_are_the_engines(module, names):
+    for name in names:
+        assert getattr(module, name) is getattr(analysis, name)
+    with pytest.raises(AttributeError, match=re.escape(
+            f"module {module.__name__!r} has no attribute 'no_such_name'")):
+        module.no_such_name
