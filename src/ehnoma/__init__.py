@@ -1,8 +1,9 @@
 """Outage probability of an EH MIMO-NOMA downlink with joint antenna selection.
 
 `op_closed_form` and `op_numerical` resolve on first access, through the
-module `__getattr__`, to the analytic engine's own functions: the engine
-loads scipy.special and mpmath, which a Monte Carlo run never needs.
+module `__getattr__`, to the analytic engine's own functions, which are then
+bound here: the engine loads scipy.special and mpmath, which a Monte Carlo
+run never needs.
 """
 
 import importlib
@@ -18,5 +19,7 @@ def __getattr__(name):
     # only these names: "analysis" itself must raise, so that `from . import
     # analysis` imports the submodule instead of recursing into this hook
     if name in ("op_closed_form", "op_numerical"):
-        return getattr(importlib.import_module(".analysis", __package__), name)
+        value = globals()[name] = getattr(importlib.import_module(".analysis", __package__),
+                                          name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

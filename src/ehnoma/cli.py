@@ -6,8 +6,8 @@ mpmath) is imported only where an analytic result is asked for, so that
 this module offers (`closed_form_side`, `op_closed_form`,
 `op_closed_form_batch`, `op_numerical`, `find_snr_for_op` and
 `find_optimal_w`) resolve through the module `__getattr__` to analysis's
-own functions on first access, so a caller that binds one pays the import
-then, and each call goes straight to the engine.
+own functions on first access and are then bound here, so a caller that
+binds one pays the import then, and each call goes straight to the engine.
 """
 
 from __future__ import annotations
@@ -46,7 +46,9 @@ _KEY_TYPES = get_type_hints(SystemConfig)
 
 def __getattr__(name):
     if name in _ANALYTIC_NAMES:
-        return getattr(importlib.import_module(".analysis", __package__), name)
+        value = globals()[name] = getattr(importlib.import_module(".analysis", __package__),
+                                          name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

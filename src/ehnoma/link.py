@@ -49,7 +49,8 @@ class SystemConfig:
     geometry: omega_sr = d_sr^-alpha, omega_ru = (1-d_sr)^-alpha.  Every
     float must be finite, and so must the linear SNR and both mean gains,
     which must also be > 0.  The Nakagami figures m_sr and m_ru must be
-    >= 0.5; the closed form also needs them integer.
+    >= 0.5; the closed form also needs them integer.  The antenna counts
+must be positive integers of any integer type, and are stored as int.
     """
 
     a: tuple = (0.6, 0.3, 0.1)
@@ -94,6 +95,12 @@ class SystemConfig:
             raise ValueError("power-splitting ratio w must be in (0, 1)")
         if not 0 < self.zeta <= 1:
             raise ValueError("energy conversion efficiency zeta must be in (0, 1]")
+        for name in ("n_s", "n_rr", "n_rt", "n_u"):
+            try:  # as a Python int, from any integer type
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"antenna count {name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
         if min(self.n_s, self.n_rr, self.n_rt, self.n_u) < 1:
             raise ValueError("antenna counts must be positive")
         if not 0 < self.d_sr < 1:

@@ -8,10 +8,15 @@ maxima), which has exactly the same joint law as drawing every antenna entry.
 
 A block draws the first-hop maxima of all its trials, then the second-hop
 maxima and outage events; both passes go chunk by chunk of CHUNK_SIZE
-trials, so each stage's arrays stay in cache.  A numpy Generator consumes
-its stream in sequence, and chunked draws of a C-order array take the same
-numbers as one draw of the whole array: the block's stream, and so its
-counts, do not depend on the chunk size.
+trials, so each stage's arrays stay in cache.  Within a chunk the entries
+are drawn in slices of at most SLICE_SIZE doubles, reduced in place and
+their maxima written into arrays made once per block, so a block's memory
+does not grow with m or with the antenna counts its maxima run over (n_s,
+n_rr and n_u): about 4 MiB at BLOCK_SIZE, half of it the first-hop maxima.
+A numpy Generator consumes its stream in sequence, and draws of a C-order
+array in pieces take the same numbers as one draw of the whole array: the
+block's stream, and so its counts, depend on neither the chunk nor the
+slice size.
 
 Blocks run on a thread pool, one thread per block at most and by default
 one per core the process may use.  The Philox draws and the numpy ufuncs
@@ -37,6 +42,8 @@ from .link import SystemConfig
 BLOCK_SIZE = 1 << 18
 # trials per chunk within a block (see the module docstring)
 CHUNK_SIZE = 1 << 13
+# doubles per draw within a chunk (see the module docstring)
+SLICE_SIZE = 1 << 16
 # two-sided 95% standard normal quantile
 _Z_95 = 1.96
 # estimate_op's default thread count: the cores this process may run on
@@ -56,35 +63,50 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
 
 
-def _max_of_iid(rng, m: float, omega: float, n_iid: int, shape) -> np.ndarray:
-    """Maximum of n_iid squared gains, drawn via its own distribution.
+def _max_of_iid(rng, m: float, omega: float, n_iid: int, shape, out=None) -> np.ndarray:
+    """Maximum of n_iid squared gains, drawn via its own distribution, into
+    `out` (a new array of `shape` if None).
 
-    For m = 1 the maximum is sampled by CDF inversion from a single uniform;
-    for integer m the entries are Erlang sums of exponentials; otherwise the
-    gamma sampler is used directly.  All routes are exact.
+    For m = 1 the maximum is sampled by CDF inversion from a single uniform,
+    drawn straight into `out`; for integer m the entries are Erlang sums of
+    exponentials; otherwise the gamma sampler is used directly.  All routes
+    are exact.
 
-    The Erlang sum and the maximum run elementwise over the slices of their
-    short trailing axes, since numpy's reductions over an axis of length 2 or
-    3 cost more than the draws.  The terms are added left to right, the order
-    numpy's sum takes below eight terms, and omega/m scales the maximum once
+    The other routes draw their entries in slices of at most SLICE_SIZE
+    doubles along the first axis, which in C order take the same numbers as
+    one draw of the whole array.  In each slice the Erlang terms are added
+    into their first slot, left to right (the order numpy's sum takes below
+    eight terms), and the maximum is taken into the first entry's slot, one
+    entry at a time: numpy's reductions over an axis of length 2 or 3 cost
+    more than the draws.  omega/m scales the maximum once, into `out`,
     instead of every entry: rounding is monotone, so the result is bitwise
     the same.
     """
+    if out is None:
+        out = np.empty(shape)
     if m == 1:
-        u = rng.random(shape)
-        return -omega * np.log1p(-np.power(u, 1.0 / n_iid))
-    full = shape + (n_iid,)
-    if float(m).is_integer():
-        terms = rng.standard_exponential(full + (int(m),))
-        draws = terms[..., 0] + terms[..., 1]
-        for t in range(2, int(m)):
-            draws += terms[..., t]
-    else:
-        draws = rng.standard_gamma(m, size=full)
-    best = draws[..., 0]
-    for i in range(1, n_iid):
-        best = np.maximum(best, draws[..., i])
-    return best * (omega / m)
+        rng.random(out=out)
+        np.power(out, 1.0 / n_iid, out=out)
+        np.negative(out, out=out)
+        np.log1p(out, out=out)
+        return np.multiply(out, -omega, out=out)
+    erlang = float(m).is_integer()
+    tail = (*shape[1:], n_iid, *((int(m),) if erlang else ()))
+    step = max(1, SLICE_SIZE // math.prod(tail))
+    for lo in range(0, shape[0], step):
+        size = (min(step, shape[0] - lo), *tail)
+        if erlang:
+            draws = rng.standard_exponential(size)
+            for t in range(1, int(m)):
+                draws[..., 0] += draws[..., t]
+            draws = draws[..., 0]
+        else:
+            draws = rng.standard_gamma(m, size=size)
+        best = draws[..., 0]
+        for i in range(1, n_iid):
+            np.maximum(best, draws[..., i], out=best)
+        np.multiply(best, omega / m, out=out[lo:lo + size[0]])
+    return out
 
 
 def _chunks(n: int):
@@ -126,13 +148,9 @@ def _selected_gains(rowmax: np.ndarray) -> np.ndarray:
                           sum((v == j) * g_k for v, g_k in zip(voters, gains)), -1.0)
                  for j, c in enumerate(counts)]
         i_r[tied] = _first_max(score, index)[1]
-    # select in place in g's buffer: row 0 takes row j's bits where i_r == j
-    bits = g.view(np.int64)
-    for j in range(1, n_rt):
-        flip = np.bitwise_xor(bits[j], bits[0], out=bits[j])
-        flip &= (i_r == j) * np.int64(-1)
-        bits[0] ^= flip
     sel = g[0]
+    for j in range(1, n_rt):
+        sel = np.where(i_r == j, g[j], sel)
     # sorting network of compare-exchanges, ascending
     for top in range(len(sel) - 1, 0, -1):
         for j in range(top):
@@ -152,13 +170,14 @@ def simulate_block(config: SystemConfig, seed: int, block: int, n: int) -> np.nd
 
     g_sr = np.empty(n)
     for lo, hi in _chunks(n):
-        g_sr[lo:hi] = _max_of_iid(rng, config.m_sr, config.omega_sr,
-                                  config.n_s * config.n_rr, (hi - lo,))
+        _max_of_iid(rng, config.m_sr, config.omega_sr, config.n_s * config.n_rr,
+                    (hi - lo,), out=g_sr[lo:hi])
+    rowmax = np.empty((min(n, CHUNK_SIZE), k_users, n_rt))
     out = np.zeros(k_users, dtype=np.int64)
     for lo, hi in _chunks(n):
-        rowmax = _max_of_iid(rng, config.m_ru, config.omega_ru,
-                             config.n_u, (hi - lo, k_users, n_rt))
-        y = _selected_gains(rowmax)  # (K, n), rank k in row k - 1
+        _max_of_iid(rng, config.m_ru, config.omega_ru, config.n_u,
+                    (hi - lo, k_users, n_rt), out=rowmax[:hi - lo])
+        y = _selected_gains(rowmax[:hi - lo])  # (K, n), rank k in row k - 1
         xy = config.snr_linear * g_sr[lo:hi] * y
         c1y = c1 * y
         # rank k is in outage when any stage l <= k fails, so stage l

@@ -692,9 +692,18 @@ def test_only_analytic_runs_load_analytic_engine(command, engine, tmp_path):
     (cli, ("closed_form_side", "op_closed_form", "op_closed_form_batch", "op_numerical",
            "find_snr_for_op", "find_optimal_w")),
 ], ids=["ehnoma", "cli"])
-def test_analytic_names_are_the_engines(module, names):
+def test_analytic_names_are_the_engines(module, names, monkeypatch):
     for name in names:
+        # unbound, so that the access goes through the module __getattr__
+        monkeypatch.delitem(vars(module), name, raising=False)
         assert getattr(module, name) is getattr(analysis, name)
+        # bound by the first access, so later ones skip the hook
+        assert vars(module)[name] is getattr(analysis, name)
+    # the hook itself, since importing the submodule binds ehnoma.analysis
+    for name in ("no_such_name", "analysis"):
+        with pytest.raises(AttributeError, match=re.escape(
+                f"module {module.__name__!r} has no attribute {name!r}")):
+            module.__getattr__(name)
     with pytest.raises(AttributeError, match=re.escape(
             f"module {module.__name__!r} has no attribute 'no_such_name'")):
         module.no_such_name

@@ -45,6 +45,17 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError):
             SystemConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["n_s", "n_rr", "n_rt", "n_u"])
+    @pytest.mark.parametrize("value", [2.0, 2.5])
+    def test_rejects_non_integer_antenna_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"antenna count {name} must be an integer"):
+            SystemConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["n_s", "n_rr", "n_rt", "n_u"])
+    def test_numpy_integer_antenna_count_stored_as_int(self, name):
+        c = SystemConfig(**{name: np.int64(2)})
+        assert type(getattr(c, name)) is int and getattr(c, name) == 2
+
     def test_derived_quantities(self):
         c = SystemConfig(w=0.5, zeta=0.8, snr_db=20, d_sr=0.25, alpha=2)
         assert c.c1 == pytest.approx(2.0)

@@ -4,6 +4,7 @@ import inspect
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,20 +46,41 @@ class TestMaxOfIid:
         ks = ks_distance(draws, special.gammainc(m, m / omega * draws) ** n_iid)
         assert ks < 0.004  # ~1.3 / sqrt(n) is the 1e-3 rejection line
 
-    @pytest.mark.parametrize("m,n_iid", [(2, 1), (2, 4), (3, 2), (1.5, 3)])
-    def test_bitwise_equal_to_axis_reductions(self, m, n_iid):
-        """The elementwise sum and max give the bits of numpy's reductions
-        over the scaled entries, from the same stream."""
-        shape, omega = (3000, 3, 2), 1.7
+    @pytest.mark.parametrize("m,n_iid,shape,into_out", [
+        (2, 1, (3000, 3, 2), False), (2, 4, (3000, 3, 2), False),
+        (3, 2, (3000, 3, 2), False), (1.5, 3, (3000, 3, 2), False),
+        # 72 and 18 doubles a trial: many slices, the last one partial
+        (3, 4, (20000, 3, 2), False), (1.5, 3, (30000, 3, 2), False),
+        (2, 3, (20000, 3, 2), True), (1.5, 2, (3000, 3, 2), True),
+    ], ids=["2-1", "2-4", "3-2", "1.5-3", "3-4-slices", "1.5-3-slices",
+            "2-3-slices-out", "1.5-2-out"])
+    def test_bitwise_equal_to_axis_reductions(self, m, n_iid, shape, into_out):
+        """The sliced, in-place sum and max give the bits of numpy's
+        reductions over the scaled entries of one whole draw from the same
+        stream, also when written into a given `out`."""
+        omega = 1.7
         full = shape + (n_iid,)
         ref = rng(5)
         if float(m).is_integer():
             entries = ref.standard_exponential(full + (m,)).sum(axis=-1) * (omega / m)
         else:
             entries = ref.standard_gamma(m, size=full) * (omega / m)
-        got = _max_of_iid(rng(5), m, omega, n_iid, shape)
+        out = np.full(shape, np.nan) if into_out else None
+        got = _max_of_iid(rng(5), m, omega, n_iid, shape, out=out)
+        if into_out:
+            assert got is out
         assert got.shape == shape
         assert np.array_equal(got, entries.max(axis=-1))
+
+    @pytest.mark.parametrize("n_iid", [1, 4])
+    def test_m1_into_out(self, n_iid):
+        """At m = 1 the in-place inversion gives the bits of the expression
+        -omega * log1p(-u ** (1 / n_iid)) on the same uniforms."""
+        shape, omega = (5000, 3, 2), 1.7
+        u = rng(5).random(shape)
+        out = np.empty(shape)
+        assert _max_of_iid(rng(5), 1, omega, n_iid, shape, out=out) is out
+        assert np.array_equal(out, -omega * np.log1p(-np.power(u, 1.0 / n_iid)))
 
 
 GOLDEN_CONFIGS = {
@@ -115,6 +137,25 @@ class TestSimulateBlock:
         assert 20000 % CHUNK_SIZE and 5000 < CHUNK_SIZE
         got = simulate_block(SystemConfig(**GOLDEN_CONFIGS[name]), seed, block, n)
         assert tuple(got.tolist()) == counts
+
+    @pytest.mark.parametrize("kw", [
+        dict(), dict(m_sr=2, m_ru=2), dict(m_sr=1.5, m_ru=1.5),
+        dict(m_sr=4, m_ru=4, n_u=4, n_s=4, n_rr=4),
+    ], ids=["m1", "m2", "m1.5", "m4-n_u4-n_s4-n_rr4"])
+    def test_block_memory_is_bounded(self, kw):
+        """A full block's traced peak does not grow with m or the antenna
+        counts the maxima run over: 2 MiB of first-hop maxima, one draw
+        slice and a chunk's arrays (drawing the m=4 row's chunks whole
+        peaks at 11.4 MiB)."""
+        config = SystemConfig(**kw)
+        simulate_block(config, 1, 0, 1000)
+        tracemalloc.start()
+        try:
+            simulate_block(config, 1, 1, BLOCK_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
     def test_counts_bounded_and_integer(self):
         counts = simulate_block(SystemConfig(), seed=0, block=0, n=5000)

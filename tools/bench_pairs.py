@@ -15,15 +15,23 @@ number of pairs the change wins (is strictly better in), and whether a
 claimed gain would hold: the change wins at least 9 pairs in 10 and its
 median is better than the parent's by more than the parent's interquartile
 distance.  Quartiles are statistics.quantiles(..., n=4, method="inclusive").
+
+It also writes what it prints to BENCH_<W>.json beside BENCHMARK.json: each
+run's metrics, each metric's quartiles, wins and claim, and the seeds, the
+pair count, the machine (cores, CPU model, numpy, scipy and mpmath
+versions) and both checkouts' git revisions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +55,26 @@ def run(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode or not lines:
         raise SystemExit(f"{checkout} seed {seed}: exit {proc.returncode}\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.partition(":")[2].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def revision(checkout: Path) -> dict:
+    """checkout's HEAD commit, and whether its tracked files differ from it."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
+                              text=True).stdout.strip()
+    return {"commit": git("rev-parse", "HEAD") or None,
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
 def summary(values) -> tuple:
@@ -90,6 +118,7 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {pairs} pairs")
     print(f"{'metric':14s} {'parent median [q1, q3]':32s} {'change median [q1, q3]':32s}"
           " wins    claim")
+    table = {}
     for metric in SPEC["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in reports[side]]
@@ -100,8 +129,26 @@ def main(argv=None) -> int:
         holds = wins >= 0.9 * pairs and sign * (parent[1] - change[1]) > parent[2] - parent[0]
         print(f"{name:14s} {cell(parent):32s} {cell(change):32s} {wins:2d}/{pairs:<4d} "
               f"{'holds' if holds else 'not met'}")
+        table[name] = {"unit": metric["unit"], "better": metric["better"],
+                       **{side: dict(zip(("q1", "median", "q3"), quartiles))
+                          for side, quartiles in (("parent", parent), ("change", change))},
+                       "wins": wins, "claim_holds": holds}
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
+    bench = {
+        "workload": args.workload, "seeds": args.seeds, "pairs": pairs,
+        "run_seconds": SPEC["run_seconds"],
+        "machine": {"cores": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count(),
+                    "cpu": cpu_model(), "python": platform.python_version(),
+                    **{lib: version(lib) for lib in ("numpy", "scipy", "mpmath")}},
+        "revisions": {side: revision(path) for side, path in sides.items()},
+        "metrics": table,
+        "runs": {side: [{"seed": seed, **{name: m["value"] for name, m in r["metrics"].items()}}
+                        for seed, r in zip(args.seeds, reports[side])] for side in reports},
+        "problems": problems,
+    }
+    (ROOT / f"BENCH_{args.workload}.json").write_text(json.dumps(bench, indent=1) + "\n")
     return 1 if problems else 0
 
 
