@@ -19,7 +19,7 @@ def __getattr__(name):
     # only these names: "analysis" itself must raise, so that `from . import
     # analysis` imports the submodule instead of recursing into this hook
     if name in ("op_closed_form", "op_numerical"):
-        value = globals()[name] = getattr(importlib.import_module(".analysis", __package__),
-                                          name)
+        value = getattr(importlib.import_module(".analysis", __package__), name)
+        globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

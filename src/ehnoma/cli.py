@@ -46,8 +46,8 @@ _KEY_TYPES = get_type_hints(SystemConfig)
 
 def __getattr__(name):
     if name in _ANALYTIC_NAMES:
-        value = globals()[name] = getattr(importlib.import_module(".analysis", __package__),
-                                          name)
+        value = getattr(importlib.import_module(".analysis", __package__), name)
+        globals()[name] = value
         return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

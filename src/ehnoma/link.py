@@ -50,7 +50,7 @@ class SystemConfig:
     float must be finite, and so must the linear SNR and both mean gains,
     which must also be > 0.  The Nakagami figures m_sr and m_ru must be
     >= 0.5; the closed form also needs them integer.  The antenna counts
-must be positive integers of any integer type, and are stored as int.
+    must be positive integers, of any integer type, and are stored as int.
     """
 
     a: tuple = (0.6, 0.3, 0.1)

@@ -91,7 +91,7 @@ def _max_of_iid(rng, m: float, omega: float, n_iid: int, shape, out=None) -> np.
         np.log1p(out, out=out)
         return np.multiply(out, -omega, out=out)
     erlang = float(m).is_integer()
-    tail = (*shape[1:], n_iid, *((int(m),) if erlang else ()))
+    tail = (*shape[1:], n_iid) + ((int(m),) if erlang else ())
     step = max(1, SLICE_SIZE // math.prod(tail))
     for lo in range(0, shape[0], step):
         size = (min(step, shape[0] - lo), *tail)
