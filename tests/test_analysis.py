@@ -637,8 +637,8 @@ class TestBucketSums:
                        for snr in range(0, 121, 10)]
             points = analysis._points(k, configs)[1]
             table, xs, ys = points[0][3], [p[4] for p in points], [p[5] for p in points]
-            terms, overflowed = analysis._closed_form_terms(table, xs, ys)
-            assert not overflowed and np.isfinite(terms).all()
+            terms = analysis._closed_form_terms(table, xs, ys)
+            assert np.isfinite(terms).all()
             assert np.abs(terms).max() < analysis._SPLIT_GUARD
             check_bucket_sums(terms)
 
@@ -766,11 +766,35 @@ class TestFloatPassBatch:
                                * abs_total / abs(total) <= analysis._REL_TOL)
         assert decided == [True, False, False, True, True, True]
         table, x, y = table_point(k, configs[2])
-        assert analysis._closed_form_terms(table, [x], [y])[1] == [0]
+        assert np.isnan(analysis._closed_form_terms(table, [x], [y])).all()
         expect = hexes([[op_closed_form(k, c)] for c in configs])
         assert hexes([[op] for op in analysis.op_closed_form_batch(k, configs)]) == expect
         monkeypatch.setattr(analysis, "_BATCH_TERMS", 100)  # slices of two m=1 points
         assert hexes([[op] for op in analysis.op_closed_form_batch(k, configs)]) == expect
+
+    @pytest.mark.parametrize("m_sr,m_ru,inf_db,power_db", [(3, 3, 400, 700),
+                                                          (2, 1, 800, 1300)],
+                             ids=["bucket", "fsum"])
+    def test_overflow_rows_not_finite(self, m_sr, m_ru, inf_db, power_db):
+        # one pass over finite points, a point whose terms overflow to inf in
+        # numpy and one whose float power overflows in libm: each overflow row
+        # sums to a pair that is not finite, each finite row to its point's own
+        k = 1
+        points = [table_point(k, SystemConfig(m_sr=m_sr, m_ru=m_ru, snr_db=s))
+                  for s in (0, 20, inf_db, 40, power_db)]
+        table = points[0][0]
+        assert all(p[0] is table for p in points)
+        assert (len(table.s) >= analysis._BUCKET_MIN_TERMS) == (m_sr == 3)
+        xs, ys = [p[1] for p in points], [p[2] for p in points]
+        terms = analysis._closed_form_terms(table, xs, ys)
+        assert np.isinf(terms[2]).any() and not np.isnan(terms[2]).all()
+        assert np.isnan(terms[4]).all()
+        sums = analysis._closed_form_sums(table, xs, ys)
+        assert not any(map(math.isfinite, sums[2] + sums[4]))
+        finite = [0, 1, 3]
+        assert all(map(math.isfinite, sum((sums[i] for i in finite), ())))
+        assert hexes([sums[i] for i in finite]) == hexes(
+            [analysis._closed_form_sums(table, (xs[i],), (ys[i],))[0] for i in finite])
 
     def test_batch_keeps_each_points_checks(self):
         with pytest.raises(UnsupportedModelError):

@@ -15,6 +15,7 @@ import pytest
 
 import ehnoma
 from ehnoma import SystemConfig, analysis, cli, estimate_op, op_closed_form
+from ehnoma.analysis import find_optimal_w, find_snr_for_op
 from ehnoma.cli import (
     CSV_HEADER,
     EXIT_INFEASIBLE,
@@ -25,8 +26,6 @@ from ehnoma.cli import (
     EXIT_UNSUPPORTED,
     ScenarioParseError,
     SearchError,
-    find_optimal_w,
-    find_snr_for_op,
     load_scenario,
     main,
     parse_scenario,
@@ -687,12 +686,16 @@ def test_only_analytic_runs_load_analytic_engine(command, engine, tmp_path):
     assert loaded_by_import(*ANALYTIC_ENGINE, argv=argv) == [engine] * 3
 
 
-@pytest.mark.parametrize("module, names", [
-    (ehnoma, ("op_closed_form", "op_numerical")),
-    (cli, ("closed_form_side", "op_closed_form", "op_closed_form_batch", "op_numerical",
-           "find_snr_for_op", "find_optimal_w")),
+@pytest.mark.parametrize("module, names, others", [
+    (ehnoma, ("op_closed_form", "op_numerical"), ()),
+    # the three that callers outside the tests still reach through cli
+    (cli, ("op_closed_form", "find_snr_for_op", "find_optimal_w"),
+     ("closed_form_side", "op_closed_form_batch", "op_numerical")),
 ], ids=["ehnoma", "cli"])
-def test_analytic_names_are_the_engines(module, names, monkeypatch):
+def test_analytic_names_are_the_engines(module, names, others, monkeypatch):
+    for name in others:
+        with pytest.raises(AttributeError):
+            getattr(module, name)
     for name in names:
         # unbound, so that the access goes through the module __getattr__
         monkeypatch.delitem(vars(module), name, raising=False)

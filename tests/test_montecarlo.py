@@ -42,22 +42,22 @@ class TestMaxOfIid:
     def test_distribution_matches_power_cdf(self, m, n_iid):
         """The reduced row-maximum sampler must follow F(x)^n exactly."""
         omega = 1.7
-        draws = np.sort(_max_of_iid(rng(3), m, omega, n_iid, (200000,)))
+        draws = np.sort(_max_of_iid(rng(3), m, omega, n_iid, np.empty(200000)))
         ks = ks_distance(draws, special.gammainc(m, m / omega * draws) ** n_iid)
         assert ks < 0.004  # ~1.3 / sqrt(n) is the 1e-3 rejection line
 
-    @pytest.mark.parametrize("m,n_iid,shape,into_out", [
-        (2, 1, (3000, 3, 2), False), (2, 4, (3000, 3, 2), False),
-        (3, 2, (3000, 3, 2), False), (1.5, 3, (3000, 3, 2), False),
+    @pytest.mark.parametrize("m,n_iid,shape", [
+        (2, 1, (3000, 3, 2)), (2, 4, (3000, 3, 2)),
+        (3, 2, (3000, 3, 2)), (1.5, 3, (3000, 3, 2)),
         # 72 and 18 doubles a trial: many slices, the last one partial
-        (3, 4, (20000, 3, 2), False), (1.5, 3, (30000, 3, 2), False),
-        (2, 3, (20000, 3, 2), True), (1.5, 2, (3000, 3, 2), True),
+        (3, 4, (20000, 3, 2)), (1.5, 3, (30000, 3, 2)),
+        (2, 3, (20000, 3, 2)), (1.5, 2, (3000, 3, 2)),
     ], ids=["2-1", "2-4", "3-2", "1.5-3", "3-4-slices", "1.5-3-slices",
             "2-3-slices-out", "1.5-2-out"])
-    def test_bitwise_equal_to_axis_reductions(self, m, n_iid, shape, into_out):
+    def test_bitwise_equal_to_axis_reductions(self, m, n_iid, shape):
         """The sliced, in-place sum and max give the bits of numpy's
         reductions over the scaled entries of one whole draw from the same
-        stream, also when written into a given `out`."""
+        stream, written into the given `out`."""
         omega = 1.7
         full = shape + (n_iid,)
         ref = rng(5)
@@ -65,11 +65,9 @@ class TestMaxOfIid:
             entries = ref.standard_exponential(full + (m,)).sum(axis=-1) * (omega / m)
         else:
             entries = ref.standard_gamma(m, size=full) * (omega / m)
-        out = np.full(shape, np.nan) if into_out else None
-        got = _max_of_iid(rng(5), m, omega, n_iid, shape, out=out)
-        if into_out:
-            assert got is out
-        assert got.shape == shape
+        out = np.full(shape, np.nan)
+        got = _max_of_iid(rng(5), m, omega, n_iid, out)
+        assert got is out
         assert np.array_equal(got, entries.max(axis=-1))
 
     @pytest.mark.parametrize("n_iid", [1, 4])
@@ -79,7 +77,7 @@ class TestMaxOfIid:
         shape, omega = (5000, 3, 2), 1.7
         u = rng(5).random(shape)
         out = np.empty(shape)
-        assert _max_of_iid(rng(5), 1, omega, n_iid, shape, out=out) is out
+        assert _max_of_iid(rng(5), 1, omega, n_iid, out) is out
         assert np.array_equal(out, -omega * np.log1p(-np.power(u, 1.0 / n_iid)))
 
 
@@ -252,12 +250,12 @@ class TestEstimateOp:
         assert got == expected
 
     @pytest.mark.parametrize("blocks,workers,expected", [
-        (1, 16, None), (3, 16, 3), (4, 2, 2), (5, 2, 2), (5, 16, 5),
-        (8, 2, 2), (9, 16, 9), (17, 3, 3), (17, 1, None),
+        (1, 16, 1), (3, 16, 3), (4, 2, 2), (5, 2, 2), (5, 16, 5),
+        (8, 2, 2), (9, 16, 9), (17, 3, 3), (17, 1, 1),
     ])
     def test_pool_size_capped_by_tasks(self, monkeypatch, blocks, workers, expected):
-        """Each block is one task: at most one thread per block, and none, in
-        the caller's thread, when that is one."""
+        """Each block is one task: at most one thread per block, on a pool
+        also when that is one thread."""
         started = []
 
         class RecordingPool:
@@ -278,7 +276,12 @@ class TestEstimateOp:
                             lambda config, seed, block, n: np.zeros(3, dtype=np.int64))
         est = estimate_op(SystemConfig(), blocks * BLOCK_SIZE, workers=workers)
         assert est.trials == blocks * BLOCK_SIZE
-        assert started == ([] if expected is None else [expected])
+        assert started == [expected]
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            estimate_op(SystemConfig(), 1000, workers=workers)
 
     def test_seed_changes_estimate(self):
         c = SystemConfig(snr_db=10)

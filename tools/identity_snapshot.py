@@ -37,6 +37,8 @@ in and writes into OUTDIR:
   = 2, whose batched grid sums by exponent bucket,
   and of `simulate --trials 300000 --seed 4`, the last also with
   `--set n_rt=3`, which reaches the majority vote's tie-break, and of
+  `simulate --trials 100000 --seed 4`, one block on a pool of one thread
+  that draws its first hop in one call, and of
   `analytic` and `find-snr --user 2 --target 1e-3` with `--set m_sr=1.5`,
   which the closed form rejects, and of `analytic`,
   `find-snr --user 1 --target 1e-3` and `find-snr --user 3 --target 1e-3`
@@ -46,7 +48,7 @@ in and writes into OUTDIR:
   `find-snr --user 1 --target 1e-3 --lo 40 --hi 0`, a reversed bracket,
   and `find-w --user 1 --points -3`, a negative grid size.
 
-That is 184 files.  To check that a change moves no output, copy this
+That is 193 files.  To check that a change moves no output, copy this
 script into a checkout of the parent commit, snapshot both checkouts and
 compare with `diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes
 about 9-15 s on a 2-core machine, about 4 s of it in the extreme-SNR grid.
@@ -90,6 +92,7 @@ COMMANDS = {
     "simulate": ("simulate", ["--trials", "300000", "--seed", "4"]),
     "simulate-n_rt3": ("simulate", ["--trials", "300000", "--seed", "4",
                                     "--set", "n_rt=3"]),
+    "simulate-one-block": ("simulate", ["--trials", "100000", "--seed", "4"]),
     "analytic-m_sr1.5": ("analytic", ["--set", "m_sr=1.5"]),
     "find-snr-m_sr1.5": ("find-snr", ["--user", "2", "--target", "1e-3",
                                       "--set", "m_sr=1.5"]),
