@@ -458,13 +458,13 @@ def _digits(cond) -> int:
     return int(mp.ceil(mp.log10(cond))) + _DOUBLE_DIGITS
 
 
-def _first_hop_head(config: SystemConfig, tau: float) -> float:
-    """F_sr(tau*)^N, the chance that even the best first-hop pair is below tau*.
+def _first_hop_head(config: SystemConfig, y: float) -> float:
+    """F_sr(tau*)^N, the chance that even the best first-hop pair is below tau*,
+    from Y = (m_sr / omega_sr) tau*.
 
     The OP is this plus a positive integral, so it bounds the OP from below.
     """
-    return (special.gammainc(config.m_sr, config.m_sr / config.omega_sr * tau)
-            ** (config.n_s * config.n_rr))
+    return special.gammainc(config.m_sr, y) ** (config.n_s * config.n_rr)
 
 
 def _int_m(m) -> int:
@@ -473,8 +473,7 @@ def _int_m(m) -> int:
     return int(m)
 
 
-def _closed_form(k: int, config: SystemConfig, tau: float, table, x, y, total,
-                 abs_total) -> float:
+def _closed_form(k: int, config: SystemConfig, table, x, y, total, abs_total) -> float:
     """The closed form at the precision its own cancellation calls for, in [0, 1].
 
     Takes a point of _points and its float sums, sum t and sum |t|.  The
@@ -498,7 +497,7 @@ def _closed_form(k: int, config: SystemConfig, tau: float, table, x, y, total,
         cond = _condition(total, abs_total, mp.fp.eps)
         if _FLOAT_TERM_ERR * cond <= _REL_TOL:
             return _clamp(total)
-    head = _first_hop_head(config, tau)
+    head = _first_hop_head(config, y)
     if finite:
         max_dps = _digits(mp.mpf(abs_total) / math.ulp(0.0))
         if abs(total) < mp.fp.eps * abs_total and head >= sys.float_info.min:
@@ -541,7 +540,7 @@ def _points(k: int, configs):
     """(ops, points): each config checked and its tau* found, in order.
 
     ops[i] is 0.0 where config i's tau* is 0, 1.0 where it is infinite and
-    None elsewhere; points holds (i, config, tau*, table, X, Y) for each of
+    None elsewhere; points holds (i, config, table, X, Y) for each of
     the others, the closed form's term table, X and Y at config i.
     """
     ops, points = [], []
@@ -555,7 +554,7 @@ def _points(k: int, configs):
         else:
             table = _bessel_groups(k, _int_m(config.m_sr), _int_m(config.m_ru),
                                    config.n_s * config.n_rr, config.n_u)
-            points.append((len(ops), config, tau, table,
+            points.append((len(ops), config, table,
                            config.m_ru / config.omega_ru * config.c2 / config.c1,
                            config.m_sr / config.omega_sr * tau))
             ops.append(None)
@@ -584,15 +583,15 @@ def op_closed_form_batch(k: int, configs) -> list:
     """
     ops, points = _points(k, configs)
     sums = []
-    for _, run in groupby(points, key=lambda point: id(point[3])):
+    for _, run in groupby(points, key=lambda point: id(point[2])):
         run = list(run)
-        table = run[0][3]
+        table = run[0][2]
         step = max(1, _BATCH_TERMS // len(table.s))
         for start in range(0, len(run), step):
             part = run[start:start + step]
-            sums += _closed_form_sums(table, [p[4] for p in part], [p[5] for p in part])
-    for (i, config, tau, table, x, y), point_sums in zip(points, sums):
-        ops[i] = _closed_form(k, config, tau, table, x, y, *point_sums)
+            sums += _closed_form_sums(table, [p[3] for p in part], [p[4] for p in part])
+    for (i, config, table, x, y), point_sums in zip(points, sums):
+        ops[i] = _closed_form(k, config, table, x, y, *point_sums)
     return ops
 
 
@@ -610,11 +609,11 @@ def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
     took 41 ms in place of 30 on a 2-core Xeon.
     """
     (op,), points = _points(k, (config,))
-    for _, _, tau, table, x, y in points:
+    for _, _, table, x, y in points:
         ((total, abs_total),) = _closed_form_sums(table, (x,), (y,))
         if abs(total - target) > _SIDE_MARGIN * _FLOAT_TERM_ERR * abs_total:
             return 1 if total > target else -1
-        op = _closed_form(k, config, tau, table, x, y, total, abs_total)
+        op = _closed_form(k, config, table, x, y, total, abs_total)
     return (op > target) - (op < target)
 
 
@@ -811,7 +810,7 @@ def op_numerical(k: int, config: SystemConfig) -> float:
 
     # choose the upper limit so the neglected first-hop tail mass is < 1e-14
     x_max = (om_sr / m_sr) * special.gammainccinv(m_sr, 1e-15 / n)
-    head = _first_hop_head(config, tau)
+    head = _first_hop_head(config, b_sr * tau)
     if x_max <= tau:
         return head
     # F_sr(x) / x^m_sr falls with x, so the mass below y_lo, at most

@@ -183,8 +183,11 @@ def _grid(start: float, stop: float, points: int, spacing: str) -> np.ndarray:
 def write_output(lines, out: str | None) -> None:
     text = "\n".join([CSV_HEADER, *lines]) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -237,7 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # main's exit code for each error it reports, the first match winning:
 # InfeasibleConfigError and UnsupportedModelError are ValueErrors, and any
-# other ValueError is an argument the library rejects
+# other ValueError is an argument the library rejects or an --out path that
+# cannot be written
 _EXIT_CODES = (
     (InfeasibleConfigError, EXIT_INFEASIBLE),
     (UnsupportedModelError, EXIT_UNSUPPORTED),

@@ -1,5 +1,14 @@
 """EH relay signal model: power splitting, SINR and outage thresholds.
 
+A user of rank k decodes the messages of ranks l = 1..k in turn (SIC), stage
+l at SINR gamma g a_l / (gamma g Sigma_l + c1 g_ru + c2), with g the product
+of the two hops' gains.  Sigma_l = xi sum_{i<l} a_i + sum_{i>l} a_i is the
+interference left at stage l: the fraction xi of the messages already
+cancelled plus the messages not yet decoded.  Stage l can succeed only when
+its margin a_l - Sigma_l gamma_th_l is positive.  SystemConfig.stages holds
+(a_l, Sigma_l, gamma_th_l, margin) for every stage, worked out once per
+config; tau*, the feasibility checks and the Monte Carlo kernel all read it.
+
 It also holds the package's error types, so that the CLI can map each to its
 exit code without importing the analytic engine.
 """
@@ -51,6 +60,9 @@ class SystemConfig:
     which must also be > 0.  The Nakagami figures m_sr and m_ru must be
     >= 0.5; the closed form also needs them integer.  The antenna counts
     must be positive integers, of any integer type, and are stored as int.
+
+    `stages` holds the detection stages of the module docstring.  It is
+    derived, not a field: no scenario key, and not part of == or hash.
     """
 
     a: tuple = (0.6, 0.3, 0.1)
@@ -119,6 +131,11 @@ class SystemConfig:
             raise ValueError(
                 f"snr_db={self.snr_db}, d_sr={self.d_sr} and alpha={self.alpha} give a "
                 "linear SNR or mean channel gain that is not a finite double > 0")
+        stages = []
+        for i, (a_l, th) in enumerate(zip(a, gamma_th)):
+            sigma = self.xi * sum(a[:i]) + sum(a[i + 1:])
+            stages.append((a_l, sigma, th, a_l - sigma * th))
+        object.__setattr__(self, "stages", tuple(stages))
 
     @property
     def k_users(self) -> int:
@@ -144,56 +161,36 @@ class SystemConfig:
     def omega_ru(self) -> float:
         return (1.0 - self.d_sr) ** -self.alpha
 
-    def residual_interference(self, l: int) -> float:
-        """Sigma_l: imperfect-SIC residue of earlier users plus undetected later users."""
-        if not 1 <= l <= self.k_users:
-            raise ValueError(f"stage l={l} out of range")
-        return self.xi * sum(self.a[: l - 1]) + sum(self.a[l:])
-
-    def stage_margin(self, l: int) -> float:
-        """a_l - Sigma_l * gamma_th_l; must be positive for stage l to be decodable."""
-        return self.a[l - 1] - self.residual_interference(l) * self.gamma_th[l - 1]
-
     def check_feasible(self) -> None:
         """Raise InfeasibleConfigError on the first nonpositive stage margin."""
-        for l in range(1, self.k_users + 1):
-            m = self.stage_margin(l)
-            if m <= 0:
-                raise InfeasibleConfigError(l, m)
+        for l, (*_, margin) in enumerate(self.stages, 1):
+            if margin <= 0:
+                raise InfeasibleConfigError(l, margin)
 
     @property
     def feasible(self) -> bool:
-        try:
-            self.check_feasible()
-        except InfeasibleConfigError:
-            return False
-        return True
+        return all(margin > 0 for *_, margin in self.stages)
 
 
 def tau_star(k: int, config: SystemConfig) -> float:
     """Effective first-hop gain threshold for the rank-k user.
 
-    max over stages l <= k of gamma_th_l * c1 / (gamma * (a_l - Sigma_l*gamma_th_l)).
-    With first-hop gain g_sr and second-hop gain g_ru, the rank-k user detects
-    the rank-l message at SINR
-        gamma * g_sr * g_ru * a_l / (gamma * g_sr * g_ru * Sigma_l + c1 * g_ru + c2),
-    the relay's high-SNR amplification factor sqrt(zeta*w/(1-w)) being inside
-    c1 and c2.  The c1 factor belongs in the threshold: with it, the pair of
-    events {g_ru < tau*c2/(c1*(g_sr - tau))} and {g_sr <= tau} is exactly the
-    union over l <= k of {SINR_l < gamma_th_l}.  Only stages l <= k need be
-    decodable; the first that is not raises InfeasibleConfigError.
+    max over stages l <= k of gamma_th_l * c1 / (gamma * margin_l), each
+    stage's threshold and margin read from config.stages.  Take the stage
+    SINR of the module docstring with g = g_sr * g_ru, the first- and
+    second-hop gains, the relay's high-SNR amplification factor
+    sqrt(zeta*w/(1-w)) being inside c1 and c2.  The c1 factor belongs in the
+    threshold: with it, the pair of events {g_ru < tau*c2/(c1*(g_sr - tau))}
+    and {g_sr <= tau} is exactly the union over l <= k of
+    {SINR_l < gamma_th_l}.  Only stages l <= k need be decodable; the first
+    that is not raises InfeasibleConfigError.
     """
     if not 1 <= k <= config.k_users:
         raise ValueError(f"need 1 <= k <= K, got k={k} with K={config.k_users}")
     gam, c1 = config.snr_linear, config.c1
-    a, gamma_th, xi = config.a, config.gamma_th, config.xi
     vals = []
-    for l in range(1, k + 1):
-        # config.stage_margin(l), inline: the method call made a rank-3
-        # tau* 5.0 us in place of 4.0 on a 2-core Xeon, and each search
-        # probe and w-grid point finds one
-        margin = a[l - 1] - (xi * sum(a[: l - 1]) + sum(a[l:])) * gamma_th[l - 1]
+    for l, (_, _, th, margin) in enumerate(config.stages[:k], 1):
         if margin <= 0:
             raise InfeasibleConfigError(l, margin)
-        vals.append(gamma_th[l - 1] * c1 / (gam * margin))
+        vals.append(th * c1 / (gam * margin))
     return max(vals)

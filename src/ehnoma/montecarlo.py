@@ -157,8 +157,6 @@ def simulate_block(config: SystemConfig, seed: int, block: int, n: int) -> np.nd
     """Outage counts per user rank for one block of n trials."""
     rng = _block_rng(seed, block)
     k_users, n_rt = config.k_users, config.n_rt
-    stages = [(config.a[l - 1], config.residual_interference(l), config.gamma_th[l - 1])
-              for l in range(1, k_users + 1)]
     c1, c2 = config.c1, config.c2
 
     g_sr = _max_of_iid(rng, config.m_sr, config.omega_sr, config.n_s * config.n_rr,
@@ -174,7 +172,7 @@ def simulate_block(config: SystemConfig, seed: int, block: int, n: int) -> np.nd
         # rank k is in outage when any stage l <= k fails, so stage l
         # tests the rows of ranks l and up
         bad = np.zeros(y.shape, dtype=bool)
-        for l, (a_l, s, th) in enumerate(stages):
+        for l, (a_l, s, th, _) in enumerate(config.stages):
             bad[l:] |= xy[l:] * a_l < th * (xy[l:] * s + c1y[l:] + c2)
         out += np.count_nonzero(bad, axis=1)
     return out

@@ -25,10 +25,11 @@ def sinr(l, k, g_sr, g_ru_k, config):
         raise ValueError("gains must be nonnegative")
     if g_sr == 0 or g_ru_k == 0:
         return 0.0
-    gam = config.snr_linear
-    num = gam * g_sr * g_ru_k * config.a[l - 1]
-    den = (gam * g_sr * g_ru_k * config.residual_interference(l)
-           + config.c1 * g_ru_k + config.c2)
+    gam, a = config.snr_linear, config.a
+    # Sigma_l: the residue xi of the cancelled messages and the undecoded ones
+    sigma = config.xi * sum(a[: l - 1]) + sum(a[l:])
+    num = gam * g_sr * g_ru_k * a[l - 1]
+    den = gam * g_sr * g_ru_k * sigma + config.c1 * g_ru_k + config.c2
     return num / den
 
 

@@ -247,7 +247,7 @@ class TestGaussKronrod:
 
 def table_point(k, config):
     """The closed form's (table, X, Y) at config, from its one point of _points."""
-    ((_, _, _, table, x, y),) = analysis._points(k, [config])[1]
+    ((_, _, table, x, y),) = analysis._points(k, [config])[1]
     return table, x, y
 
 
@@ -399,7 +399,7 @@ class TestClosedForm:
         # rounding noise, far below half the smallest subnormal: the OP
         # rounds to 0, as the quadrature's does
         c = SystemConfig(**kwargs)
-        assert analysis._first_hop_head(c, tau_star(k, c)) == 0.0
+        assert analysis._first_hop_head(c, c.m_sr / c.omega_sr * tau_star(k, c)) == 0.0
         assert op_closed_form(k, c) == 0.0 == op_numerical(k, c)
 
     def test_unresolved_passes_double_their_digits(self, monkeypatch):
@@ -576,7 +576,8 @@ class TestClosedForm:
     @settings(max_examples=30, deadline=None)
     def test_first_hop_head_bounds_op(self, m_sr, m_ru, k, snr, w, xi):
         c = SystemConfig(m_sr=m_sr, m_ru=m_ru, snr_db=snr, w=w, xi=xi)
-        assert analysis._first_hop_head(c, tau_star(k, c)) <= op_closed_form(k, c)
+        head = analysis._first_hop_head(c, c.m_sr / c.omega_sr * tau_star(k, c))
+        assert head <= op_closed_form(k, c)
 
     def test_imperfect_sic_leaves_rank_one_unchanged(self):
         base = op_closed_form(1, SystemConfig(xi=0.0, snr_db=25))
@@ -636,7 +637,7 @@ class TestBucketSums:
             configs = [SystemConfig(m_sr=m, m_ru=m, snr_db=snr, xi=xi)
                        for snr in range(0, 121, 10)]
             points = analysis._points(k, configs)[1]
-            table, xs, ys = points[0][3], [p[4] for p in points], [p[5] for p in points]
+            table, xs, ys = points[0][2], [p[3] for p in points], [p[4] for p in points]
             terms = analysis._closed_form_terms(table, xs, ys)
             assert np.isfinite(terms).all()
             assert np.abs(terms).max() < analysis._SPLIT_GUARD

@@ -94,6 +94,10 @@ class TestScenarioFormat:
         with pytest.raises(ScenarioParseError, match="unknown"):
             parse_scenario("snr = 20\n")
 
+    def test_derived_stages_not_a_key(self):
+        with pytest.raises(ScenarioParseError, match=r"unknown scenario keys: \['stages'\]"):
+            parse_scenario("stages = 1\n")
+
     def test_invalid_config_value(self):
         with pytest.raises(ScenarioParseError):
             parse_scenario("w = 1.5\n")
@@ -426,6 +430,14 @@ class TestMain:
         bad.write_text("nonsense\n")
         assert main(["analytic", str(bad)]) == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dest", ["missing/res.csv", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_out_exit(self, tmp_path, capsys, dest):
+        path = write_scenario(tmp_path)
+        assert main(["analytic", path, "--out", str(tmp_path / dest)]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write output: ") and len(err.splitlines()) == 1
 
     def test_missing_scenario_exit(self, tmp_path, capsys):
         assert main(["analytic", str(tmp_path / "nonexistent.scn")]) == EXIT_PARSE

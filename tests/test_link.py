@@ -1,5 +1,8 @@
 """Signal model: config validation, SINR algebra, threshold/event identity."""
 
+import math
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,23 +71,64 @@ class TestSystemConfigValidation:
 class TestResidualInterference:
     def test_perfect_sic(self):
         c = SystemConfig(xi=0.0)
-        assert c.residual_interference(1) == pytest.approx(0.4)
-        assert c.residual_interference(2) == pytest.approx(0.1)
-        assert c.residual_interference(3) == pytest.approx(0.0)
+        assert [sigma for _, sigma, _, _ in c.stages] == pytest.approx([0.4, 0.1, 0.0])
 
     def test_imperfect_sic(self):
         c = SystemConfig(xi=0.05)
-        assert c.residual_interference(2) == pytest.approx(0.1 + 0.05 * 0.6)
-        assert c.residual_interference(3) == pytest.approx(0.05 * 0.9)
+        assert c.stages[1][1] == pytest.approx(0.1 + 0.05 * 0.6)
+        assert c.stages[2][1] == pytest.approx(0.05 * 0.9)
 
-    def test_stage_out_of_range(self):
-        with pytest.raises(ValueError):
-            SystemConfig().residual_interference(4)
-
-    def test_stage_margin(self):
+    def test_margin(self):
         c = SystemConfig()
-        assert c.stage_margin(1) == pytest.approx(0.6 - 0.4 * 1.4)
-        assert c.stage_margin(3) == pytest.approx(0.1)
+        assert c.stages[0][3] == pytest.approx(0.6 - 0.4 * 1.4)
+        assert c.stages[2][3] == pytest.approx(0.1)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_stages_match_per_stage_expressions(self, data):
+        """Each stage's doubles are those of the per-stage expressions, and
+        tau_star and check_feasible stop at the same first infeasible stage."""
+        k_users = data.draw(st.integers(1, 5))
+        raw = sorted(data.draw(st.lists(st.floats(0.01, 1.0), min_size=k_users,
+                                        max_size=k_users)), reverse=True)
+        a = tuple(x / math.fsum(raw) for x in raw)
+        gamma_th = tuple(data.draw(st.lists(st.floats(0.0, 5.0), min_size=k_users,
+                                            max_size=k_users)))
+        xi = data.draw(st.floats(0.0, 1.0))
+        c = SystemConfig(a=a, gamma_th=gamma_th, xi=xi)
+        expect = []
+        for l in range(1, k_users + 1):
+            sigma = xi * sum(a[: l - 1]) + sum(a[l:])
+            expect.append((a[l - 1], sigma, gamma_th[l - 1],
+                           a[l - 1] - sigma * gamma_th[l - 1]))
+        assert [[v.hex() for v in stage] for stage in c.stages] == [
+            [v.hex() for v in stage] for stage in expect]
+        first_bad = next((l for l, stage in enumerate(expect, 1) if stage[3] <= 0), None)
+        assert c.feasible == (first_bad is None)
+        if first_bad is None:
+            c.check_feasible()
+            assert tau_star(k_users, c) >= 0
+            return
+        with pytest.raises(InfeasibleConfigError) as checked:
+            c.check_feasible()
+        for k in range(1, k_users + 1):
+            if k < first_bad:
+                assert tau_star(k, c) >= 0
+                continue
+            with pytest.raises(InfeasibleConfigError) as found:
+                tau_star(k, c)
+            assert (found.value.stage, found.value.margin) == (
+                checked.value.stage, checked.value.margin) == (first_bad, expect[first_bad - 1][3])
+
+    def test_stages_not_a_field(self):
+        # stages is derived, so the fields, == and hash are SystemConfig's inputs alone
+        assert [f.name for f in fields(SystemConfig)] == [
+            "a", "gamma_th", "xi", "w", "zeta", "snr_db", "n_s", "n_rr", "n_rt", "n_u",
+            "d_sr", "alpha", "m_sr", "m_ru"]
+        c = SystemConfig(xi=0.02)
+        assert replace(c, snr_db=30.0) == SystemConfig(xi=0.02, snr_db=30.0)
+        assert c != SystemConfig(xi=0.03)
+        assert hash(c) == hash(tuple(getattr(c, f.name) for f in fields(c)))
 
 
 class TestFeasibility:

@@ -204,8 +204,8 @@ def full_matrix_outage_rate(c, n, g):
         xy = gam * g_sr * ranked[:, k - 1]
         out = np.zeros(n, dtype=bool)
         for l in range(1, k + 1):
-            sinr = (xy * c.a[l - 1] / (xy * c.residual_interference(l)
-                                       + c.c1 * ranked[:, k - 1] + c.c2))
+            sigma = c.xi * sum(c.a[: l - 1]) + sum(c.a[l:])
+            sinr = xy * c.a[l - 1] / (xy * sigma + c.c1 * ranked[:, k - 1] + c.c2)
             out |= sinr < c.gamma_th[l - 1]
         rates[k - 1] = out.mean()
     return rates

@@ -46,9 +46,12 @@ in and writes into OUTDIR:
   every row, the rank-1 search succeeds, as it needs only stage 1, and the
   rank-3 search fails on stage 2; and of two invalid inputs,
   `find-snr --user 1 --target 1e-3 --lo 40 --hi 0`, a reversed bracket,
-  and `find-w --user 1 --points -3`, a negative grid size.
+  and `find-w --user 1 --points -3`, a negative grid size;
+- `analytic-out-dir.txt`: the stdout, stderr and exit code of `analytic`
+  on `scenarios/perfect_sic.scn` with `--out scenarios`, a directory, which
+  cannot be written.
 
-That is 193 files.  To check that a change moves no output, copy this
+That is 194 files.  To check that a change moves no output, copy this
 script into a checkout of the parent commit, snapshot both checkouts and
 compare with `diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes
 about 9-15 s on a 2-core machine, about 4 s of it in the extreme-SNR grid.
@@ -186,6 +189,9 @@ def main(argv=None) -> int:
             code, out, err = run_cli([command, str(scn), *args])
             (outdir / f"{scn.stem}.{name}.txt").write_text(
                 f"exit {code}\nstdout:\n{out}stderr:\n{err}")
+    # a path relative to the checkout, so the message does not name OUTDIR
+    code, out, err = run_cli(["analytic", "scenarios/perfect_sic.scn", "--out", "scenarios"])
+    (outdir / "analytic-out-dir.txt").write_text(f"exit {code}\nstdout:\n{out}stderr:\n{err}")
     return 0
 
 
