@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import get_type_hints
 
@@ -180,24 +182,12 @@ def _grid(start: float, stop: float, points: int, spacing: str) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def write_output(lines, out: str | None) -> None:
-    text = "\n".join([CSV_HEADER, *lines]) + "\n"
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write output: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("scenario", help="scenario file path")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override a scenario value (repeatable)")
-    common.add_argument("--out", help="write CSV here instead of stdout")
+    common.add_argument("--out", help="write the output here instead of stdout")
 
     p = _Parser(prog="ehnoma",
                 description="Outage probability of an EH MIMO-NOMA "
@@ -240,8 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # main's exit code for each error it reports, the first match winning:
 # InfeasibleConfigError and UnsupportedModelError are ValueErrors, and any
-# other ValueError is an argument the library rejects or an --out path that
-# cannot be written
+# other ValueError is an argument the library rejects
 _EXIT_CODES = (
     (InfeasibleConfigError, EXIT_INFEASIBLE),
     (UnsupportedModelError, EXIT_UNSUPPORTED),
@@ -255,29 +244,39 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = load_scenario(args.scenario, args.set or ())
-        if args.command in ("analytic", "quadrature"):
-            write_output(_point_lines("scenario", "snr_db", config, (args.command,)),
-                         args.out)
-        elif args.command == "simulate":
-            config.check_feasible()
-            write_output(_point_lines("scenario", "snr_db", config, ("montecarlo",),
-                                      args.trials, args.seed), args.out)
-        elif args.command == "sweep":
-            values = _grid(args.start, args.stop, args.points, args.spacing)
-            methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-            write_output(run_sweep(config, args.var, values, methods,
-                                   args.trials, args.seed), args.out)
-        elif args.command == "find-snr":
-            from . import analysis
-            snr = analysis.find_snr_for_op(args.user, config, args.target, args.lo,
-                                           args.hi)
-            print(f"{snr:.2f}")
-        elif args.command == "find-w":
-            from . import analysis
-            # a negative count is an empty grid, which find_optimal_w rejects
-            grid = np.linspace(0.05, 0.95, max(args.points, 0))
-            w_star, op_star = analysis.find_optimal_w(args.user, config, grid)
-            print(f"{w_star:.4f} {op_star:.8e}")
+        # --out is opened before any point is computed, so a path that cannot
+        # be written fails first, and for appending, so a failed run leaves it
+        # as it was
+        with (open(args.out, "a", encoding="utf-8", newline="\n") if args.out
+              else nullcontext(sys.stdout)) as stream:
+            if args.command in ("analytic", "quadrature"):
+                lines = [CSV_HEADER, *_point_lines("scenario", "snr_db", config,
+                                                   (args.command,))]
+            elif args.command == "simulate":
+                config.check_feasible()
+                lines = [CSV_HEADER, *_point_lines("scenario", "snr_db", config,
+                                                   ("montecarlo",), args.trials, args.seed)]
+            elif args.command == "sweep":
+                values = _grid(args.start, args.stop, args.points, args.spacing)
+                methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
+                lines = [CSV_HEADER, *run_sweep(config, args.var, values, methods,
+                                                 args.trials, args.seed)]
+            elif args.command == "find-snr":
+                from . import analysis
+                lines = ["%.2f" % analysis.find_snr_for_op(args.user, config, args.target,
+                                                           args.lo, args.hi)]
+            elif args.command == "find-w":
+                from . import analysis
+                # a negative count is an empty grid, which find_optimal_w rejects
+                grid = np.linspace(0.05, 0.95, max(args.points, 0))
+                lines = ["%.4f %.8e" % analysis.find_optimal_w(args.user, config, grid)]
+            if args.out and os.fstat(stream.fileno()).st_size:
+                stream.truncate(0)  # now that the text is ready; never a device or pipe
+            stream.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        # load_scenario reports its own, so this one is opening or writing the output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except tuple(error for error, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES if isinstance(exc, error))

@@ -1,6 +1,7 @@
 """Scenario parsing, sweeps, searches, CSV output, exit codes and imports."""
 
 import math
+import os
 import re
 import subprocess
 import sys
@@ -30,7 +31,6 @@ from ehnoma.cli import (
     main,
     parse_scenario,
     run_sweep,
-    write_output,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -185,11 +185,12 @@ class TestRunSweep:
         assert "infeasible" not in by_value["0"]
 
     def test_csv_is_deterministic(self, tmp_path):
-        sweep = partial(run_sweep, SystemConfig(), "w", np.linspace(0.3, 0.7, 3),
-                        ("analytic", "montecarlo"), 5000, 0)
+        argv = ["sweep", write_scenario(tmp_path), "--var", "w", "--start", "0.3",
+                "--stop", "0.7", "--points", "3", "--methods", "analytic,montecarlo",
+                "--trials", "5000", "--seed", "0"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_output(sweep(), str(a))
-        write_output(sweep(), str(b))
+        assert main([*argv, "--out", str(a)]) == EXIT_OK
+        assert main([*argv, "--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().startswith(CSV_HEADER + "\n")
 
@@ -431,13 +432,56 @@ class TestMain:
         assert main(["analytic", str(bad)]) == EXIT_PARSE
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dest", ["missing/res.csv", "."], ids=["missing-dir", "dir"])
-    def test_unwritable_out_exit(self, tmp_path, capsys, dest):
-        path = write_scenario(tmp_path)
-        assert main(["analytic", path, "--out", str(tmp_path / dest)]) == EXIT_PARSE
+    @pytest.mark.parametrize("argv,dest", [
+        (["analytic"], "missing/res.csv"),
+        (["analytic"], "."),
+        (["sweep", "--var", "snr_db", "--start", "0", "--stop", "40", "--points", "5",
+          "--methods", "montecarlo", "--trials", "2000000"], "missing/res.csv"),
+    ], ids=["missing-dir", "dir", "sweep-montecarlo-missing-dir"])
+    def test_unwritable_out_exit(self, tmp_path, capsys, monkeypatch, argv, dest):
+        # --out is opened before any point is computed
+        def never_called(*args, **kwargs):
+            raise AssertionError("a point was computed before --out was opened")
+        monkeypatch.setattr(cli, "estimate_op", never_called)
+        monkeypatch.setattr(cli, "_point_lines", never_called)
+        command, *flags = argv
+        code = main([command, write_scenario(tmp_path), *flags, "--out", str(tmp_path / dest)])
+        assert code == EXIT_PARSE
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: cannot write output: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["find-snr", "--user", "1", "--target", "1e-2"],
+        ["find-w", "--user", "1", "--points", "11"],
+    ], ids=["find-snr", "find-w"])
+    def test_search_out_file(self, tmp_path, capsys, argv):
+        command, *flags = argv
+        run = [command, write_scenario(tmp_path), *flags]
+        assert main(run) == EXIT_OK
+        stdout = capsys.readouterr().out
+        dest = tmp_path / "answer.txt"
+        assert main([*run, "--out", str(dest)]) == EXIT_OK
+        assert capsys.readouterr() == ("", "")
+        assert dest.read_bytes() == stdout.encode()
+
+    def test_out_file_replaced_only_by_success(self, tmp_path, capsys):
+        path = write_scenario(tmp_path)
+        dest = tmp_path / "res.csv"
+        old = b"an earlier run's output\n" * 200
+        dest.write_bytes(old)
+        assert main(["simulate", path, "--set", "xi=0.1", "--trials", "2000",
+                     "--out", str(dest)]) == EXIT_INFEASIBLE
+        assert main(["find-snr", path, "--user", "1", "--target", "1e-3",
+                     "--lo", "40", "--hi", "0", "--out", str(dest)]) == EXIT_PARSE
+        assert dest.read_bytes() == old
+        capsys.readouterr()
+        assert main(["analytic", path]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert main(["analytic", path, "--out", str(dest)]) == EXIT_OK
+        assert dest.read_bytes() == stdout.encode()
+        # a device holds nothing and is written, not truncated
+        assert main(["analytic", path, "--out", os.devnull]) == EXIT_OK
 
     def test_missing_scenario_exit(self, tmp_path, capsys):
         assert main(["analytic", str(tmp_path / "nonexistent.scn")]) == EXIT_PARSE

@@ -69,12 +69,14 @@ def cpu_model() -> str:
 
 
 def revision(checkout: Path) -> dict:
-    """checkout's HEAD commit, and whether its tracked files differ from it."""
+    """checkout's HEAD commit, and whether a tracked file other than the
+    BENCH files this script writes differs from it."""
     def git(*args):
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
                               text=True).stdout.strip()
     return {"commit": git("rev-parse", "HEAD") or None,
-            "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no", "--",
+                              ".", ":(exclude)BENCH_*.json"))}
 
 
 def summary(values) -> tuple:

@@ -49,9 +49,22 @@ in and writes into OUTDIR:
   and `find-w --user 1 --points -3`, a negative grid size;
 - `analytic-out-dir.txt`: the stdout, stderr and exit code of `analytic`
   on `scenarios/perfect_sic.scn` with `--out scenarios`, a directory, which
-  cannot be written.
+  cannot be written;
+- `find-snr-out.txt` and `find-w-out.txt`: the files that
+  `find-snr --user 2 --target 1e-3` and `find-w --user 1` on
+  `scenarios/perfect_sic.scn` write with `--out`, and
+  `find-snr-out.streams.txt` and `find-w-out.streams.txt`: their stdout,
+  stderr and exit code;
+- `simulate-xi0.1-out.csv`: a file the script writes first, then passes as
+  `--out` to `simulate --set xi=0.1` on `scenarios/perfect_sic.scn`, which
+  fails on the infeasible stage and must leave it as it was, and
+  `simulate-xi0.1-out.streams.txt`: that run's stdout, stderr and exit code;
+- `sweep-mc-missing-dir.txt`: the stdout, stderr and exit code of the
+  Monte Carlo sweep above (snr_db 10-20, 300,000 trials) on
+  `scenarios/perfect_sic.scn` with `--out missing/x.csv`, in a directory
+  that does not exist.
 
-That is 194 files.  To check that a change moves no output, copy this
+That is 201 files.  To check that a change moves no output, copy this
 script into a checkout of the parent commit, snapshot both checkouts and
 compare with `diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes
 about 9-15 s on a 2-core machine, about 4 s of it in the extreme-SNR grid.
@@ -107,6 +120,11 @@ COMMANDS = {
     "find-snr-reversed": ("find-snr", ["--user", "1", "--target", "1e-3",
                                        "--lo", "40", "--hi", "0"]),
     "find-w-points-3": ("find-w", ["--user", "1", "--points", "-3"]),
+}
+# output file label: (command, arguments after the scenario), run with --out
+OUT_COMMANDS = {
+    "find-snr-out": ("find-snr", ["--user", "2", "--target", "1e-3"]),
+    "find-w-out": ("find-w", ["--user", "1"]),
 }
 
 
@@ -166,6 +184,12 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def record_cli(path: Path, argv) -> None:
+    """Write one CLI run's exit code, stdout and stderr to path."""
+    code, out, err = run_cli(argv)
+    path.write_text(f"exit {code}\nstdout:\n{out}stderr:\n{err}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -186,14 +210,20 @@ def main(argv=None) -> int:
             if code:
                 csv.write_text(f"exit {code}\n{out}{err}")
         for name, (command, args) in COMMANDS.items():
-            code, out, err = run_cli([command, str(scn), *args])
-            (outdir / f"{scn.stem}.{name}.txt").write_text(
-                f"exit {code}\nstdout:\n{out}stderr:\n{err}")
-    # a path relative to the checkout, so the message does not name OUTDIR
-    code, out, err = run_cli(["analytic", "scenarios/perfect_sic.scn", "--out", "scenarios"])
-    (outdir / "analytic-out-dir.txt").write_text(f"exit {code}\nstdout:\n{out}stderr:\n{err}")
+            record_cli(outdir / f"{scn.stem}.{name}.txt", [command, str(scn), *args])
+    scn = "scenarios/perfect_sic.scn"
+    # unwritable paths relative to the checkout, so the messages do not name OUTDIR
+    record_cli(outdir / "analytic-out-dir.txt", ["analytic", scn, "--out", "scenarios"])
+    record_cli(outdir / "sweep-mc-missing-dir.txt",
+               ["sweep", scn, *SWEEPS["mc"], "--out", "missing/x.csv"])
+    for name, (command, args) in OUT_COMMANDS.items():
+        record_cli(outdir / f"{name}.streams.txt",
+                   [command, scn, *args, "--out", str(outdir / f"{name}.txt")])
+    kept = outdir / "simulate-xi0.1-out.csv"
+    kept.write_text("written before the run\n")
+    record_cli(outdir / "simulate-xi0.1-out.streams.txt",
+               ["simulate", scn, "--set", "xi=0.1", "--trials", "100000", "--out", str(kept)])
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
