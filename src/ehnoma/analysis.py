@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, groupby, repeat
 from typing import NamedTuple
@@ -46,9 +45,6 @@ _QUAD_MAX_INTERVALS = 800
 # between its edges before refining: with 16, the op_curve points converge in
 # about 2 passes over 36 intervals, against 6 passes over 18 intervals uncut.
 _QUAD_PIECES = 16
-# Decimal digits a double needs to round-trip; the high-precision pass carries
-# this many beyond the digits the cancellation eats.
-_DOUBLE_DIGITS = 17
 # Most monomials a term table may hold.  Building and summing one peaks at
 # about 300 bytes a monomial (measured from 86k to 566k monomials), so this
 # keeps a table near 300 MB.
@@ -336,17 +332,17 @@ def _bucket_sums(terms):
                                                       signed, absolute))]
 
 
-def _working_bits(dps, t_lo, t_hi) -> int:
-    """Bits after the point that carry dps digits through K_n(t), t_lo <= t <= t_hi.
+def _working_bits(bits, t_lo, t_hi) -> int:
+    """Bits after the point that carry K_n(t), t_lo <= t <= t_hi, to 2^-bits of itself.
 
     The K series' terms grow like e^t while K falls like e^-t, so it needs
-    2 t log2(e) bits beyond the digits, plus 20 for its truncations, plus
+    2 t log2(e) bits beyond bits, plus 20 for its truncations, plus
     log2(1/t) for t < 1, which keeps t itself, and so every power of it,
-    to the digits.  Rounded up to a multiple of 32, so that the cached logs
-    of _half_log_gamma serve many calls.
+    to bits.  Rounded up to a multiple of 32, so that the cached logs of
+    _half_log_gamma serve many calls.
     """
-    bits = (math.ceil(dps * math.log2(10)) + math.ceil(2 * t_hi * math.log2(math.e))
-            + 20 + max(0, math.ceil(-math.log2(t_lo))))
+    bits += (math.ceil(2 * t_hi * math.log2(math.e)) + 20
+             + max(0, math.ceil(-math.log2(t_lo))))
     return -(-bits // 32) * 32
 
 
@@ -395,8 +391,9 @@ def _bessel_k(t, ell, wp, top):
     return kv
 
 
-def _exact_sum(table, x, y, dps):
-    """(sum t, sum over rows |t|) as Fractions, good to dps digits of sum|t|.
+def _exact_sum(table, x, y, bits):
+    """(sum t, sum over rows |t|, wp): the sums as integers in units of 2^-wp,
+    good to 2^-bits of sum|t|.
 
     X = ax 2^-ex and Y = ay 2^-ey are doubles, so each row's polynomial
     sum c X^s Y^j is an exact integer over den 2^(ex s_top + ey j_top).  With
@@ -413,7 +410,7 @@ def _exact_sum(table, x, y, dps):
     ex, ey = dx.bit_length() - 1, dy.bit_length() - 1
     pus = table.pu.tolist()
     t_lo, t_hi = (2 * math.sqrt(n) * math.sqrt(x) * math.sqrt(y) for n in (pus[0], pus[-1]))
-    wp = _working_bits(dps, t_lo, t_hi)
+    wp = _working_bits(bits, t_lo, t_hi)
     one = 1 << wp
     with mp.workprec(wp + 20):
         half_log_xy = int(mp.ldexp(mp.log(mp.mpf(x) * y), wp - 1))
@@ -442,20 +439,21 @@ def _exact_sum(table, x, y, dps):
         term = (num << shift) // den if shift >= 0 else num // (den << -shift)
         total += term
         abs_total += abs(term)
-    return Fraction(total, one), Fraction(abs_total, one)
+    return total, abs_total, wp
 
 
-def _condition(total, abs_total, eps):
-    """Summation condition number sum|t| / |sum t| (Higham, ch. 4).
+def _bits(a, b) -> int:
+    """ceil(log2(a / b)) + 57 for positive ints or doubles a and b.
 
-    A sum below its own rounding noise eps * sum|t| is unresolved, and all the
-    measurement can say is that the condition is at least 1/eps.
+    The bits after the point that give a sum of condition number
+    a / b = sum|t| / |sum t| (Higham, ch. 4) to a double and beyond:
+    2^-57 is below 1e-17.  Decided exactly on the integers' bit lengths,
+    as a / b lies in (2^(e-1), 2^(e+1)) for e their difference.
     """
-    return abs_total / max(abs(total), eps * abs_total)
-
-
-def _digits(cond) -> int:
-    return int(mp.ceil(mp.log10(cond))) + _DOUBLE_DIGITS
+    (a, a_den), (b, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
+    a, b = a * b_den, b * a_den
+    e = a.bit_length() - b.bit_length()
+    return e + (a > b << e if e >= 0 else a << -e > b) + 57
 
 
 def _first_hop_head(config: SystemConfig, y: float) -> float:
@@ -479,50 +477,57 @@ def _closed_form(k: int, config: SystemConfig, table, x, y, total, abs_total) ->
     Takes a point of _points and its float sums, sum t and sum |t|.  The
     float sum is returned when its error bound, measured from the
     summation condition number, is inside _REL_TOL.  Otherwise the same terms
-    are summed exactly by _exact_sum to log10(condition) + 17 digits, adding
-    digits until they cover the condition that pass measures (at least
-    doubling them while a pass's sum is below its own noise), up to the
-    digits that put its rounding noise 17 digits below the smallest
-    subnormal, so that a subnormal OP is resolved too.  A float sum below its
-    own rounding noise measures no condition; then the OP's lower bound
+    are summed exactly by _exact_sum to _bits(condition) bits after the
+    point, log2(condition) + 57, adding bits until they cover the condition
+    that pass measures (at least doubling them while a pass's sum is below
+    its own noise).  The first exact pass's own sum|t| sets the most bits:
+    those that put its rounding noise 57 bits below the smallest subnormal,
+    so that a subnormal OP is resolved too.  A float sum below its own
+    rounding noise measures no condition; then the OP's lower bound
     F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.  Float terms
     that overflow measure nothing either: a bound that rounds to 1 gives
-    OP 1, and otherwise the exact pass starts from a double's digits.  A sum
-    still unresolved at the most digits is an OP that rounds to 0 when that
+    OP 1, and otherwise the exact pass starts from a double's 57 bits.  A
+    sum still unresolved at the most bits is an OP that rounds to 0 when that
     bound underflows to 0 and the sum and its noise lie within half the
-    smallest subnormal; otherwise it raises UnresolvedNumericsError.
+    smallest subnormal; otherwise it raises UnresolvedNumericsError.  The
+    exact pass's integers decide every step, and its sum becomes a double by
+    int true division, which rounds correctly.
     """
     finite = math.isfinite(abs_total)
     if finite:
-        cond = _condition(total, abs_total, mp.fp.eps)
-        if _FLOAT_TERM_ERR * cond <= _REL_TOL:
+        noise = sys.float_info.epsilon * abs_total
+        if _FLOAT_TERM_ERR * (abs_total / max(abs(total), noise)) <= _REL_TOL:
             return _clamp(total)
     head = _first_hop_head(config, y)
     if finite:
-        max_dps = _digits(mp.mpf(abs_total) / math.ulp(0.0))
-        if abs(total) < mp.fp.eps * abs_total and head >= sys.float_info.min:
-            cond = mp.mpf(abs_total) / head
-        dps = _digits(cond)
+        if abs(total) < noise and head >= sys.float_info.min:
+            bits = _bits(abs_total, head)
+        else:
+            bits = _bits(abs_total, max(abs(total), noise))
     elif head == 1.0:
         return 1.0
-    else:  # the exact pass's own sum|t| sets max_dps
-        dps, max_dps = _DOUBLE_DIGITS, math.inf
+    else:  # no condition measured: a double's bits
+        bits = _bits(1, 1)
+    cap = None
     while True:
-        total, abs_total = _exact_sum(table, x, y, dps)
-        need = _digits(_condition(total, abs_total, Fraction(1, 10**dps)))
-        if need <= dps:
-            return _clamp(float(total))
-        if math.isinf(max_dps):
-            max_dps = _digits(abs_total / Fraction(math.ulp(0.0)))
-        if dps >= max_dps:
+        total, abs_total, wp = _exact_sum(table, x, y, bits)
+        # |sum t| and its noise, 2^-bits of sum|t|, both times 2^bits
+        scaled = abs(total) << bits
+        need = _bits(abs_total << bits, max(scaled, abs_total))
+        if need <= bits:
+            return _clamp(total / (1 << wp))
+        # sum|t| over the smallest subnormal, 2^-1074
+        cap = cap or _bits(abs_total, 1 << wp) + 1074
+        if bits >= cap:
             break
-        if abs(total) * 10**dps < abs_total:  # below its noise: need is no measure
-            need = max(need, 2 * dps)
-        dps = min(need, max_dps)
-    if head == 0.0 and abs(total) + abs_total / 10**dps <= Fraction(math.ulp(0.0)) / 2:
+        if scaled < abs_total:  # below its noise: need is no measure
+            need = max(need, 2 * bits)
+        bits = min(need, cap)
+    # the sum and its noise within half the smallest subnormal, 2^-1075
+    if head == 0.0 and scaled + abs_total <= 1 << (wp + bits - 1075):
         return 0.0
     raise UnresolvedNumericsError(
-        f"closed-form OP for k={k} unresolved within {max_dps} digits")
+        f"closed-form OP for k={k} unresolved within {cap} bits")
 
 
 def _clamp(op: float) -> float:

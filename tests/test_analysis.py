@@ -298,9 +298,10 @@ class TestClosedForm:
 
     def test_unresolved_sum_raises(self, monkeypatch):
         # terms that cancel exactly stay below the rounding noise at any
-        # precision; the evaluator must refuse rather than return a value
+        # precision; the evaluator must refuse rather than return a value.
+        # The sums are 0 and 2 in units of 2^-wp, here wp = bits
         monkeypatch.setattr(analysis, "_exact_sum",
-                            lambda *args: (Fraction(0), Fraction(2)))
+                            lambda table, x, y, bits: (0, 2 << bits, bits))
         with pytest.raises(ArithmeticError):
             op_closed_form(2, SystemConfig(snr_db=60))
 
@@ -404,8 +405,8 @@ class TestClosedForm:
 
     def test_unresolved_passes_double_their_digits(self, monkeypatch):
         # each exact pass leaves the sum below its own noise, so the next
-        # doubles the digits up to the cap (345 here) instead of adding 17:
-        # 6 passes where adding 17 at a time took 21
+        # doubles the bits up to the cap (1146 here) instead of adding 57:
+        # 6 passes where adding 57 at a time took 21
         c = SystemConfig(m_sr=3, m_ru=3, snr_db=600)
         passes = []
         real = analysis._exact_sum
@@ -416,10 +417,10 @@ class TestClosedForm:
 
         monkeypatch.setattr(analysis, "_exact_sum", counting)
         assert op_closed_form(2, c) == 0.0
-        assert passes == [17, 34, 68, 136, 272, 345]
+        assert passes == [57, 114, 228, 456, 912, 1146]
 
     def test_subnormal_op_resolved(self):
-        # an OP of 4e-317 takes digits down to the smallest subnormal
+        # an OP of 4e-317 takes bits down to the smallest subnormal
         c = SystemConfig(m_sr=2, m_ru=2, snr_db=800)
         op = op_closed_form(1, c)
         assert 0.0 < op < sys.float_info.min
@@ -433,7 +434,7 @@ class TestClosedForm:
         # the float terms overflow (to inf of both signs at m_ru=4, in the
         # float power (p X / ((1+u) Y))^(nu/2) at m=3) while the OP is
         # 4e-237, 2e-75 or below the doubles: the exact pass, whose exponents
-        # are unbounded, gives it
+        # are unbounded, gives it, starting from a double's 57 bits
         c = SystemConfig(**kwargs)
         assert not math.isfinite(float_sums(k, c)[1])
         passes = []
@@ -445,7 +446,7 @@ class TestClosedForm:
 
         monkeypatch.setattr(analysis, "_exact_sum", counting)
         assert op_closed_form(k, c) == pytest.approx(op_numerical(k, c), rel=1e-6)
-        assert passes[0] == analysis._DOUBLE_DIGITS
+        assert passes[0] == 57
 
     def test_table_size_counts_before_cancellation(self):
         # exact where no coefficient cancels, an upper bound elsewhere
@@ -521,7 +522,7 @@ class TestClosedForm:
             return real(t, ell, wp, top)
 
         monkeypatch.setattr(analysis, "_bessel_k", counting)
-        analysis._exact_sum(table, x, y, 40)
+        analysis._exact_sum(table, x, y, 133)
         assert len(tops) == count == len(set((table.p * table.one_u).tolist()))
         assert tops == [max(abs(nu) for nu, g in zip(table.nu.tolist(), table.group.tolist())
                             if table.p[g] * table.one_u[g] == pu)
@@ -530,14 +531,15 @@ class TestClosedForm:
     @pytest.mark.parametrize("key", [(3, 2, 2, 4, 2), (3, 3, 3, 4, 2)])
     def test_bessel_recurrence_matches_besselk(self, key):
         # every order the table uses, at the Bessel arguments of a deep point,
-        # where the exact pass runs, and at the bits it would use for 40 digits
+        # where the exact pass runs, and at the bits it would use for 40
+        # digits, ceil(40 log2(10)) = 133 bits
         table = analysis._bessel_groups(*key)
         c = SystemConfig(snr_db=60, m_sr=key[1], m_ru=key[2])
         x = c.m_ru / c.omega_ru * c.c2 / c.c1
         y = c.m_sr / c.omega_sr * tau_star(key[0], c)
         pus = (table.p * table.one_u).tolist()
-        wp = analysis._working_bits(40, *(2 * math.sqrt(n * x * y)
-                                          for n in (min(pus), max(pus))))
+        wp = analysis._working_bits(133, *(2 * math.sqrt(n * x * y)
+                                           for n in (min(pus), max(pus))))
         with mp.workprec(wp + 20):
             for g, pu in enumerate(pus):
                 t = mp.ldexp(int(mp.ldexp(2 * mp.sqrt(mp.mpf(pu) * x * y), wp)), -wp)
@@ -551,12 +553,13 @@ class TestClosedForm:
     @pytest.mark.parametrize("dps", [20, 40, 60, 100])
     def test_series_matches_besselk(self, dps):
         # both ends of the series' range: cancellation-free near 0, and
-        # terms e^(2t) above the result at t = 60
+        # terms e^(2t) above the result at t = 60, at the bits of dps digits
         with mp.workdps(dps):
             tol = 4 * mp.eps
+        bits = math.ceil(dps * math.log2(10))
         for i in range(40):
             t = 1e-4 * 6e5 ** (i / 39)
-            wp = analysis._working_bits(dps, t, t)
+            wp = analysis._working_bits(bits, t, t)
             # t to the pass's bits, and everything else beyond them
             with mp.workprec(wp + 20):
                 t = mp.ldexp(int(mp.ldexp(t, wp)), -wp)
@@ -565,6 +568,28 @@ class TestClosedForm:
                 for n in (0, 1):
                     exact = mp.besselk(n, t)
                     assert abs(mp.ldexp(kv[n], -wp) - exact) <= tol * exact, (n, t)
+
+    def test_bits_is_exact_log2_ceiling(self):
+        # ceil(log2(a / b)) + 57 just below, at and just above powers of
+        # two, on ints and on doubles, against a count on Fractions
+        def expect(q):
+            n = q.numerator.bit_length() - q.denominator.bit_length()
+            while Fraction(2) ** n < q:
+                n += 1
+            while Fraction(2) ** (n - 1) >= q:
+                n -= 1
+            return n + 57
+
+        for n, d, delta in itertools.product(range(-1100, 1101, 73), (1, 3, 2**60 + 1),
+                                             (-1, 0, 1)):
+            q = Fraction(2) ** n * Fraction(d + delta, d)
+            if q:
+                assert analysis._bits(q.numerator, q.denominator) == expect(q), (n, d, delta)
+        near_one = (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0))
+        for n, m, b in itertools.product(range(-1000, 1001, 125), near_one,
+                                         (1.0, 0.75, math.nextafter(0.5, 1.0), math.ulp(0.0))):
+            a = math.ldexp(m, n)
+            assert analysis._bits(a, b) == expect(Fraction(a) / Fraction(b)), (a, b)
 
     @pytest.mark.parametrize("kwargs,k,expect", GOLDEN_DOUBLES)
     def test_golden_doubles(self, kwargs, k, expect):

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from dataclasses import fields, replace
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import get_type_hints
@@ -672,7 +671,7 @@ class TestMain:
         monkeypatch.setattr(analysis, "_closed_form_sums",
                             lambda table, xs, ys: [(0.0, 2.0)] * len(xs))
         monkeypatch.setattr(analysis, "_exact_sum",
-                            lambda *args: (Fraction(0), Fraction(2)))
+                            lambda table, x, y, bits: (0, 2 << bits, bits))
         path = str(SCENARIO_DIR / "perfect_sic.scn")
         code = main(["sweep", path, "--var", "snr_db", "--start", "10",
                      "--stop", "10", "--points", "1",
