@@ -336,13 +336,12 @@ def _working_bits(bits, t_lo, t_hi) -> int:
     """Bits after the point that carry K_n(t), t_lo <= t <= t_hi, to 2^-bits of itself.
 
     The K series' terms grow like e^t while K falls like e^-t, so it needs
-    2 t log2(e) bits beyond bits, plus 20 for its truncations, plus
-    log2(1/t) for t < 1, which keeps t itself, and so every power of it,
-    to bits.  Rounded up to a multiple of 32, so that the cached logs of
+    2 t log2(e) more bits, plus 20 for its truncations, plus log2(1/t) for
+    t < 1, which keeps t itself, and so every power of it, to 2^-bits.
+    Rounded up to a multiple of 32, so that the cached logs of
     _half_log_gamma serve many calls.
     """
-    bits += (math.ceil(2 * t_hi * math.log2(math.e)) + 20
-             + max(0, math.ceil(-math.log2(t_lo))))
+    bits += math.ceil(2 * t_hi * math.log2(math.e)) + 20 + max(0, math.ceil(-math.log2(t_lo)))
     return -(-bits // 32) * 32
 
 
@@ -392,8 +391,7 @@ def _bessel_k(t, ell, wp, top):
 
 
 def _exact_sum(table, x, y, bits):
-    """(sum t, sum over rows |t|, wp): the sums as integers in units of 2^-wp,
-    good to 2^-bits of sum|t|.
+    """(sum t, sum over rows |t|, wp), integers in units of 2^-wp good to 2^-bits of sum|t|.
 
     X = ax 2^-ex and Y = ay 2^-ey are doubles, so each row's polynomial
     sum c X^s Y^j is an exact integer over den 2^(ex s_top + ey j_top).  With
@@ -443,13 +441,10 @@ def _exact_sum(table, x, y, bits):
 
 
 def _bits(a, b) -> int:
-    """ceil(log2(a / b)) + 57 for positive ints or doubles a and b.
-
-    The bits after the point that give a sum of condition number
-    a / b = sum|t| / |sum t| (Higham, ch. 4) to a double and beyond:
-    2^-57 is below 1e-17.  Decided exactly on the integers' bit lengths,
-    as a / b lies in (2^(e-1), 2^(e+1)) for e their difference.
-    """
+    """ceil(log2(a / b)) + 57, for positive ints or doubles a and b: the bits that
+    carry a sum of condition a / b = sum|t| / |sum t| (Higham, ch. 4) 57 bits past
+    its cancellation, and 2^-57 < 1e-17.  With e the difference of their bit
+    lengths, a / b lies in (2^(e-1), 2^(e+1)), so one comparison decides."""
     (a, a_den), (b, b_den) = a.as_integer_ratio(), b.as_integer_ratio()
     a, b = a * b_den, b * a_den
     e = a.bit_length() - b.bit_length()
@@ -476,34 +471,27 @@ def _closed_form(k: int, config: SystemConfig, table, x, y, total, abs_total) ->
 
     Takes a point of _points and its float sums, sum t and sum |t|.  The
     float sum is returned when its error bound, measured from the
-    summation condition number, is inside _REL_TOL.  Otherwise the same terms
-    are summed exactly by _exact_sum to _bits(condition) bits after the
-    point, log2(condition) + 57, adding bits until they cover the condition
-    that pass measures (at least doubling them while a pass's sum is below
-    its own noise).  The first exact pass's own sum|t| sets the most bits:
-    those that put its rounding noise 57 bits below the smallest subnormal,
-    so that a subnormal OP is resolved too.  A float sum below its own
-    rounding noise measures no condition; then the OP's lower bound
-    F_sr(tau*)^N bounds it instead, as sum|t| / F_sr(tau*)^N.  Float terms
-    that overflow measure nothing either: a bound that rounds to 1 gives
-    OP 1, and otherwise the exact pass starts from a double's 57 bits.  A
-    sum still unresolved at the most bits is an OP that rounds to 0 when that
-    bound underflows to 0 and the sum and its noise lie within half the
-    smallest subnormal; otherwise it raises UnresolvedNumericsError.  The
-    exact pass's integers decide every step, and its sum becomes a double by
-    int true division, which rounds correctly.
+    summation condition number, is inside _REL_TOL.  Otherwise _exact_sum
+    sums the same terms in integers to _bits(condition) bits, adding bits
+    until they cover the condition that pass measures (at least doubling
+    them while a pass's sum is below its own noise), up to the bits that put
+    the first pass's noise 57 bits below the smallest subnormal.  A float
+    sum below its own noise measures no condition; then the OP's lower bound
+    F_sr(tau*)^N bounds it, as sum|t| / F_sr(tau*)^N.  Float terms that
+    overflow measure nothing either: a bound that rounds to 1 gives OP 1,
+    and otherwise the exact pass starts from 57 bits.  A sum still
+    unresolved at the most bits rounds to 0 when that bound underflows to 0
+    and the sum and its noise lie within half the smallest subnormal;
+    otherwise it raises UnresolvedNumericsError.
     """
     finite = math.isfinite(abs_total)
-    if finite:
-        noise = sys.float_info.epsilon * abs_total
-        if _FLOAT_TERM_ERR * (abs_total / max(abs(total), noise)) <= _REL_TOL:
-            return _clamp(total)
+    noise = sys.float_info.epsilon * abs_total
+    if finite and _FLOAT_TERM_ERR * (abs_total / max(abs(total), noise)) <= _REL_TOL:
+        return _clamp(total)
     head = _first_hop_head(config, y)
     if finite:
-        if abs(total) < noise and head >= sys.float_info.min:
-            bits = _bits(abs_total, head)
-        else:
-            bits = _bits(abs_total, max(abs(total), noise))
+        below = abs(total) < noise and head >= sys.float_info.min
+        bits = _bits(abs_total, head if below else max(abs(total), noise))
     elif head == 1.0:
         return 1.0
     else:  # no condition measured: a double's bits
@@ -515,9 +503,8 @@ def _closed_form(k: int, config: SystemConfig, table, x, y, total, abs_total) ->
         scaled = abs(total) << bits
         need = _bits(abs_total << bits, max(scaled, abs_total))
         if need <= bits:
-            return _clamp(total / (1 << wp))
-        # sum|t| over the smallest subnormal, 2^-1074
-        cap = cap or _bits(abs_total, 1 << wp) + 1074
+            return _clamp(total / (1 << wp))  # int division rounds correctly
+        cap = cap or _bits(abs_total, 1 << wp) + 1074  # sum|t| over 2^-1074
         if bits >= cap:
             break
         if scaled < abs_total:  # below its noise: need is no measure
@@ -526,8 +513,7 @@ def _closed_form(k: int, config: SystemConfig, table, x, y, total, abs_total) ->
     # the sum and its noise within half the smallest subnormal, 2^-1075
     if head == 0.0 and scaled + abs_total <= 1 << (wp + bits - 1075):
         return 0.0
-    raise UnresolvedNumericsError(
-        f"closed-form OP for k={k} unresolved within {cap} bits")
+    raise UnresolvedNumericsError(f"closed-form OP for k={k} unresolved within {cap} bits")
 
 
 def _clamp(op: float) -> float:
@@ -660,7 +646,13 @@ def find_snr_for_op(k: int, config: SystemConfig, target_op: float,
 
 
 def find_optimal_w(k: int, config: SystemConfig, grid):
-    """(w*, op*) minimizing the analytic OP over the power-splitting ratio."""
+    """(w*, op*) minimizing the analytic OP over the power-splitting ratio.
+
+    A grid argmin at either end, where the optimum may lie past the grid,
+    raises SearchError.  Otherwise a golden-section search narrows
+    [grid[i-1], grid[i+1]] around the argmin i, and the lowest OP it
+    evaluated, grid[i]'s included, comes back with its w.
+    """
     grid = np.asarray(sorted(grid), dtype=float)
     if grid.size == 0:
         raise ValueError("w grid must be nonempty")
@@ -668,16 +660,19 @@ def find_optimal_w(k: int, config: SystemConfig, grid):
     # raises InfeasibleConfigError at the first grid point
     ops = op_closed_form_batch(k, [replace(config, w=float(w)) for w in grid])
     i = int(np.argmin(ops))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    if i in (0, len(grid) - 1):
+        lowest = (f"every grid OP is {ops[i]:.8e}, as at its end" if min(ops) == max(ops)
+                  else f"its lowest OP, {ops[i]:.8e}, is at its end")
+        raise SearchError(f"no optimum inside the w grid: {lowest} w={grid[i]:g}")
+    evaluated = {float(grid[i]): ops[i]}  # the OP at each w the search evaluates
 
     def f(w):
-        return op_closed_form(k, replace(config, w=float(w)))
+        evaluated[float(w)] = op = op_closed_form(k, replace(config, w=float(w)))
+        return op
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    a, b = grid[i - 1], grid[i + 1]
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
     while b - a > _W_TOL:
         if fc < fd:
@@ -688,8 +683,8 @@ def find_optimal_w(k: int, config: SystemConfig, grid):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    w_star = 0.5 * (a + b)
-    return float(w_star), f(w_star)
+    w_star = min(evaluated, key=evaluated.get)
+    return w_star, evaluated[w_star]
 
 
 # QUADPACK's qk21 rule (Piessens et al., 1983): the 11 non-negative

@@ -46,7 +46,7 @@ class UnresolvedNumericsError(ArithmeticError):
 
 
 class SearchError(RuntimeError):
-    """The bracket of a root search does not straddle its target."""
+    """A search's bracket does not straddle its target, or its grid is lowest at an end."""
 
 
 @dataclass(frozen=True)

@@ -212,15 +212,20 @@ def bisect_values(k, config, target_op, lo_db, hi_db):
 
 
 def scan_values(k, config, grid):
-    """find_optimal_w's grid scan and golden section, one op_closed_form call a point."""
+    """find_optimal_w's grid scan and golden section, one op_closed_form call a point:
+    the lowest OP evaluated, and its w, from an argmin inside the grid."""
     grid = sorted(grid)
     ops = [op_closed_form(k, replace(config, w=float(w))) for w in grid]
     i = int(np.argmin(ops))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    if i in (0, len(grid) - 1):
+        raise SearchError(f"grid argmin at its end w={grid[i]}")
+    evaluated = {float(grid[i]): ops[i]}
 
     def f(w):
-        return op_closed_form(k, replace(config, w=float(w)))
+        evaluated[float(w)] = op = op_closed_form(k, replace(config, w=float(w)))
+        return op
 
+    a, b = grid[i - 1], grid[i + 1]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
@@ -233,8 +238,8 @@ def scan_values(k, config, grid):
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
-    w_star = 0.5 * (a + b)
-    return float(w_star), f(w_star)
+    w_star = min(evaluated, key=evaluated.get)
+    return w_star, evaluated[w_star]
 
 
 def count_passes(monkeypatch):
@@ -341,6 +346,37 @@ class TestFindW:
         c = SystemConfig(m_sr=m, m_ru=m)
         grid = np.linspace(0.05, 0.95, points)
         assert find_optimal_w(k, c, grid) == scan_values(k, c, grid)
+
+    @pytest.mark.parametrize("args,message", [
+        (["--user", "1", "--set", "snr_db=60"],
+         "no optimum inside the w grid: its lowest OP, 9.12712289e-12, is at its end w=0.95"),
+        (["--user", "2", "--set", "snr_db=-60"],
+         "no optimum inside the w grid: every grid OP is 1.00000000e+00, as at its end "
+         "w=0.05")])
+    def test_grid_end_refused(self, capsys, args, message):
+        # deep in outage the optimum lies past w = 0.95, and at -60 dB the OP
+        # is 1 at every grid point: neither end is reported as an optimum
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        assert main(["find-w", path, *args]) == EXIT_SEARCH
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
+    def test_returns_lowest_evaluated(self):
+        # the answer is a point the search evaluated, no worse than any grid point
+        rng = np.random.default_rng(32)
+        for _ in range(12):
+            m, k = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            c = SystemConfig(m_sr=m, m_ru=m, snr_db=float(rng.uniform(-5, 40)),
+                             xi=float(rng.choice([0.0, 0.02])))
+            grid = np.linspace(0.05, 0.95, int(rng.integers(5, 41)))
+            ops = [op_closed_form(k, replace(c, w=float(w))) for w in grid]
+            if int(np.argmin(ops)) in (0, len(grid) - 1):
+                with pytest.raises(SearchError, match="no optimum inside the w grid"):
+                    find_optimal_w(k, c, grid)
+                continue
+            w_star, op_star = find_optimal_w(k, c, grid)
+            assert op_star <= min(ops)
+            assert op_star == op_closed_form(k, replace(c, w=w_star))
 
 
 class TestMain:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from scipy import integrate, special, stats
 
 from ehnoma.fading import MAJORITY_RANK_COEFFS, theta
+from ehnoma.montecarlo import _selected_gains
 from oracles import expanded_sum, ks_distance, majority_gains, rank_cdf
 
 
@@ -121,6 +123,23 @@ class TestMajorityUserCdf:
         }
         assert MAJORITY_RANK_COEFFS[2] == {3: Fraction(3), 5: Fraction(-3), 6: Fraction(1)}
         assert MAJORITY_RANK_COEFFS[3] == {5: Fraction(3, 2), 6: Fraction(-1, 2)}
+
+    def test_coeffs_equal_kernel_vote_over_orderings(self):
+        # the six row maxima are i.i.d. with CDF G, so their 720 orderings are
+        # equally likely, and the ordering alone fixes the vote and which
+        # order statistic each rank's selected gain is.  The kernel's vote on
+        # the orderings of the ranks 1-6, averaged over the order statistics'
+        # CDFs sum_{i>=r} C(6,i) G^i (1-G)^(6-i), is the table exactly
+        orderings = np.array(list(itertools.permutations(range(1, 7))), dtype=float)
+        selected = _selected_gains(orderings.reshape(720, 3, 2)).astype(int)
+        for k in (1, 2, 3):
+            coeffs = [Fraction(0)] * 7  # of G^0 .. G^6
+            for r in selected[k - 1].tolist():
+                for i in range(r, 7):
+                    for j in range(7 - i):
+                        coeffs[i + j] += Fraction(
+                            math.comb(6, i) * math.comb(6 - i, j) * (-1) ** j, 720)
+            assert {q: c for q, c in enumerate(coeffs) if c} == MAJORITY_RANK_COEFFS[k], k
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_cdf_limits(self, k):

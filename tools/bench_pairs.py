@@ -11,15 +11,21 @@ on any run that does not report `correct: true` or that fails more
 operations than the parent's run of the same seed.
 
 For each end-to-end metric it prints each side's median and quartiles, the
-number of pairs the change wins (is strictly better in), and whether a
-claimed gain would hold: the change wins at least 9 pairs in 10 and its
-median is better than the parent's by more than the parent's interquartile
-distance.  Quartiles are statistics.quantiles(..., n=4, method="inclusive").
+number of pairs the change wins (is strictly better in), whether a claimed
+gain would hold and the no-regression verdict.  A claimed gain holds when
+the change wins at least 9 pairs in 10 and its median is better than the
+parent's by more than the parent's interquartile distance.  The verdict is
+"holds" when the change's median is worse than the parent's by at most the
+metric's BENCHMARK.json bound, a fraction of the parent's median, and
+"regressed" when it is worse by more; it is "unresolved" when the parent's
+interquartile distance exceeds that bound, as the runs then spread too
+widely to tell, unless every change run is better than every parent run.
+Quartiles are statistics.quantiles(..., n=4, method="inclusive").
 
 It also writes what it prints to BENCH_<W>.json beside BENCHMARK.json: each
-run's metrics, each metric's quartiles, wins and claim, and the seeds, the
-pair count, the machine (cores, CPU model, numpy, scipy and mpmath
-versions) and both checkouts' git revisions.
+run's metrics, each metric's quartiles, wins, claim and verdict, and the
+seeds, the pair count, the machine (cores, CPU model, numpy, scipy and
+mpmath versions) and both checkouts' git revisions.
 """
 
 from __future__ import annotations
@@ -92,6 +98,19 @@ def cell(quartiles) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def verdict(metric: dict, values: dict, parent: tuple, change: tuple) -> str:
+    """"holds", "regressed" or "unresolved": is the change's median within
+    metric's bound of the parent's (see the module docstring)?"""
+    sign = 1 if metric["better"] == "lower" else -1
+    allowed = metric["bound"] * abs(parent[1])
+    # every change run better than every parent run
+    if max(sign * v for v in values["change"]) < min(sign * v for v in values["parent"]):
+        return "holds"
+    if parent[2] - parent[0] > allowed:
+        return "unresolved"
+    return "holds" if sign * (change[1] - parent[1]) <= allowed else "regressed"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -119,7 +138,7 @@ def main(argv=None) -> int:
     pairs = len(args.seeds)
     print(f"\n{args.workload}, seeds {args.seeds[0]}-{args.seeds[-1]}, {pairs} pairs")
     print(f"{'metric':14s} {'parent median [q1, q3]':32s} {'change median [q1, q3]':32s}"
-          " wins    claim")
+          " wins    claim    no regression")
     table = {}
     for metric in SPEC["end_to_end"]:
         name = metric["name"]
@@ -129,12 +148,14 @@ def main(argv=None) -> int:
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         parent, change = (summary(values[side]) for side in reports)
         holds = wins >= 0.9 * pairs and sign * (parent[1] - change[1]) > parent[2] - parent[0]
+        no_regression = verdict(metric, values, parent, change)
         print(f"{name:14s} {cell(parent):32s} {cell(change):32s} {wins:2d}/{pairs:<4d} "
-              f"{'holds' if holds else 'not met'}")
+              f"{'holds' if holds else 'not met':8s} {no_regression}")
         table[name] = {"unit": metric["unit"], "better": metric["better"],
+                       "bound": metric["bound"],
                        **{side: dict(zip(("q1", "median", "q3"), quartiles))
                           for side, quartiles in (("parent", parent), ("change", change))},
-                       "wins": wins, "claim_holds": holds}
+                       "wins": wins, "claim_holds": holds, "no_regression": no_regression}
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
     bench = {

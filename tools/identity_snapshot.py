@@ -62,9 +62,14 @@ in and writes into OUTDIR:
 - `sweep-mc-missing-dir.txt`: the stdout, stderr and exit code of the
   Monte Carlo sweep above (snr_db 10-20, 300,000 trials) on
   `scenarios/perfect_sic.scn` with `--out missing/x.csv`, in a directory
-  that does not exist.
+  that does not exist;
+- `find-w-grid-end.txt` and `find-w-grid-flat.txt`: the stdout, stderr and
+  exit code of `find-w --user 1 --set snr_db=60`, whose grid OP is lowest
+  at its end w = 0.95, and of `find-w --user 2 --set snr_db=-60`, whose
+  grid OP is 1 at every point, on `scenarios/perfect_sic.scn`; find-w
+  refuses both.
 
-That is 201 files.  To check that a change moves no output, copy this
+That is 203 files.  To check that a change moves no output, copy this
 script into a checkout of the parent commit, snapshot both checkouts and
 compare with `diff -r PARENT_OUT CHANGE_OUT`.  The full snapshot takes
 about 9-15 s on a 2-core machine, about 4 s of it in the extreme-SNR grid.
@@ -125,6 +130,11 @@ COMMANDS = {
 OUT_COMMANDS = {
     "find-snr-out": ("find-snr", ["--user", "2", "--target", "1e-3"]),
     "find-w-out": ("find-w", ["--user", "1"]),
+}
+# output file label: (command, arguments after the scenario), on perfect_sic.scn
+SEARCH_REFUSALS = {
+    "find-w-grid-end": ("find-w", ["--user", "1", "--set", "snr_db=60"]),
+    "find-w-grid-flat": ("find-w", ["--user", "2", "--set", "snr_db=-60"]),
 }
 
 
@@ -219,6 +229,8 @@ def main(argv=None) -> int:
     for name, (command, args) in OUT_COMMANDS.items():
         record_cli(outdir / f"{name}.streams.txt",
                    [command, scn, *args, "--out", str(outdir / f"{name}.txt")])
+    for name, (command, args) in SEARCH_REFUSALS.items():
+        record_cli(outdir / f"{name}.txt", [command, scn, *args])
     kept = outdir / "simulate-xi0.1-out.csv"
     kept.write_text("written before the run\n")
     record_cli(outdir / "simulate-xi0.1-out.streams.txt",
