@@ -352,7 +352,7 @@ class TestFindW:
          "no optimum inside the w grid: its lowest OP, 9.12712289e-12, is at its end w=0.95"),
         (["--user", "2", "--set", "snr_db=-60"],
          "no optimum inside the w grid: every grid OP is 1.00000000e+00, as at its end "
-         "w=0.05")])
+         "w=0.05")], ids=["end", "flat"])
     def test_grid_end_refused(self, capsys, args, message):
         # deep in outage the optimum lies past w = 0.95, and at -60 dB the OP
         # is 1 at every grid point: neither end is reported as an optimum
