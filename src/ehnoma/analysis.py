@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import replace
 from functools import lru_cache, partial
-from itertools import chain, groupby, repeat
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import mpmath as mp
@@ -31,8 +31,10 @@ from .link import (SearchError, SystemConfig, UnresolvedNumericsError, Unsupport
 
 # Every check on an OP in this package compares at this relative tolerance.
 _REL_TOL = 1e-6
-# Each float term is good to a few units in the last place, so a correctly
-# rounded sum errs by about this much times sum|t|.
+# A correctly rounded float sum is taken to err by at most this much times
+# sum|t|.  That is assumed, not counted: over m 1-4, 0-60 dB, w 0.2-0.8, xi 0
+# and 0.02 and ranks 1-3, the accepted sums erred by up to 2.3 times it
+# (ROADMAP item 4 asks for a bound counted from the terms' own errors).
 _FLOAT_TERM_ERR = 4 * 2.0**-53
 # closed_form_side trusts the float sum's side of a target only this many of
 # its error bounds away from it.
@@ -72,8 +74,8 @@ class _TermTable(NamedTuple):
     """The closed form's terms as flat arrays.
 
     One row per (p, u) group, per (p, u, nu) Bessel factor and per monomial,
-    and, as the Bessel argument depends only on p (1 + u) and K_nu on |nu|,
-    one per distinct p (1 + u) and per distinct (p (1 + u), |nu|) pair.
+    and, as the Bessel argument depends only on p (1 + u), one per distinct
+    p (1 + u).
     """
 
     s_top: int           # largest power of X
@@ -82,7 +84,7 @@ class _TermTable(NamedTuple):
     one_u: np.ndarray    # per group: 1 + u
     group: np.ndarray    # per (p, u, nu) row: its group's index
     nu: np.ndarray       # per row: the Bessel order nu
-    half_nu: tuple       # per row: nu / 2, the float power of its Bessel factor
+    half_nu: np.ndarray  # per row: nu / 2, the float power of its Bessel factor
     row: np.ndarray      # per monomial: its row's index
     s: np.ndarray        # per monomial: the power of X
     j: np.ndarray        # per monomial: the power of Y
@@ -92,9 +94,6 @@ class _TermTable(NamedTuple):
     pu: np.ndarray       # per distinct p (1 + u), ascending: its value
     group_pu: np.ndarray  # per group: its p (1 + u)'s index
     pu_top: np.ndarray   # per p (1 + u): the largest |nu| of its rows
-    kv_pu: np.ndarray    # per distinct (p (1 + u), |nu|), ascending: its p (1 + u)'s index
-    kv_nu: np.ndarray    # per pair: |nu|
-    row_kv: np.ndarray   # per row: its pair's index
 
 
 def _table_size(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> int:
@@ -186,18 +185,15 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
     p, one_u, group, nu = (ints([p for p, _ in pus]), ints([1 + u for _, u in pus]),
                            ints(group), ints(nus))
     pu, group_pu = np.unique(p * one_u, return_inverse=True)
-    width = np.abs(nu).max(initial=0) + 1
-    pairs, row_kv = np.unique(group_pu[group] * width + np.abs(nu), return_inverse=True)
-    kv_pu, kv_nu = np.divmod(pairs, width)
     pu_top = np.zeros(len(pu), dtype=np.int64)
-    np.maximum.at(pu_top, kv_pu, kv_nu)
+    np.maximum.at(pu_top, group_pu[group], np.abs(nu))
     return _TermTable(
         s_top=int(ss.max(initial=0)), j_top=int(js.max(initial=0)), p=p, one_u=one_u,
-        group=group, nu=nu, half_nu=tuple((nu / 2).tolist()), row=ints(row), s=ss, j=js,
+        group=group, nu=nu, half_nu=nu / 2, row=ints(row), s=ss, j=js,
         num=tuple(num), den=den,
         coef_float=np.array([float(c // g) / (den // g)
                              for c, g in zip(num, map(math.gcd, num, repeat(den)))]),
-        pu=pu, group_pu=group_pu, pu_top=pu_top, kv_pu=kv_pu, kv_nu=kv_nu, row_kv=row_kv)
+        pu=pu, group_pu=group_pu, pu_top=pu_top)
 
 
 def _closed_form_sums(table, xs, ys):
@@ -205,8 +201,8 @@ def _closed_form_sums(table, xs, ys):
 
     The sums are the correctly rounded ones, math.fsum's, which _bucket_sums
     makes from far fewer numbers on tables of at least _BUCKET_MIN_TERMS
-    monomials.  A point whose terms overflow, in numpy or in a float power,
-    gives a sum|t| and a sum that are not finite.
+    monomials.  A point whose terms overflow gives a sum|t| and a sum that
+    are not finite.
     """
     terms = _closed_form_terms(table, xs, ys)
     if len(table.s) >= _BUCKET_MIN_TERMS:
@@ -215,55 +211,45 @@ def _closed_form_sums(table, xs, ys):
 
 
 def _closed_form_terms(table, xs, ys):
-    """A row of terms per point (xs[i], ys[i]), all NaN where a float power
-    overflows.
+    """A row of terms per point (xs[i], ys[i]).
 
     The terms, after the closed form's leading 1, are each monomial of the
-    _TermTable times its (p, u, nu) row's Bessel factor, evaluated a column
-    at a time for every point at once: the Bessel argument per distinct
-    p (1 + u), e^(-(1+u) Y - arg) per (p, u) group, K_|nu| per distinct
-    (p (1 + u), |nu|), the nu-power and the Bessel factor per row, then
-    c * X^s * Y^j * bessel per monomial.  Each term takes the operations of
-    a term-by-term scalar loop in the same order, and products and square
-    roots are correctly rounded, so the terms are bitwise those of that loop;
-    exp and the fractional powers come from libm (math.exp and float **,
-    point by point), as numpy's versions round some arguments differently.
-    The Bessel factor takes scipy's exponentially scaled kve = e^t K_n(t),
-    which keeps the underflow of a far tail inside one exp(), in one call
-    over every point.
+    _TermTable times its (p, u, nu) row's Bessel factor, in numpy for every
+    point at once: per distinct p (1 + u) the Bessel argument t and
+    e^t K_n(t) for n up to the table's largest |nu|, per (p, u) group
+    e^(-(1+u) Y - t), per row the nu-power and the Bessel factor, then
+    c * X^s * Y^j * bessel per monomial.  scipy's exponentially scaled
+    kve = e^t K_n(t), which keeps the underflow of a far tail inside one
+    exp(), gives orders 0 and 1 in one call, and the higher orders come by
+    _bessel_k's upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n, which errs
+    less than kve's own at high order.  A table whose rows all have |nu| = 1,
+    as at m_sr = m_ru = 1, takes order 1 alone.  Terms that overflow come
+    out inf or NaN.
     """
     # one point's X and Y as scalars: as columns, a one-point call (every
-    # search probe) took 2-7 us more of its 46-59 us at m=1 on a 2-core Xeon
+    # search probe) took 5-8 us more of its 62-135 us at m 1-3 (2-core Xeon,
+    # medians of 6 alternating rounds of 200 calls)
     x, y = ((xs[0], ys[0]) if len(xs) == 1
             else (np.array(xs)[:, None], np.array(ys)[:, None]))
-    # each point's X^s, Y^j and row powers, side by side
-    s_end, j_end = table.s_top + 1, table.s_top + table.j_top + 2
-    size = j_end + len(table.half_nu)
-    powers = np.empty((len(xs), size))
-    # like the scalar float arithmetic, overflow gives inf without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = (table.p * x / (table.one_u * y)).take(table.group, axis=-1)
-        point_bases = base.reshape(len(xs), -1).tolist()
-        for i, (xi, yi, bases) in enumerate(zip(xs, ys, point_bases)):
-            try:
-                powers[i] = np.fromiter(chain(map(pow, repeat(xi), range(table.s_top + 1)),
-                                              map(pow, repeat(yi), range(table.j_top + 1)),
-                                              map(pow, bases, table.half_nu)), float, size)
-            except OverflowError:  # float ** raises where numpy gives inf
-                powers[i] = math.nan
-        if len(xs) == 1:
-            powers = powers[0]
-        x_pow, y_pow = powers[..., :s_end], powers[..., s_end:j_end]
-        power = powers[..., j_end:]
+    abs_nu = np.abs(table.nu)
+    top = int(table.pu_top.max())
+    # the lowest order kve evaluates, and so the first in each point's K table
+    low = 1 if top == 1 == abs_nu.min() else 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         arg = 2 * np.sqrt(table.pu * x * y)
-        exponent = -table.one_u * y - arg.take(table.group_pu, axis=-1)
-        scale = np.fromiter(map(math.exp, exponent.ravel().tolist()), float,
-                            exponent.size).reshape(exponent.shape)
-        kv = special.kve(table.kv_nu, arg.take(table.kv_pu, axis=-1))
-        bessel = (power * scale.take(table.group, axis=-1)
-                  * kv.take(table.row_kv, axis=-1))
-        terms = (table.coef_float * x_pow.take(table.s, axis=-1)
-                 * y_pow.take(table.j, axis=-1) * bessel.take(table.row, axis=-1))
+        kv = list(special.kve(np.arange(low, 2)[:, None], arg.ravel()).reshape(-1, *arg.shape))
+        for n in range(1, top):
+            kv.append(kv[n - 1] + 2 * n / arg * kv[n])
+        # each point's K_low, ..., K_top over the distinct p (1 + u), end to
+        # end: a row's K_|nu| is at (|nu| - low) len(pu) + its p (1 + u)'s index
+        kv = np.concatenate(kv, axis=-1).take(
+            (abs_nu - low) * len(table.pu) + table.group_pu.take(table.group), axis=-1)
+        scale = np.exp(-table.one_u * y - arg.take(table.group_pu, axis=-1))
+        power = (table.p * x / (table.one_u * y)).take(table.group, axis=-1) ** table.half_nu
+        bessel = power * scale.take(table.group, axis=-1) * kv
+        terms = (table.coef_float * (x ** np.arange(table.s_top + 1)).take(table.s, axis=-1)
+                 * (y ** np.arange(table.j_top + 1)).take(table.j, axis=-1)
+                 * bessel.take(table.row, axis=-1))
     return terms.reshape(len(xs), -1)
 
 

@@ -88,8 +88,8 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
     (p, u, nu, s, j) monomial, so the sum over q happens monomial by monomial;
     analysis._bessel_groups must give the same table field by field, its
     coefficients being num/den here over the least common denominator, and
-    its indexes of distinct Bessel arguments and orders being derived here
-    from the group and row lists by set and list lookups.
+    its index of distinct Bessel arguments and their largest orders being
+    derived here from the group and row lists by set and list lookups.
     """
     groups = {}
     scale = Fraction(2 * n, math.factorial(m_sr - 1))
@@ -119,21 +119,19 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
                 ss.append(s)
                 js.append(j)
                 coef.append(c)
-    # the distinct Bessel arguments p (1 + u), ascending, and the distinct
-    # (p (1 + u), |nu|) pairs, ascending, with each group's and row's index
+    # the distinct Bessel arguments p (1 + u), ascending, with each group's index
     pu = sorted({p * (1 + u) for p, u in pus})
     group_pu = [pu.index(p * (1 + u)) for p, u in pus]
-    pairs = sorted({(group_pu[g], abs(nu)) for g, nu in zip(group, nus)})
     ints = partial(np.array, dtype=np.int64)
     den = math.lcm(*(c.denominator for c in coef))
     return _TermTable(
         s_top=max(ss, default=0), j_top=max(js, default=0),
         p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
-        group=ints(group), nu=ints(nus), half_nu=tuple(nu / 2 for nu in nus), row=ints(row),
+        group=ints(group), nu=ints(nus), half_nu=np.array([nu / 2 for nu in nus]),
+        row=ints(row),
         s=ints(ss), j=ints(js),
         num=tuple(c.numerator * (den // c.denominator) for c in coef), den=den,
         coef_float=np.array([float(c.numerator) / c.denominator for c in coef]),
         pu=ints(pu), group_pu=ints(group_pu),
-        pu_top=ints([max(n for i, n in pairs if i == g) for g in range(len(pu))]),
-        kv_pu=ints([i for i, _ in pairs]), kv_nu=ints([n for _, n in pairs]),
-        row_kv=ints([pairs.index((group_pu[g], abs(nu))) for g, nu in zip(group, nus)]))
+        pu_top=ints([max(abs(nu) for g, nu in zip(group, nus) if group_pu[g] == i)
+                     for i in range(len(pu))]))

@@ -25,7 +25,9 @@ Quartiles are statistics.quantiles(..., n=4, method="inclusive").
 It also writes what it prints to BENCH_<W>.json beside BENCHMARK.json: each
 run's metrics, each metric's quartiles, wins, claim and verdict, and the
 seeds, the pair count, the machine (cores, CPU model, numpy, scipy and
-mpmath versions) and both checkouts' git revisions.
+mpmath versions) and both checkouts' git revisions, each with a flag that
+says whether its measured code, the tracked files under src/ and perfbench/,
+differed from that revision.
 """
 
 from __future__ import annotations
@@ -75,14 +77,15 @@ def cpu_model() -> str:
 
 
 def revision(checkout: Path) -> dict:
-    """checkout's HEAD commit, and whether a tracked file other than the
-    BENCH files this script writes differs from it."""
+    """checkout's HEAD commit, and whether a tracked file under src/ or
+    perfbench/, the code a run measures, differs from it.  Other files, such
+    as documentation and the BENCH files this script writes, do not count."""
     def git(*args):
         return subprocess.run(["git", *args], cwd=checkout, capture_output=True,
                               text=True).stdout.strip()
     return {"commit": git("rev-parse", "HEAD") or None,
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no", "--",
-                              ".", ":(exclude)BENCH_*.json"))}
+                              "src", "perfbench"))}
 
 
 def summary(values) -> tuple:
