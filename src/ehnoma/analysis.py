@@ -221,10 +221,10 @@ def _closed_form_terms(table, xs, ys):
     c * X^s * Y^j * bessel per monomial.  scipy's exponentially scaled
     kve = e^t K_n(t), which keeps the underflow of a far tail inside one
     exp(), gives orders 0 and 1 in one call, and the higher orders come by
-    _bessel_k's upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n, which errs
-    less than kve's own at high order.  A table whose rows all have |nu| = 1,
-    as at m_sr = m_ru = 1, takes order 1 alone.  Terms that overflow come
-    out inf or NaN.
+    _bessel_k's upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n, which at
+    orders 20-23, the highest at m=3, errs several times less than kve.  A
+    table whose rows all have |nu| = 1, as at m_sr = m_ru = 1, takes order 1
+    alone.  Terms that overflow come out inf or NaN.
     """
     # one point's X and Y as scalars: as columns, a one-point call (every
     # search probe) took 5-8 us more of its 62-135 us at m 1-3 (2-core Xeon,

@@ -323,9 +323,8 @@ class TestClosedForm:
         assert passes == ["_closed_form_sums", "_exact_sum"]
 
     def test_accepted_float_sums_within_tolerance(self):
-        # the float pass makes its terms in numpy, with K_n above order 1 by
-        # recurrence, so its sums are no loop's doubles; every sum the
-        # acceptance rule takes must lie within _REL_TOL of the exact sum
+        # every float sum that the acceptance rule takes must lie within
+        # _REL_TOL of the exact sum at 256 bits
         accepted = 0
         for m, snr_db, w, k in itertools.product((1, 2, 3, 4), range(0, 61, 10), (0.2, 0.8),
                                                  (1, 2, 3)):
@@ -492,8 +491,7 @@ class TestClosedForm:
         # come by recurrence, so the float pass evaluates kve once per
         # distinct (p (1+u), order) pair at orders 0 and 1, or at order 1
         # alone where every row has |nu| = 1, not once per row (40, 440, 480
-        # and 912 rows) or per (p (1+u), |nu|) pair (27, 234, 245 and 482),
-        # in one call for all its points
+        # and 912 rows), in one call for all its points
         table = analysis._bessel_groups(*key)
         orders = {1} if set(np.abs(table.nu).tolist()) == {1} else {0, 1}
         pairs = {(p * one_u, n) for p, one_u in zip(table.p.tolist(), table.one_u.tolist())
