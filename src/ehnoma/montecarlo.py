@@ -1,10 +1,11 @@
 """Reproducible Monte Carlo estimation of per-user outage probability.
 
-Trials are partitioned into fixed-size blocks; block i always draws from a
-generator keyed by (seed, i), so the estimate is bit-identical for any
-worker count and any scheduling order.  Within a block the channel draws are
-reduced to the sufficient statistics of the selection procedure (per-row
-maxima), which has exactly the same joint law as drawing every antenna entry.
+Trials are partitioned into fixed-size blocks; block i always draws from an
+SFC64 generator seeded by SeedSequence((seed, i)), so the estimate is
+bit-identical for any worker count and any scheduling order.  Within a
+block the channel draws are reduced to the sufficient statistics of the
+selection procedure (per-row maxima), which has exactly the same joint law
+as drawing every antenna entry.
 
 A block draws the first-hop maxima of all its trials in one call, then
 the second-hop maxima and outage events chunk by chunk of CHUNK_SIZE
@@ -19,8 +20,8 @@ block's stream, and so its counts, depend on neither the chunk nor the
 slice size.
 
 Blocks run on a thread pool, one thread per block at most and by default
-one per core the process may use.  The Philox draws and the numpy ufuncs
-that make up a block release the GIL, and blocks share no mutable state, so
+one per core the process may use.  The draws and the numpy ufuncs that
+make up a block release the GIL, and blocks share no mutable state, so
 threads overlap like processes without starting any or copying their
 results.  The majority vote works on one (n_rt, K, n) copy of a chunk's row
 maxima, each step one array operation over all users; it only compares and
@@ -60,7 +61,7 @@ class McEstimate:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence((seed, block))))
 
 
 def _max_of_iid(rng, m: float, omega: float, n_iid: int, out: np.ndarray) -> np.ndarray:

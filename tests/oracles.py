@@ -54,6 +54,46 @@ def majority_gains(h):
     return np.sort(rowmax[np.arange(n), :, row], axis=1)
 
 
+def outage(c, g_sr, ranked):
+    """(n, K) outage events of n trials with first-hop gains g_sr and
+    ascending user gains `ranked`: rank k is in outage when any stage
+    l <= k has SINR below gamma_th_l."""
+    xy = c.snr_linear * g_sr[:, None] * ranked
+    bad = np.zeros(ranked.shape, dtype=bool)
+    for l in range(1, c.k_users + 1):
+        sigma = c.xi * sum(c.a[: l - 1]) + sum(c.a[l:])
+        tail = slice(l - 1, None)  # the ranks that detect message l
+        sinr = xy[:, tail] * c.a[l - 1] / (
+            xy[:, tail] * sigma + c.c1 * ranked[:, tail] + c.c2)
+        bad[:, tail] |= sinr < c.gamma_th[l - 1]
+    return bad
+
+
+def row_maxima(rng, m, omega, size, n_iid):
+    """Each entry of an array of shape `size` the maximum of n_iid squared
+    Nakagami-m gains of mean omega, all from one draw: by CDF inversion of
+    one uniform at m = 1, else by numpy's axis reductions over the entries,
+    Erlang sums of exponentials at integer m and gamma draws otherwise."""
+    if m == 1:
+        return -omega * np.log1p(-np.power(rng.random(size), 1.0 / n_iid))
+    if float(m).is_integer():
+        entries = rng.standard_exponential((*size, n_iid, int(m))).sum(axis=-1)
+    else:
+        entries = rng.standard_gamma(m, size=(*size, n_iid))
+    return (entries * (omega / m)).max(axis=-1)
+
+
+def block_counts(c, rng, n):
+    """Per-rank outage counts of n trials drawn from rng in one piece: the
+    first-hop maxima of all trials in one draw, then the second hop's as
+    one (n, K, n_rt) draw, majority selection and the SINR of each stage.
+    In C order these take the numbers the kernel takes in chunks and
+    slices, so on the same stream the counts are the kernel's."""
+    g_sr = row_maxima(rng, c.m_sr, c.omega_sr, (n,), c.n_s * c.n_rr)
+    rowmax = row_maxima(rng, c.m_ru, c.omega_ru, (n, c.k_users, c.n_rt), c.n_u)
+    return outage(c, g_sr, majority_gains(rowmax[..., None])).sum(axis=0)
+
+
 def ks_distance(sorted_sample, cdf):
     """Kolmogorov-Smirnov distance of an ascending sample from the model
     CDF values `cdf` taken at that sample."""

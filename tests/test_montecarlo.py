@@ -20,11 +20,12 @@ from ehnoma import montecarlo
 from ehnoma.montecarlo import (
     BLOCK_SIZE,
     CHUNK_SIZE,
+    _block_rng,
     _ci_halfwidth,
     _max_of_iid,
     simulate_block,
 )
-from oracles import ks_distance, majority_gains
+from oracles import block_counts, ks_distance, majority_gains, outage
 
 
 def rng(seed):
@@ -93,48 +94,74 @@ GOLDEN_CONFIGS = {
                                a=(0.7, 0.3), gamma_th=(1.0, 1.0)),
 }
 
-# (config, seed, block, n, counts), recorded from the kernel that drew each
-# block in one piece and used numpy's axis reductions: the per-block stream
-# and the counts must not change.  n = 20000 ends in a partial chunk, 5000
-# is less than one chunk and BLOCK_SIZE is a full block.
+# (config, seed, block, n, counts) on the SFC64 block streams, each row
+# equal to `oracles.block_counts`, which draws the block in one piece and
+# reduces with numpy's axis reductions: the per-block stream and the counts
+# must not change.  n = 20000 ends in a partial chunk, 5000 is less than one
+# chunk and BLOCK_SIZE is a full block.
 GOLDEN_COUNTS = [
-    ("m1", 2024, 3, 20000, (8652, 6099, 5188)),
-    ("m1", 7, 0, 5000, (2183, 1553, 1324)),
-    ("m1", 1, 1, BLOCK_SIZE, (113890, 79907, 68332)),
-    ("m2", 2024, 3, 20000, (8606, 6418, 5409)),
-    ("m2", 7, 0, 5000, (2090, 1558, 1303)),
-    ("m2", 1, 1, BLOCK_SIZE, (112994, 84122, 71025)),
-    ("m3", 2024, 3, 20000, (9324, 7267, 6110)),
-    ("m3", 7, 0, 5000, (2249, 1728, 1446)),
-    ("m3", 1, 1, BLOCK_SIZE, (121586, 93816, 79286)),
-    ("m1.5", 2024, 3, 20000, (8511, 6219, 5339)),
-    ("m1.5", 7, 0, 5000, (2051, 1483, 1256)),
-    ("m1.5", 1, 1, BLOCK_SIZE, (111039, 80303, 68259)),
-    ("n_rt3", 2024, 3, 20000, (8607, 5944, 5011)),
-    ("n_rt3", 7, 0, 5000, (2210, 1512, 1275)),
-    ("n_rt3", 1, 1, BLOCK_SIZE, (113392, 78514, 65656)),
-    ("two_users", 2024, 3, 20000, (2889, 2863)),
-    ("two_users", 7, 0, 5000, (715, 690)),
-    ("two_users", 1, 1, BLOCK_SIZE, (37855, 37628)),
-    ("n_u3_mixed", 2024, 3, 20000, (6794, 7652, 8388)),
-    ("n_u3_mixed", 7, 0, 5000, (1708, 1926, 2113)),
-    ("n_u3_mixed", 1, 1, BLOCK_SIZE, (88989, 100412, 109635)),
-    ("n_rt3_two_users_m2", 2024, 3, 20000, (1385, 2041)),
-    ("n_rt3_two_users_m2", 7, 0, 5000, (317, 497)),
-    ("n_rt3_two_users_m2", 1, 1, BLOCK_SIZE, (18560, 27293)),
+    ("m1", 2024, 3, 20000, (8662, 6062, 5189)),
+    ("m1", 7, 0, 5000, (2117, 1452, 1226)),
+    ("m1", 1, 1, BLOCK_SIZE, (113188, 79087, 67414)),
+    ("m2", 2024, 3, 20000, (8579, 6391, 5393)),
+    ("m2", 7, 0, 5000, (2206, 1624, 1375)),
+    ("m2", 1, 1, BLOCK_SIZE, (113136, 84127, 71146)),
+    ("m3", 2024, 3, 20000, (9233, 7071, 5993)),
+    ("m3", 7, 0, 5000, (2320, 1803, 1505)),
+    ("m3", 1, 1, BLOCK_SIZE, (121566, 93485, 79090)),
+    ("m1.5", 2024, 3, 20000, (8423, 6134, 5164)),
+    ("m1.5", 7, 0, 5000, (2153, 1589, 1359)),
+    ("m1.5", 1, 1, BLOCK_SIZE, (111597, 81236, 68857)),
+    ("n_rt3", 2024, 3, 20000, (8571, 5965, 5009)),
+    ("n_rt3", 7, 0, 5000, (2126, 1421, 1183)),
+    ("n_rt3", 1, 1, BLOCK_SIZE, (112665, 77548, 64913)),
+    ("two_users", 2024, 3, 20000, (2885, 2848)),
+    ("two_users", 7, 0, 5000, (668, 691)),
+    ("two_users", 1, 1, BLOCK_SIZE, (37685, 37370)),
+    ("n_u3_mixed", 2024, 3, 20000, (6765, 7579, 8349)),
+    ("n_u3_mixed", 7, 0, 5000, (1626, 1870, 2054)),
+    ("n_u3_mixed", 1, 1, BLOCK_SIZE, (88576, 99777, 109198)),
+    ("n_rt3_two_users_m2", 2024, 3, 20000, (1405, 2041)),
+    ("n_rt3_two_users_m2", 7, 0, 5000, (345, 527)),
+    ("n_rt3_two_users_m2", 1, 1, BLOCK_SIZE, (18570, 27306)),
 ]
+# the rows below a full block, for the one-piece reference
+ONE_PIECE_ROWS = [row[:4] for row in GOLDEN_COUNTS if row[3] < BLOCK_SIZE]
 
 
 class TestSimulateBlock:
     @pytest.mark.parametrize("name,seed,block,n,counts", GOLDEN_COUNTS,
                              ids=[f"{row[0]}-{row[3]}" for row in GOLDEN_COUNTS])
     def test_golden_counts(self, name, seed, block, n, counts):
-        """Same Philox stream per (seed, block), same counts, for every
-        sampler route (m = 1, 2, 3, 1.5), the vote tie-break and chunk
-        boundaries that do not divide n."""
+        """Same stream per (seed, block), same counts, for every sampler
+        route (m = 1, 2, 3, 1.5), the vote tie-break and chunk boundaries
+        that do not divide n."""
         assert 20000 % CHUNK_SIZE and 5000 < CHUNK_SIZE
         got = simulate_block(SystemConfig(**GOLDEN_CONFIGS[name]), seed, block, n)
         assert tuple(got.tolist()) == counts
+
+    @pytest.mark.parametrize("name,seed,block,n", ONE_PIECE_ROWS,
+                             ids=[f"{row[0]}-{row[3]}" for row in ONE_PIECE_ROWS])
+    def test_counts_match_one_piece_reference(self, name, seed, block, n):
+        """The chunked, sliced kernel counts exactly what the one-piece
+        reference counts on the same block stream."""
+        config = SystemConfig(**GOLDEN_CONFIGS[name])
+        expected = block_counts(config, _block_rng(seed, block), n)
+        assert simulate_block(config, seed, block, n).tolist() == expected.tolist()
+
+    def test_block_counts_binomially_dispersed(self):
+        """The counts of 256 blocks of one seed scatter as independent
+        binomials: per rank, the dispersion statistic
+        sum (c - n p)^2 / (n p (1 - p)), with p the pooled rate, lies inside
+        the two-sided 1e-4 quantiles of chi-squared with 255 degrees of
+        freedom."""
+        n, blocks = 2048, 256
+        config = SystemConfig(snr_db=12)
+        counts = np.array([simulate_block(config, 11, b, n) for b in range(blocks)])
+        p = counts.sum(axis=0) / (n * blocks)
+        stat = ((counts - n * p) ** 2).sum(axis=0) / (n * p * (1 - p))
+        lo, hi = special.chdtri(blocks - 1, [1 - 5e-5, 5e-5])
+        assert ((lo < stat) & (stat < hi)).all(), (stat, lo, hi)
 
     @pytest.mark.parametrize("kw", [
         dict(), dict(m_sr=2, m_ru=2), dict(m_sr=1.5, m_ru=1.5),
@@ -192,23 +219,12 @@ def full_matrix_outage_rate(c, n, g):
     First hop: the best of all n_s x n_rr gains.  Second hop: majority
     selection (`oracles.majority_gains`).  Users rank by their selected
     gain, weakest first, and rank k is in outage when any stage l <= k has
-    SINR below gamma_th_l.
+    SINR below gamma_th_l (`oracles.outage`).
     """
-    users = c.k_users
     g_sr = g.gamma(c.m_sr, c.omega_sr / c.m_sr, size=(n, c.n_s * c.n_rr)).max(axis=1)
     ranked = majority_gains(
-        g.gamma(c.m_ru, c.omega_ru / c.m_ru, size=(n, users, c.n_rt, c.n_u)))
-    gam = c.snr_linear
-    rates = np.empty(users)
-    for k in range(1, users + 1):
-        xy = gam * g_sr * ranked[:, k - 1]
-        out = np.zeros(n, dtype=bool)
-        for l in range(1, k + 1):
-            sigma = c.xi * sum(c.a[: l - 1]) + sum(c.a[l:])
-            sinr = xy * c.a[l - 1] / (xy * sigma + c.c1 * ranked[:, k - 1] + c.c2)
-            out |= sinr < c.gamma_th[l - 1]
-        rates[k - 1] = out.mean()
-    return rates
+        g.gamma(c.m_ru, c.omega_ru / c.m_ru, size=(n, c.k_users, c.n_rt, c.n_u)))
+    return outage(c, g_sr, ranked).mean(axis=0)
 
 
 class TestEstimateOp:
