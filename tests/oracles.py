@@ -85,10 +85,10 @@ def row_maxima(rng, m, omega, size, n_iid):
 
 def block_counts(c, rng, n):
     """Per-rank outage counts of n trials drawn from rng in one piece: the
-    first-hop maxima of all trials in one draw, then the second hop's as
-    one (n, K, n_rt) draw, majority selection and the SINR of each stage.
-    In C order these take the numbers the kernel takes in chunks and
-    slices, so on the same stream the counts are the kernel's."""
+    first-hop maxima of all trials in one draw, then the (n, K, n_rt)
+    second-hop maxima in one draw, majority selection and the SINR of each
+    stage.  In C order these take the numbers the kernel takes in chunks
+    and slices, so on the same stream the counts are the kernel's."""
     g_sr = row_maxima(rng, c.m_sr, c.omega_sr, (n,), c.n_s * c.n_rr)
     rowmax = row_maxima(rng, c.m_ru, c.omega_ru, (n, c.k_users, c.n_rt), c.n_u)
     return outage(c, g_sr, majority_gains(rowmax[..., None])).sum(axis=0)

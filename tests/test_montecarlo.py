@@ -25,7 +25,7 @@ from ehnoma.montecarlo import (
     _max_of_iid,
     simulate_block,
 )
-from oracles import block_counts, ks_distance, majority_gains, outage
+from oracles import block_counts, ks_distance, majority_gains, outage, row_maxima
 
 
 def rng(seed):
@@ -58,28 +58,22 @@ class TestMaxOfIid:
     def test_bitwise_equal_to_axis_reductions(self, m, n_iid, shape):
         """The sliced, in-place sum and max give the bits of numpy's
         reductions over the scaled entries of one whole draw from the same
-        stream, written into the given `out`."""
+        stream (`oracles.row_maxima`), written into the given `out`."""
         omega = 1.7
-        full = shape + (n_iid,)
-        ref = rng(5)
-        if float(m).is_integer():
-            entries = ref.standard_exponential(full + (m,)).sum(axis=-1) * (omega / m)
-        else:
-            entries = ref.standard_gamma(m, size=full) * (omega / m)
         out = np.full(shape, np.nan)
         got = _max_of_iid(rng(5), m, omega, n_iid, out)
         assert got is out
-        assert np.array_equal(got, entries.max(axis=-1))
+        assert np.array_equal(got, row_maxima(rng(5), m, omega, shape, n_iid))
 
     @pytest.mark.parametrize("n_iid", [1, 4])
     def test_m1_into_out(self, n_iid):
         """At m = 1 the in-place inversion gives the bits of the expression
-        -omega * log1p(-u ** (1 / n_iid)) on the same uniforms."""
+        -omega * log1p(-u ** (1 / n_iid)) on the same uniforms
+        (`oracles.row_maxima`)."""
         shape, omega = (5000, 3, 2), 1.7
-        u = rng(5).random(shape)
         out = np.empty(shape)
         assert _max_of_iid(rng(5), 1, omega, n_iid, out) is out
-        assert np.array_equal(out, -omega * np.log1p(-np.power(u, 1.0 / n_iid)))
+        assert np.array_equal(out, row_maxima(rng(5), 1, omega, shape, n_iid))
 
 
 GOLDEN_CONFIGS = {
@@ -125,7 +119,8 @@ GOLDEN_COUNTS = [
     ("n_rt3_two_users_m2", 7, 0, 5000, (345, 527)),
     ("n_rt3_two_users_m2", 1, 1, BLOCK_SIZE, (18570, 27306)),
 ]
-# the rows below a full block, for the one-piece reference
+# the golden rows below a full block: drawn in one piece, a full block's
+# second-hop entries take up to 72 MiB (m=3)
 ONE_PIECE_ROWS = [row[:4] for row in GOLDEN_COUNTS if row[3] < BLOCK_SIZE]
 
 
