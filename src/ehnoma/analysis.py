@@ -43,10 +43,16 @@ _SIDE_MARGIN = 1e3
 # can check the closed form, and the most subintervals it may use.
 _QUAD_REL_TOL = 1e-13
 _QUAD_MAX_INTERVALS = 800
-# Equal pieces in t = ln y into which the quadrature cuts each interval
-# between its edges before refining: with 16, the op_curve points converge in
-# about 2 passes over 36 intervals, against 6 passes over 18 intervals uncut.
-_QUAD_PIECES = 16
+# The pieces into which the quadrature cuts each side of its breakpoint before
+# refining, as fractions of the side: 8 equal pieces, and the last below the
+# breakpoint, where the integrand turns and every later split fell when each
+# side was 16 equal pieces, cut into 8 more.  On the op_curve grid's 78
+# points that takes 82 passes of the rule over 1,806 intervals, against 165
+# over 2,798.  6 + 6 pieces took as long there and 13% less time on 336
+# points of unequal hops, but left the error estimate of the subnormal OP at
+# m=(2,2), 800 dB, rank 1 above 1e-6 of it.
+_QUAD_BELOW = np.concatenate([np.arange(7) / 8, (56 + np.arange(8)) / 64])
+_QUAD_ABOVE = np.arange(8) / 8
 # Most monomials a term table may hold.  Building and summing one peaks at
 # about 300 bytes a monomial (measured from 86k to 566k monomials), so this
 # keeps a table near 300 MB.
@@ -85,6 +91,15 @@ class _TermTable(NamedTuple):
     group: np.ndarray    # per (p, u, nu) row: its group's index
     nu: np.ndarray       # per row: the Bessel order nu
     half_nu: np.ndarray  # per row: nu / 2, the float power of its Bessel factor
+    abs_nu: np.ndarray   # per row: |nu|
+    # per row, with -nu = 2h + o, o in {0, 1}, and a = -h - o (see _exact_sum):
+    odd: np.ndarray      # o
+    px_num: np.ndarray   # max(a, 0), the power of p X over the row's product
+    px_den: np.ndarray   # max(-a, 0), the power of p X under it
+    uy_num: np.ndarray   # max(h, 0), the same of (1+u) Y
+    uy_den: np.ndarray   # max(-h, 0)
+    s_shift: np.ndarray  # s_top + a
+    j_shift: np.ndarray  # j_top + h
     row: np.ndarray      # per monomial: its row's index
     s: np.ndarray        # per monomial: the power of X
     j: np.ndarray        # per monomial: the power of Y
@@ -94,6 +109,7 @@ class _TermTable(NamedTuple):
     pu: np.ndarray       # per distinct p (1 + u), ascending: its value
     group_pu: np.ndarray  # per group: its p (1 + u)'s index
     pu_top: np.ndarray   # per p (1 + u): the largest |nu| of its rows
+    pu_low: np.ndarray   # per p (1 + u): 1 if its rows all have |nu| = 1, else 0
 
 
 def _table_size(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> int:
@@ -184,16 +200,25 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
     ss, js = np.divmod(ints(keys), stride)
     p, one_u, group, nu = (ints([p for p, _ in pus]), ints([1 + u for _, u in pus]),
                            ints(group), ints(nus))
+    s_top, j_top = int(ss.max(initial=0)), int(js.max(initial=0))
+    abs_nu = np.abs(nu)
+    h, odd = np.divmod(-nu, 2)
+    a = -h - odd
     pu, group_pu = np.unique(p * one_u, return_inverse=True)
     pu_top = np.zeros(len(pu), dtype=np.int64)
-    np.maximum.at(pu_top, group_pu[group], np.abs(nu))
+    np.maximum.at(pu_top, group_pu[group], abs_nu)
+    pu_low = np.ones(len(pu), dtype=np.int64)
+    pu_low[group_pu[group[abs_nu != 1]]] = 0
     return _TermTable(
-        s_top=int(ss.max(initial=0)), j_top=int(js.max(initial=0)), p=p, one_u=one_u,
-        group=group, nu=nu, half_nu=nu / 2, row=ints(row), s=ss, j=js,
-        num=tuple(num), den=den,
+        s_top=s_top, j_top=j_top, p=p, one_u=one_u,
+        group=group, nu=nu, half_nu=nu / 2, abs_nu=abs_nu, odd=odd,
+        px_num=np.maximum(a, 0), px_den=np.maximum(-a, 0),
+        uy_num=np.maximum(h, 0), uy_den=np.maximum(-h, 0),
+        s_shift=s_top + a, j_shift=j_top + h,
+        row=ints(row), s=ss, j=js, num=tuple(num), den=den,
         coef_float=np.array([float(c // g) / (den // g)
                              for c, g in zip(num, map(math.gcd, num, repeat(den)))]),
-        pu=pu, group_pu=group_pu, pu_top=pu_top)
+        pu=pu, group_pu=group_pu, pu_top=pu_top, pu_low=pu_low)
 
 
 def _closed_form_sums(table, xs, ys):
@@ -321,11 +346,12 @@ def _bucket_sums(terms):
 def _working_bits(bits, t_lo, t_hi) -> int:
     """Bits after the point that carry K_n(t), t_lo <= t <= t_hi, to 2^-bits of itself.
 
-    The K series' terms grow like e^t while K falls like e^-t, so it needs
-    2 t log2(e) more bits, plus 20 for its truncations, plus log2(1/t) for
-    t < 1, which keeps t itself, and so every power of it, to 2^-bits.
-    Rounded up to a multiple of 32, so that the cached logs of
-    _half_log_gamma serve many calls.
+    The K series' sums (_k_series, _bessel_k) come to within 2^-wp of the
+    largest, sum (t^2/4)^k / (k!)^2 = I_0(t) < e^t, while K falls like e^-t,
+    so K needs 2 t log2(e) more bits, plus 20 for the rounding of t, ln(t/2)
+    and the recurrence's divisions, plus log2(1/t) for t < 1, which keeps t
+    itself, and so every power of it, to 2^-bits.  Rounded up to a multiple
+    of 32, so that the cached logs of _half_log_gamma serve many calls.
     """
     bits += math.ceil(2 * t_hi * math.log2(math.e)) + 20 + max(0, math.ceil(-math.log2(t_lo)))
     return -(-bits // 32) * 32
@@ -338,41 +364,89 @@ def _half_log_gamma(n: int, wp: int) -> int:
         return int(mp.ldexp(mp.log(n) / 2 + mp.euler, wp))
 
 
-def _bessel_k(t, ell, wp, top):
-    """[K_0(t), ..., K_top(t)] in units of 2^-wp, from t and ell = ln(t/2) + gamma.
+class _KSeries(NamedTuple):
+    """One point's K_0/K_1 series, shared by its every Bessel argument.
+
+    At t = 2 sqrt(n XY), t^2/4 = n XY, so with c_k = (XY)^k / (k!)^2 and
+    H_k the k-th harmonic number the four sums of _bessel_k are polynomials
+    in n with the coefficients below, each in units of 2^-w.
+    """
+
+    w: int          # the coefficients' bits after the point
+    c: list         # c_k, k = 0, ..., k_max
+    ch: list        # c_k H_k
+    b: list         # c_k / (k+1)
+    bh: list        # c_k / (k+1) (H_k + H_(k+1))
+
+
+def _k_series(xy, shift, n_top, t_top, wp) -> _KSeries:
+    """The K series at XY = xy 2^-shift, for arguments 2 sqrt(n XY), n <= n_top.
+
+    t_top = 2 sqrt(n_top XY).  The series runs to the first k_max past t_top/2
+    whose term at n_top falls 2^-wp below the largest before it, a rule taken
+    in log2, as 2^-wp underflows above 1074 bits; at a smaller n each term
+    past the largest falls further, so k_max serves it too.  c_k comes from
+    c_(k-1) XY / k^2 in one floor, ch, b and bh from c_k in one floor each,
+    H_k in k floors; carried back through the recurrence and times n^k in
+    the exact Horner sums of _bessel_k, those floors cost each of the four
+    sums less than 4 (k_max + 2)^2 n_top^k_max I_0(t) units of 2^-w.  The
+    coefficients so carry g = ceil(k_max log2(n_top)) + 2 ceil(log2(k_max + 2))
+    + 2 guard bits over wp, and every sum is within I_0(t) 2^-wp, the bound
+    _working_bits counts on.
+    """
+    log_q = math.log2(n_top) + math.log2(xy) - shift  # log2 of t_top^2/4
+    k_max, term, top = 0, 0.0, 0.0  # log2 of the k_max-th term and of the largest
+    while k_max < t_top / 2 or term >= top - wp:
+        k_max += 1
+        term += log_q - 2 * math.log2(k_max)
+        top = max(top, term)
+    w = (wp + math.ceil(k_max * math.log2(n_top))
+         + 2 * math.ceil(math.log2(k_max + 2)) + 2)
+    one = 1 << w
+    c, h = one, 0
+    series = _KSeries(w, [], [], [], [])
+    for k in range(1, k_max + 2):
+        b = c // k
+        h_next = h + one // k
+        series.c.append(c)
+        series.ch.append(c * h >> w)
+        series.b.append(b)
+        series.bh.append(b * (h + h_next) >> w)
+        c = c * xy // (k * k << shift)
+        h = h_next
+    return series
+
+
+def _horner(coefs, n):
+    """sum_k coefs[k] n^k, exactly."""
+    total = 0
+    for c in reversed(coefs):
+        total = total * n + c
+    return total
+
+
+def _bessel_k(series, n, t, ell, wp, low, top):
+    """[K_low(t), ..., K_top(t)] in units of 2^-wp at t = 2 sqrt(n XY), from the
+    point's _k_series, t and ell = ln(t/2) + gamma, with K_0 None if low is 1.
 
     t and ell are integers in units of 2^-wp.  With H_k the k-th harmonic
     number (DLMF 10.31.1 at n = 0 and 1),
         K_0(t) = sum_k (t^2/4)^k / (k!)^2 (H_k - ell),
         K_1(t) = 1/t + (t/2) sum_k (t^2/4)^k / (k! (k+1)!) (ell - (H_k + H_(k+1))/2),
-    and both sums come out of one loop on integers, which stops past the
-    largest term (k > t/2) once a term falls below 2^-wp of the partial sum.
-    Orders above 1 come by the upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n
-    (DLMF 10.29.1), whose terms are all positive, so it loses no digits.
-    _working_bits says how large wp must be for a given accuracy.
+    and each of the four sums is an exact Horner evaluation of the series'
+    coefficients at n, K_0's two only where low is 0.  Orders above 1 come by
+    the upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n (DLMF 10.29.1),
+    which needs K_0, so low may be 1 only where top is; its terms are all
+    positive, so it loses no digits.  _working_bits says how large wp must
+    be for a given accuracy.
     """
-    one = 1 << wp
-    q = t * t >> (wp + 2)  # t^2/4
-    half_t = t >> (wp + 1)  # floor(t/2)
-    a, h = one, 0  # (t^2/4)^k / (k!)^2 and H_k
-    i0 = s0 = i1 = s1 = 0
-    k = 0
-    while True:
-        b = a // (k + 1)
-        h_next = h + one // (k + 1)
-        i0 += a
-        s0 += a * h
-        i1 += b
-        s1 += b * (h + h_next)
-        k += 1
-        if k > half_t and a < i0 >> wp:
-            break
-        a = (a * q >> wp) // (k * k)
-        h = h_next
-    # s0, s1 and the products with ell are in units of 2^-2wp
-    kv = [(s0 - ell * i0) >> wp, (one << wp) // t + (t * (ell * i1 - s1 // 2) >> (2 * wp + 1))]
-    for n in range(1, top):
-        kv.append(kv[n - 1] + (2 * n * kv[n] << wp) // t)
+    w = series.w
+    i1, s1 = _horner(series.b, n), _horner(series.bh, n)
+    # ell * i1 and s1 << wp - 1 are in units of 2^-(w + wp)
+    kv = [None if low else (_horner(series.ch, n) << wp) - ell * _horner(series.c, n) >> w,
+          (1 << 2 * wp) // t + (t * (ell * i1 - (s1 << wp - 1)) >> (w + wp + 1))]
+    for order in range(1, top):
+        kv.append(kv[order - 1] + (2 * order * kv[order] << wp) // t)
     return kv
 
 
@@ -384,10 +458,11 @@ def _exact_sum(table, x, y, bits):
     r = sqrt(p (1+u) X Y) and -nu = 2h + o, o in {0, 1}, the row's Bessel
     factor (p X / r)^nu e^(-(1+u) Y) K_nu(2r) is
         (p X)^a ((1+u) Y)^h * r^o K_nu(2r) e^(-(1+u) Y),   a = -h - o,
-    where only r and K_nu(2r) (in fixed point, per distinct p (1+u), with
-    ln r = (ln XY + ln(p (1+u))) / 2) and e^(-(1+u) Y) (a power of one mpf
-    e^-Y, as mantissa and exponent) are not exact.  Each row is then one
-    integer product and one floor division into units of 2^-wp.
+    where only r and K_nu(2r) (in fixed point, per distinct p (1+u), from
+    one _k_series per call, with ln r = (ln XY + ln(p (1+u))) / 2) and
+    e^(-(1+u) Y) (a power of one mpf e^-Y, as mantissa and exponent) are not
+    exact.  Each row is then one integer product and one floor division into
+    units of 2^-wp, with its exponents read from the table.
     """
     ax, dx = x.as_integer_ratio()
     ay, dy = y.as_integer_ratio()
@@ -395,15 +470,16 @@ def _exact_sum(table, x, y, bits):
     pus = table.pu.tolist()
     t_lo, t_hi = (2 * math.sqrt(n) * math.sqrt(x) * math.sqrt(y) for n in (pus[0], pus[-1]))
     wp = _working_bits(bits, t_lo, t_hi)
-    one = 1 << wp
     with mp.workprec(wp + 20):
         half_log_xy = int(mp.ldexp(mp.log(mp.mpf(x) * y), wp - 1))
         e_man, e_exp = mp.exp(-mp.mpf(y)).man_exp
+    series = _k_series(ax * ay, ex + ey, pus[-1], t_hi, wp)
     shift = 2 * wp - ex - ey  # r^2 = p (1+u) ax ay 2^-(ex+ey), in units of 2^-2wp
-    bessel = []  # per distinct p (1+u): r and K_0(2r), ..., K_top(2r)
-    for pu, top in zip(pus, table.pu_top.tolist()):
+    bessel = []  # per distinct p (1+u): (1, r) and K_low(2r), ..., K_top(2r)
+    for pu, low, top in zip(pus, table.pu_low.tolist(), table.pu_top.tolist()):
         r = math.isqrt(pu * ax * ay << shift if shift >= 0 else pu * ax * ay >> -shift)
-        bessel.append((r, _bessel_k(2 * r, half_log_xy + _half_log_gamma(pu, wp), wp, top)))
+        ell = half_log_xy + _half_log_gamma(pu, wp)
+        bessel.append(((1, r), _bessel_k(series, pu, 2 * r, ell, wp, low, top)))
     groups = [(p * ax, one_u * ay, e_man**one_u, one_u * e_exp, *bessel[i])
               for p, one_u, i in zip(table.p.tolist(), table.one_u.tolist(),
                                       table.group_pu.tolist())]
@@ -412,14 +488,18 @@ def _exact_sum(table, x, y, bits):
     polys = [0] * len(table.nu)
     for row, s, j, c in zip(table.row.tolist(), table.s.tolist(), table.j.tolist(), table.num):
         polys[row] += c * xys[s][j]
-    total = abs_total = one
-    for poly, g, nu in zip(polys, table.group.tolist(), table.nu.tolist()):
+    # the part of each row's shift that the table fixes, as wp and the
+    # exponents of X and Y are the same for every row
+    shifts = (wp * table.odd + ex * table.s_shift + ey * table.j_shift).tolist()
+    total = abs_total = 1 << wp
+    for poly, g, n, o, px_num, px_den, uy_num, uy_den, fixed in zip(
+            polys, table.group.tolist(), table.abs_nu.tolist(), table.odd.tolist(),
+            table.px_num.tolist(), table.px_den.tolist(), table.uy_num.tolist(),
+            table.uy_den.tolist(), shifts):
         p_ax, u_ay, e_pow, e_shift, r, kv = groups[g]
-        h, o = divmod(-nu, 2)
-        a = -h - o
-        num = poly * kv[abs(nu)] * e_pow * r**o * p_ax ** max(a, 0) * u_ay ** max(h, 0)
-        den = table.den * p_ax ** max(-a, 0) * u_ay ** max(-h, 0)
-        shift = e_shift - wp * o - ex * (table.s_top + a) - ey * (table.j_top + h)
+        num = poly * kv[n] * e_pow * r[o] * p_ax**px_num * u_ay**uy_num
+        den = table.den * p_ax**px_den * u_ay**uy_den
+        shift = e_shift - fixed
         term = (num << shift) // den if shift >= 0 else num // (den << -shift)
         total += term
         abs_total += abs(term)
@@ -715,10 +795,13 @@ def _gk21(f, lo, hi):
     """
     centre, half = (lo + hi) / 2, (hi - lo) / 2
     fx = f(centre[:, None] + half[:, None] * _GK_NODES)
-    kronrod = fx @ _GK_KRONROD
-    resasc = np.abs(fx - (kronrod / 2)[:, None]) @ _GK_KRONROD * half
-    resabs = np.abs(fx) @ _GK_KRONROD * half
-    err = np.abs(kronrod - fx @ _GK_GAUSS) * half
+    # einsum sums each row alone, in one order, where a matrix product's
+    # rounding may depend on the rows beside it
+    weigh = partial(np.einsum, "ij,j->i")
+    kronrod = weigh(fx, _GK_KRONROD)
+    resasc = weigh(np.abs(fx - (kronrod / 2)[:, None]), _GK_KRONROD) * half
+    resabs = weigh(np.abs(fx), _GK_KRONROD) * half
+    err = np.abs(kronrod - weigh(fx, _GK_GAUSS)) * half
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200 * err / resasc) ** 1.5)
     err = np.where((resasc != 0) & (err != 0), scaled, err)
@@ -765,11 +848,12 @@ def op_numerical(k: int, config: SystemConfig) -> float:
     with both CDFs in unexpanded power form.  The integral runs over
     t = ln y with a breakpoint where the second-hop CDF turns, near
     y = tau* c2 / c1, which deep in outage is a tiny fraction of the range.
-    Each side of it is cut into _QUAD_PIECES equal pieces, and _integrate
-    evaluates the integral with the 21-point Gauss-Kronrod rule by batched
-    bisection from those pieces.  Accepts non-integer fading m.  Raises
-    UnresolvedNumericsError when the integrator's error estimate exceeds
-    _REL_TOL times the OP.
+    Each side of it is cut into the pieces _QUAD_BELOW and _QUAD_ABOVE give,
+    finest just below it, and _integrate evaluates the integral with the
+    21-point Gauss-Kronrod rule by batched bisection from those pieces (a
+    range the breakpoint misses is cut as the side above it).  Accepts
+    non-integer fading m.  Raises UnresolvedNumericsError when the
+    integrator's error estimate exceeds _REL_TOL times the OP.
     """
     _check_scope(config)
     tau = tau_star(k, config)
@@ -804,9 +888,12 @@ def op_numerical(k: int, config: SystemConfig) -> float:
     # is below 1e-15 of head, and head <= OP
     y_lo = tau * math.expm1(math.log1p(1e-15) / (m_sr * n))
     t_lo, t_hi, t_turn = math.log(y_lo), math.log(x_max - tau), math.log(ratio)
-    edges = [t_lo, t_turn, t_hi] if t_lo < t_turn < t_hi else [t_lo, t_hi]
-    pieces = [np.linspace(a, b, _QUAD_PIECES + 1)[:-1] for a, b in zip(edges, edges[1:])]
-    tail, err = _integrate(integrand, [*np.concatenate(pieces).tolist(), t_hi])
+    if t_lo < t_turn < t_hi:
+        cut = np.concatenate([t_lo + (t_turn - t_lo) * _QUAD_BELOW,
+                              t_turn + (t_hi - t_turn) * _QUAD_ABOVE])
+    else:
+        cut = t_lo + (t_hi - t_lo) * _QUAD_ABOVE
+    tail, err = _integrate(integrand, [*cut.tolist(), t_hi])
     op = head + tail
     if err > _REL_TOL * op:
         raise UnresolvedNumericsError(

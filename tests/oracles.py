@@ -164,14 +164,24 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
     group_pu = [pu.index(p * (1 + u)) for p, u in pus]
     ints = partial(np.array, dtype=np.int64)
     den = math.lcm(*(c.denominator for c in coef))
+    s_top, j_top = max(ss, default=0), max(js, default=0)
+    # each row's (h, o) with -nu = 2h + o, o in {0, 1}, and a = -h - o
+    hos = [divmod(-nu, 2) for nu in nus]
+    aa = [-h - o for h, o in hos]
     return _TermTable(
-        s_top=max(ss, default=0), j_top=max(js, default=0),
+        s_top=s_top, j_top=j_top,
         p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
         group=ints(group), nu=ints(nus), half_nu=np.array([nu / 2 for nu in nus]),
+        abs_nu=ints([abs(nu) for nu in nus]), odd=ints([o for _, o in hos]),
+        px_num=ints([max(a, 0) for a in aa]), px_den=ints([max(-a, 0) for a in aa]),
+        uy_num=ints([max(h, 0) for h, _ in hos]), uy_den=ints([max(-h, 0) for h, _ in hos]),
+        s_shift=ints([s_top + a for a in aa]), j_shift=ints([j_top + h for h, _ in hos]),
         row=ints(row),
         s=ints(ss), j=ints(js),
         num=tuple(c.numerator * (den // c.denominator) for c in coef), den=den,
         coef_float=np.array([float(c.numerator) / c.denominator for c in coef]),
         pu=ints(pu), group_pu=ints(group_pu),
         pu_top=ints([max(abs(nu) for g, nu in zip(group, nus) if group_pu[g] == i)
+                     for i in range(len(pu))]),
+        pu_low=ints([all(abs(nu) == 1 for g, nu in zip(group, nus) if group_pu[g] == i)
                      for i in range(len(pu))]))
