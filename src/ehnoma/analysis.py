@@ -662,8 +662,9 @@ def closed_form_side(k: int, config: SystemConfig, target: float) -> int:
     value, resolved from the same float pass, is compared exactly, so
     equality keeps its meaning.  find_snr_for_op needs this: bisecting on
     op_closed_form's values instead takes the exact pass at probes near the
-    target, 13 times over the benchmark's 15 find-snr searches, which then
-    took 41 ms in place of 30 on a 2-core Xeon.
+    target, 12 times over the benchmark's 15 find-snr searches, which then
+    take 18.7-19.4 ms in place of 13.8-14.2 on a 2-core Xeon (warm medians
+    of 9 rounds, two processes).
     """
     (op,), points = _points(k, (config,))
     for _, _, table, x, y in points:
