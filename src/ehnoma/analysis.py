@@ -59,8 +59,9 @@ _QUAD_ABOVE = np.arange(8) / 8
 _MAX_MONOMIALS = 1_000_000
 # The float pass sums a table of at least this many monomials by binary
 # exponent (_bucket_sums), and a smaller one with math.fsum alone.  On one
-# point the two cost the same at 640-672 monomials, and bucketing costs 0.7x
-# fsum at 820 and 0.3x at 2,700.
+# point fsum took 10.8, 38.8, 57.6 and 219 us at 154, 585, 820 and 2,700
+# monomials, bucketing 33.1, 35.9, 40.3 and 57 (2-core Xeon, medians of 15
+# alternating rounds of 200 calls).
 _BUCKET_MIN_TERMS = 700
 # Veltkamp's splitter for a 53-bit double: t * _SPLITTER - (t * _SPLITTER - t)
 # is t rounded to 26 significant bits.  It holds while t * _SPLITTER does not
@@ -81,17 +82,19 @@ class _TermTable(NamedTuple):
 
     One row per (p, u) group, per (p, u, nu) Bessel factor and per monomial,
     and, as the Bessel argument depends only on p (1 + u), one per distinct
-    p (1 + u).
+    p (1 + u).  It also fixes the Bessel layout of both passes: the K orders
+    a point builds, k_low to pu_top, and where each row reads its K.
     """
 
     s_top: int           # largest power of X
     j_top: int           # largest power of Y
+    k_low: int           # 1 if every row has |nu| = 1, so no point needs K_0, else 0
     p: np.ndarray        # per (p, u) group: p
     one_u: np.ndarray    # per group: 1 + u
     group: np.ndarray    # per (p, u, nu) row: its group's index
-    nu: np.ndarray       # per row: the Bessel order nu
     half_nu: np.ndarray  # per row: nu / 2, the float power of its Bessel factor
     abs_nu: np.ndarray   # per row: |nu|
+    k_slot: np.ndarray   # per row: (|nu| - k_low) len(pu) + its p (1 + u)'s index
     # per row, with -nu = 2h + o, o in {0, 1}, and a = -h - o (see _exact_sum):
     odd: np.ndarray      # o
     px_num: np.ndarray   # max(a, 0), the power of p X over the row's product
@@ -109,7 +112,6 @@ class _TermTable(NamedTuple):
     pu: np.ndarray       # per distinct p (1 + u), ascending: its value
     group_pu: np.ndarray  # per group: its p (1 + u)'s index
     pu_top: np.ndarray   # per p (1 + u): the largest |nu| of its rows
-    pu_low: np.ndarray   # per p (1 + u): 1 if its rows all have |nu| = 1, else 0
 
 
 def _table_size(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> int:
@@ -207,18 +209,20 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
     pu, group_pu = np.unique(p * one_u, return_inverse=True)
     pu_top = np.zeros(len(pu), dtype=np.int64)
     np.maximum.at(pu_top, group_pu[group], abs_nu)
-    pu_low = np.ones(len(pu), dtype=np.int64)
-    pu_low[group_pu[group[abs_nu != 1]]] = 0
+    # computing K_0 where no row needs it made an m=1 one-point float pass take
+    # 45.0-46.1 us, not 35.4-36.5 (2-core Xeon, medians of 15 alternating rounds)
+    k_low = int((abs_nu == 1).all())
     return _TermTable(
-        s_top=s_top, j_top=j_top, p=p, one_u=one_u,
-        group=group, nu=nu, half_nu=nu / 2, abs_nu=abs_nu, odd=odd,
+        s_top=s_top, j_top=j_top, k_low=k_low, p=p, one_u=one_u,
+        group=group, half_nu=nu / 2, abs_nu=abs_nu,
+        k_slot=(abs_nu - k_low) * len(pu) + group_pu[group], odd=odd,
         px_num=np.maximum(a, 0), px_den=np.maximum(-a, 0),
         uy_num=np.maximum(h, 0), uy_den=np.maximum(-h, 0),
         s_shift=s_top + a, j_shift=j_top + h,
         row=ints(row), s=ss, j=js, num=tuple(num), den=den,
         coef_float=np.array([float(c // g) / (den // g)
                              for c, g in zip(num, map(math.gcd, num, repeat(den)))]),
-        pu=pu, group_pu=group_pu, pu_top=pu_top, pu_low=pu_low)
+        pu=pu, group_pu=group_pu, pu_top=pu_top)
 
 
 def _closed_form_sums(table, xs, ys):
@@ -241,34 +245,28 @@ def _closed_form_terms(table, xs, ys):
     The terms, after the closed form's leading 1, are each monomial of the
     _TermTable times its (p, u, nu) row's Bessel factor, in numpy for every
     point at once: per distinct p (1 + u) the Bessel argument t and
-    e^t K_n(t) for n up to the table's largest |nu|, per (p, u) group
-    e^(-(1+u) Y - t), per row the nu-power and the Bessel factor, then
-    c * X^s * Y^j * bessel per monomial.  scipy's exponentially scaled
-    kve = e^t K_n(t), which keeps the underflow of a far tail inside one
-    exp(), gives orders 0 and 1 in one call, and the higher orders come by
-    _bessel_k's upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n, which at
-    orders 20-23, the highest at m=3, errs several times less than kve.  A
-    table whose rows all have |nu| = 1, as at m_sr = m_ru = 1, takes order 1
-    alone.  Terms that overflow come out inf or NaN.
+    e^t K_n(t) for n from the table's k_low to its largest |nu|, per (p, u)
+    group e^(-(1+u) Y - t), per row the nu-power and the Bessel factor with
+    the K at its k_slot, then c * X^s * Y^j * bessel per monomial.  scipy's
+    exponentially scaled kve = e^t K_n(t), which keeps the underflow of a
+    far tail inside one exp(), gives orders k_low to 1 in one call, and the
+    higher orders come by _bessel_k's upward recurrence
+    K_(n+1) = K_(n-1) + (2n/t) K_n, which at orders 20-23, the highest at
+    m=3, errs several times less than kve.  Terms that overflow come out inf
+    or NaN.
     """
     # one point's X and Y as scalars: as columns, a one-point call (every
-    # search probe) took 5-8 us more of its 62-135 us at m 1-3 (2-core Xeon,
-    # medians of 6 alternating rounds of 200 calls)
+    # search probe) took 2.9-6.7 us more of its 31-76 us at m 1-2 (2-core
+    # Xeon, medians of 15 alternating rounds of 200 calls)
     x, y = ((xs[0], ys[0]) if len(xs) == 1
             else (np.array(xs)[:, None], np.array(ys)[:, None]))
-    abs_nu = np.abs(table.nu)
-    top = int(table.pu_top.max())
-    # the lowest order kve evaluates, and so the first in each point's K table
-    low = 1 if top == 1 == abs_nu.min() else 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         arg = 2 * np.sqrt(table.pu * x * y)
-        kv = list(special.kve(np.arange(low, 2)[:, None], arg.ravel()).reshape(-1, *arg.shape))
-        for n in range(1, top):
+        kv = list(special.kve(np.arange(table.k_low, 2)[:, None],
+                              arg.ravel()).reshape(-1, *arg.shape))
+        for n in range(1, int(table.pu_top.max())):
             kv.append(kv[n - 1] + 2 * n / arg * kv[n])
-        # each point's K_low, ..., K_top over the distinct p (1 + u), end to
-        # end: a row's K_|nu| is at (|nu| - low) len(pu) + its p (1 + u)'s index
-        kv = np.concatenate(kv, axis=-1).take(
-            (abs_nu - low) * len(table.pu) + table.group_pu.take(table.group), axis=-1)
+        kv = np.concatenate(kv, axis=-1).take(table.k_slot, axis=-1)
         scale = np.exp(-table.one_u * y - arg.take(table.group_pu, axis=-1))
         power = (table.p * x / (table.one_u * y)).take(table.group, axis=-1) ** table.half_nu
         bessel = power * scale.take(table.group, axis=-1) * kv
@@ -436,9 +434,9 @@ def _bessel_k(series, n, t, ell, wp, low, top):
     and each of the four sums is an exact Horner evaluation of the series'
     coefficients at n, K_0's two only where low is 0.  Orders above 1 come by
     the upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n (DLMF 10.29.1),
-    which needs K_0, so low may be 1 only where top is; its terms are all
-    positive, so it loses no digits.  _working_bits says how large wp must
-    be for a given accuracy.
+    which needs K_0, so low may be 1 only where top is, as the table's k_low
+    is; its terms are all positive, so it loses no digits.  _working_bits
+    says how large wp must be for a given accuracy.
     """
     w = series.w
     i1, s1 = _horner(series.b, n), _horner(series.bh, n)
@@ -458,11 +456,11 @@ def _exact_sum(table, x, y, bits):
     r = sqrt(p (1+u) X Y) and -nu = 2h + o, o in {0, 1}, the row's Bessel
     factor (p X / r)^nu e^(-(1+u) Y) K_nu(2r) is
         (p X)^a ((1+u) Y)^h * r^o K_nu(2r) e^(-(1+u) Y),   a = -h - o,
-    where only r and K_nu(2r) (in fixed point, per distinct p (1+u), from
-    one _k_series per call, with ln r = (ln XY + ln(p (1+u))) / 2) and
-    e^(-(1+u) Y) (a power of one mpf e^-Y, as mantissa and exponent) are not
-    exact.  Each row is then one integer product and one floor division into
-    units of 2^-wp, with its exponents read from the table.
+    where only r and K_nu(2r) (in fixed point, per distinct p (1+u) at the
+    table's orders, from one _k_series, with ln r = (ln XY + ln(p (1+u))) / 2)
+    and e^(-(1+u) Y) (a power of one mpf e^-Y, as mantissa and exponent) are
+    not exact.  Each row is then one integer product and one floor division
+    into units of 2^-wp, with its exponents read from the table.
     """
     ax, dx = x.as_integer_ratio()
     ay, dy = y.as_integer_ratio()
@@ -475,17 +473,17 @@ def _exact_sum(table, x, y, bits):
         e_man, e_exp = mp.exp(-mp.mpf(y)).man_exp
     series = _k_series(ax * ay, ex + ey, pus[-1], t_hi, wp)
     shift = 2 * wp - ex - ey  # r^2 = p (1+u) ax ay 2^-(ex+ey), in units of 2^-2wp
-    bessel = []  # per distinct p (1+u): (1, r) and K_low(2r), ..., K_top(2r)
-    for pu, low, top in zip(pus, table.pu_low.tolist(), table.pu_top.tolist()):
+    bessel = []  # per distinct p (1+u): (1, r) and K_k_low(2r), ..., K_top(2r)
+    for pu, top in zip(pus, table.pu_top.tolist()):
         r = math.isqrt(pu * ax * ay << shift if shift >= 0 else pu * ax * ay >> -shift)
         ell = half_log_xy + _half_log_gamma(pu, wp)
-        bessel.append(((1, r), _bessel_k(series, pu, 2 * r, ell, wp, low, top)))
+        bessel.append(((1, r), _bessel_k(series, pu, 2 * r, ell, wp, table.k_low, top)))
     groups = [(p * ax, one_u * ay, e_man**one_u, one_u * e_exp, *bessel[i])
               for p, one_u, i in zip(table.p.tolist(), table.one_u.tolist(),
                                       table.group_pu.tolist())]
     xys = [[ax**s * ay**j << ex * (table.s_top - s) + ey * (table.j_top - j)
             for j in range(table.j_top + 1)] for s in range(table.s_top + 1)]
-    polys = [0] * len(table.nu)
+    polys = [0] * len(table.odd)
     for row, s, j, c in zip(table.row.tolist(), table.s.tolist(), table.j.tolist(), table.num):
         polys[row] += c * xys[s][j]
     # the part of each row's shift that the table fixes, as wp and the

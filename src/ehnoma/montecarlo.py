@@ -145,7 +145,8 @@ def _selected_gains(rowmax: np.ndarray) -> np.ndarray:
     sel = g[0]
     for j in range(1, n_rt):
         sel = np.where(i_r == j, g[j], sel)
-    # sorting network of compare-exchanges, ascending
+    # sorting network of compare-exchanges, ascending: np.sort(sel, axis=0) made this function
+    # 782 us per 8,192-trial chunk at K=3, n_rt=2, not 359 (2-core Xeon, medians of 15 rounds)
     for top in range(len(sel) - 1, 0, -1):
         for j in range(top):
             lo = np.minimum(sel[j], sel[j + 1])

@@ -128,8 +128,9 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
     (p, u, nu, s, j) monomial, so the sum over q happens monomial by monomial;
     analysis._bessel_groups must give the same table field by field, its
     coefficients being num/den here over the least common denominator, and
-    its index of distinct Bessel arguments and their largest orders being
-    derived here from the group and row lists by set and list lookups.
+    its index of distinct Bessel arguments, their largest orders, its lowest
+    K order and each row's place in a point's K table being derived here
+    from the group and row lists by set and list lookups.
     """
     groups = {}
     scale = Fraction(2 * n, math.factorial(m_sr - 1))
@@ -162,6 +163,9 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
     # the distinct Bessel arguments p (1 + u), ascending, with each group's index
     pu = sorted({p * (1 + u) for p, u in pus})
     group_pu = [pu.index(p * (1 + u)) for p, u in pus]
+    # K_0 is left out only where every row has |nu| = 1; a point's K table
+    # holds orders k_low and up, each over every distinct argument
+    k_low = int(all(abs(nu) == 1 for nu in nus))
     ints = partial(np.array, dtype=np.int64)
     den = math.lcm(*(c.denominator for c in coef))
     s_top, j_top = max(ss, default=0), max(js, default=0)
@@ -169,10 +173,12 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
     hos = [divmod(-nu, 2) for nu in nus]
     aa = [-h - o for h, o in hos]
     return _TermTable(
-        s_top=s_top, j_top=j_top,
+        s_top=s_top, j_top=j_top, k_low=k_low,
         p=ints([p for p, _ in pus]), one_u=ints([1 + u for _, u in pus]),
-        group=ints(group), nu=ints(nus), half_nu=np.array([nu / 2 for nu in nus]),
-        abs_nu=ints([abs(nu) for nu in nus]), odd=ints([o for _, o in hos]),
+        group=ints(group), half_nu=np.array([nu / 2 for nu in nus]),
+        abs_nu=ints([abs(nu) for nu in nus]),
+        k_slot=ints([(abs(nu) - k_low) * len(pu) + group_pu[g] for g, nu in zip(group, nus)]),
+        odd=ints([o for _, o in hos]),
         px_num=ints([max(a, 0) for a in aa]), px_den=ints([max(-a, 0) for a in aa]),
         uy_num=ints([max(h, 0) for h, _ in hos]), uy_den=ints([max(-h, 0) for h, _ in hos]),
         s_shift=ints([s_top + a for a in aa]), j_shift=ints([j_top + h for h, _ in hos]),
@@ -182,6 +188,4 @@ def bessel_groups(k, m_sr, m_ru, n, n_u):
         coef_float=np.array([float(c.numerator) / c.denominator for c in coef]),
         pu=ints(pu), group_pu=ints(group_pu),
         pu_top=ints([max(abs(nu) for g, nu in zip(group, nus) if group_pu[g] == i)
-                     for i in range(len(pu))]),
-        pu_low=ints([all(abs(nu) == 1 for g, nu in zip(group, nus) if group_pu[g] == i)
                      for i in range(len(pu))]))

@@ -278,16 +278,17 @@ def float_sums(k, config):
     return total, abs_total
 
 
-def series_bessel(ns, x, y, wp, lows, tops):
+def series_bessel(ns, x, y, wp, low, tops):
     """[(t, [K_low(t), ..., K_top(t)])] at each t = 2 sqrt(n X Y), n in ns ascending,
-    from one _k_series, with t in fixed point and ell as _exact_sum makes them; t is
-    returned as the mpf it stands for, X Y being the exact product of the doubles."""
+    from one _k_series, with t in fixed point and ell as _exact_sum makes them, and
+    low the same for every t, as _exact_sum hands its table's k_low; t is returned
+    as the mpf it stands for, X Y being the exact product of the doubles."""
     (ax, dx), (ay, dy) = x.as_integer_ratio(), y.as_integer_ratio()
     xy, shift = ax * ay, dx.bit_length() + dy.bit_length() - 2
     series = analysis._k_series(xy, shift, ns[-1], 2 * math.sqrt(ns[-1] * x * y), wp)
     out = []
     with mp.workprec(wp + 20):
-        for n, low, top in zip(ns, lows, tops):
+        for n, top in zip(ns, tops):
             t = 2 * math.isqrt(n * xy << 2 * wp - shift)
             ell = int(mp.ldexp(mp.log(n * mp.mpf(xy) / 2**shift) / 2 + mp.euler, wp))
             out.append((mp.ldexp(t, -wp), analysis._bessel_k(series, n, t, ell, wp, low, top)))
@@ -528,7 +529,7 @@ class TestClosedForm:
         # alone where every row has |nu| = 1, not once per row (40, 440, 480
         # and 912 rows), in one call for all its points
         table = analysis._bessel_groups(*key)
-        orders = {1} if set(np.abs(table.nu).tolist()) == {1} else {0, 1}
+        orders = {1} if set(table.abs_nu.tolist()) == {1} else {0, 1}
         pairs = {(p * one_u, n) for p, one_u in zip(table.p.tolist(), table.one_u.tolist())
                  for n in orders}
         evaluations = []
@@ -562,7 +563,7 @@ class TestClosedForm:
             monkeypatch.setattr(analysis, name, counting)
         analysis._exact_sum(table, x, y, 133)
         pus = sorted(set((table.p * table.one_u).tolist()))
-        orders = [{abs(nu) for nu, g in zip(table.nu.tolist(), table.group.tolist())
+        orders = [{n for n, g in zip(table.abs_nu.tolist(), table.group.tolist())
                    if table.p[g] * table.one_u[g] == pu} for pu in pus]
         assert len(series) == 1
         assert len(calls) == count == len(pus)
@@ -583,10 +584,10 @@ class TestClosedForm:
         y = c.m_sr / c.omega_sr * tau_star(key[0], c)
         pus = table.pu.tolist()
         wp = analysis._working_bits(133, *(2 * math.sqrt(n * x * y) for n in (pus[0], pus[-1])))
-        kvs = series_bessel(pus, x, y, wp, table.pu_low.tolist(), table.pu_top.tolist())
+        kvs = series_bessel(pus, x, y, wp, table.k_low, table.pu_top.tolist())
         with mp.workprec(wp + 20):
             for pu, (t, kv) in zip(pus, kvs):
-                orders = {abs(nu) for nu, g in zip(table.nu.tolist(), table.group.tolist())
+                orders = {n for n, g in zip(table.abs_nu.tolist(), table.group.tolist())
                           if table.p[g] * table.one_u[g] == pu}
                 for n in orders:
                     exact = mp.besselk(n, t)
@@ -603,7 +604,7 @@ class TestClosedForm:
             t = 1e-4 * 6e5 ** (i / 39)
             wp = analysis._working_bits(bits, t, t)
             # t = 2 sqrt(X Y) with X Y = (t/2)^2 rounded to a double
-            ((t, kv),) = series_bessel([1], (t / 2) ** 2, 1.0, wp, [0], [1])
+            ((t, kv),) = series_bessel([1], (t / 2) ** 2, 1.0, wp, 0, [1])
             with mp.workprec(wp + 20):
                 for n in (0, 1):
                     exact = mp.besselk(n, t)

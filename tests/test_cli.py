@@ -594,6 +594,8 @@ class TestMain:
           "--hi", "0"], "bracket [40.0, 0.0] dB needs lo < hi"),
         (["find-w", "{path}", "--user", "1", "--points", "-3"],
          "w grid must be nonempty"),
+        # an override with no "="
+        (["analytic", "{path}", "--set", "m_sr"], "override must be KEY=VALUE, got 'm_sr'"),
     ])
     def test_invalid_argument_exit(self, tmp_path, capsys, argv, message):
         # invalid input, not a search failure
@@ -738,6 +740,18 @@ def loaded_by_import(*modules, argv=None):
     run = subprocess.run([sys.executable, "-c", code, str(src), *modules],
                          capture_output=True, text=True, timeout=120, check=True)
     return run.stdout.split()
+
+
+def test_module_run_exits_with_main_code(tmp_path):
+    # `python -m ehnoma.cli` hands main's return value to the shell
+    src = Path(ehnoma.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-m", "ehnoma.cli", "analytic",
+                          write_scenario(tmp_path), "--set", "m_sr"],
+                         capture_output=True, text=True, timeout=120, env=env)
+    assert run.returncode == EXIT_PARSE
+    assert run.stderr == "error: override must be KEY=VALUE, got 'm_sr'\n"
 
 
 def test_import_leaves_out_scipy_integrate():

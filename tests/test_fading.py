@@ -32,6 +32,10 @@ class TestThetaTable:
     def test_zeroth_power(self):
         assert theta(0, 3) == (Fraction(1),)
 
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="power y must be nonnegative"):
+            theta(-1, 2)
+
     def test_rayleigh_degenerate(self):
         assert theta(5, 1) == (Fraction(1),)
 
