@@ -536,17 +536,19 @@ def _closed_form(k: int, config: SystemConfig, table, x, y, total, abs_total) ->
     Takes a point of _points and its float sums, sum t and sum |t|.  The
     float sum is returned when its error bound, measured from the
     summation condition number, is inside _REL_TOL.  Otherwise _exact_sum
-    sums the same terms in integers to _bits(condition) bits, adding bits
-    until they cover the condition that pass measures (at least doubling
-    them while a pass's sum is below its own noise), up to the bits that put
-    the first pass's noise 57 bits below the smallest subnormal.  A float
+    sums the same terms in integers to _bits(condition) bits.  A float
     sum below its own noise measures no condition; then the OP's lower bound
     F_sr(tau*)^N bounds it, as sum|t| / F_sr(tau*)^N.  Float terms that
     overflow measure nothing either: a bound that rounds to 1 gives OP 1,
-    and otherwise the exact pass starts from 57 bits.  A sum still
-    unresolved at the most bits rounds to 0 when that bound underflows to 0
-    and the sum and its noise lie within half the smallest subnormal;
-    otherwise it raises UnresolvedNumericsError.
+    and otherwise the exact pass starts from 57 bits.  A pass is decided
+    once its noise, 2^-bits of sum|t|, is 2^-57 of |sum t| or of the
+    smallest subnormal, 2^-1074, whichever is larger (Ziv's rule); until
+    then the next pass takes the bits its condition calls for, at least
+    twice its own while its sum is below its noise, up to cap, the bits that
+    decide the first pass's sum|t| by the subnormal.  A decided sum is
+    rounded to a double, 0.0 for one below its noise at cap, as it and its
+    noise lie under 2^-1130 there, unless F_sr(tau*)^N > 0 contradicts that:
+    then it raises UnresolvedNumericsError.
     """
     finite = math.isfinite(abs_total)
     noise = sys.float_info.epsilon * abs_total
@@ -565,19 +567,16 @@ def _closed_form(k: int, config: SystemConfig, table, x, y, total, abs_total) ->
         total, abs_total, wp = _exact_sum(table, x, y, bits)
         # |sum t| and its noise, 2^-bits of sum|t|, both times 2^bits
         scaled = abs(total) << bits
-        need = _bits(abs_total << bits, max(scaled, abs_total))
-        if need <= bits:
-            return _clamp(total / (1 << wp))  # int division rounds correctly
         cap = cap or _bits(abs_total, 1 << wp) + 1074  # sum|t| over 2^-1074
-        if bits >= cap:
-            break
+        need = _bits(abs_total << bits, max(scaled, abs_total))
         if scaled < abs_total:  # below its noise: need is no measure
             need = max(need, 2 * bits)
-        bits = min(need, cap)
-    # the sum and its noise within half the smallest subnormal, 2^-1075
-    if head == 0.0 and scaled + abs_total <= 1 << (wp + bits - 1075):
-        return 0.0
-    raise UnresolvedNumericsError(f"closed-form OP for k={k} unresolved within {cap} bits")
+        need = min(need, cap)
+        if need <= bits and scaled < abs_total and head > 0.0:  # under 2^-1130, yet >= head
+            raise UnresolvedNumericsError(f"closed-form OP for k={k} unresolved within {cap} bits")
+        if need <= bits:  # int division rounds correctly, and + 0.0 makes -0.0 +0.0
+            return _clamp(total / (1 << wp)) + 0.0
+        bits = need
 
 
 def _clamp(op: float) -> float:

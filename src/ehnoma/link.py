@@ -38,10 +38,10 @@ class UnsupportedModelError(ValueError):
 class UnresolvedNumericsError(ArithmeticError):
     """An analytic OP its numerics cannot resolve to analysis._REL_TOL.
 
-    The closed form raises it when its sum stays below its own rounding noise
-    at every precision it may use and that noise does not show the OP to
-    round to 0, the quadrature when its error estimate exceeds _REL_TOL times
-    the OP.
+    The closed form raises it when its sum stays below its own rounding noise,
+    under 2^-1130, at the most bits it may use although the OP's lower bound
+    F_sr(tau*)^N is positive, the quadrature when its error estimate exceeds
+    _REL_TOL times the OP.
     """
 
 

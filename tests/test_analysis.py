@@ -437,7 +437,9 @@ class TestClosedForm:
         # rounds to 0, as the quadrature's does
         c = SystemConfig(**kwargs)
         assert analysis._first_hop_head(c, c.m_sr / c.omega_sr * tau_star(k, c)) == 0.0
-        assert op_closed_form(k, c) == 0.0 == op_numerical(k, c)
+        op = op_closed_form(k, c)
+        assert op == 0.0 == op_numerical(k, c)
+        assert math.copysign(1.0, op) == 1.0  # +0.0, also where the sum is negative
 
     def test_unresolved_passes_double_their_digits(self, monkeypatch):
         # each exact pass leaves the sum below its own noise, so the next
@@ -461,6 +463,16 @@ class TestClosedForm:
         op = op_closed_form(1, c)
         assert 0.0 < op < sys.float_info.min
         assert op == pytest.approx(op_numerical(1, c), rel=1e-6)
+
+    @pytest.mark.parametrize("m,k,snr_db", [(1, 1, 1625), (1, 3, 821.5), (2, 1, 818),
+                                            (2, 3, 418.85), (3, 1, 548.9), (3, 2, 285.12),
+                                            (3, 3, 284.84)])
+    def test_smallest_subnormal_op_resolved(self, m, k, snr_db):
+        # the OP rounds to 2^-1074: at its most bits the exact pass's noise
+        # is 2^-57 of that, which decides the rounding although the sum is
+        # not 2^57 times its noise
+        c = SystemConfig(m_sr=m, m_ru=m, snr_db=snr_db)
+        assert op_closed_form(k, c) == 2.0**-1074
 
     @pytest.mark.parametrize("kwargs,k", [(dict(m_sr=2, m_ru=2, snr_db=600), 1),
                                           (dict(m_sr=1, m_ru=4, snr_db=200), 3),
@@ -596,7 +608,9 @@ class TestClosedForm:
     @pytest.mark.parametrize("dps", [20, 40, 60, 100])
     def test_series_matches_besselk(self, dps):
         # both ends of the series' range: cancellation-free near 0, and
-        # terms e^(2t) above the result at t = 60, at the bits of dps digits
+        # terms e^(2t) above the result at t = 60, at the bits of dps digits.
+        # The reference needs only 20 bits over those, not the series' wp:
+        # on these 160 points the two agree to 2^-(bits + 20) of K
         with mp.workdps(dps):
             tol = 4 * mp.eps
         bits = math.ceil(dps * math.log2(10))
@@ -605,7 +619,7 @@ class TestClosedForm:
             wp = analysis._working_bits(bits, t, t)
             # t = 2 sqrt(X Y) with X Y = (t/2)^2 rounded to a double
             ((t, kv),) = series_bessel([1], (t / 2) ** 2, 1.0, wp, 0, [1])
-            with mp.workprec(wp + 20):
+            with mp.workprec(bits + 20):
                 for n in (0, 1):
                     exact = mp.besselk(n, t)
                     assert abs(mp.ldexp(kv[n], -wp) - exact) <= tol * exact, (n, t)

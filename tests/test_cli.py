@@ -704,6 +704,13 @@ class TestMain:
             else:
                 assert 0.0 < float(row[5]) < 1.0
 
+    def test_smallest_subnormal_row(self, capsys):
+        # rank 3's OP at 821.5 dB is 2^-1074, at the bottom of the doubles
+        path = str(SCENARIO_DIR / "perfect_sic.scn")
+        assert main(["analytic", path, "--set", "snr_db=821.5"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert rows[2][3:6] == ["3", "analytic", "4.94065646e-324"]
+
     def test_unresolved_rows_and_exit(self, monkeypatch, capsys):
         # terms that cancel exactly leave every closed-form point unresolved
         monkeypatch.setattr(analysis, "_closed_form_sums",

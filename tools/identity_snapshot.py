@@ -21,8 +21,10 @@ in and writes into OUTDIR:
 - `grid-extreme.txt`: `op_closed_form` and `op_numerical` at extreme SNR,
   where float terms overflow and OPs reach the bottom of the doubles or
   underflow, m_sr = m_ru = 3 at snr_db 400-700 and m_sr = m_ru = 2 at
-  snr_db 800-1000, in 50 dB steps x ranks 1-3, one
-  `m snr_db k method result` line each, the result as in `grid-asym.txt`;
+  snr_db 800-1000, in 50 dB steps x ranks 1-3, then at the seven
+  (m, rank, snr_db) of `SMALLEST_SUBNORMAL`, where the closed-form OP is
+  2^-1074, one `m snr_db k method result` line each, the result as in
+  `grid-asym.txt`;
 - for each of the shipped scenarios, six sweep CSVs (snr_db 0-40 in 11
   points analytic; w 0.1-0.9 in 9 points analytic and quadrature; m_sr =
   m_ru = 2 at snr_db 0-15 in 4 points analytic and quadrature; snr_db
@@ -102,6 +104,9 @@ SWEEPS = {
     "w-m33": ["--var", "w", "--start", "0.1", "--stop", "0.9", "--points", "9",
               "--methods", "analytic", "--set", "m_sr=3", "--set", "m_ru=3"],
 }
+# (m_sr = m_ru, rank, snr_db) where the closed-form OP rounds to 2^-1074
+SMALLEST_SUBNORMAL = ((1, 1, 1625), (1, 3, 821.5), (2, 1, 818), (2, 3, 418.85),
+                      (3, 1, 548.9), (3, 2, 285.12), (3, 3, 284.84))
 # output file label: (command, arguments after the scenario)
 COMMANDS = {
     "find-snr": ("find-snr", ["--user", "2", "--target", "1e-3"]),
@@ -184,6 +189,9 @@ def extreme_grid_lines():
             for k in (1, 2, 3):
                 for name, result in method_results(k, config):
                     yield f"{m} {snr} {k} {name} {result}\n"
+    for m, k, snr in SMALLEST_SUBNORMAL:
+        for name, result in method_results(k, SystemConfig(m_sr=m, m_ru=m, snr_db=snr)):
+            yield f"{m} {snr} {k} {name} {result}\n"
 
 
 def run_cli(argv):
