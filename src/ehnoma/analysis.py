@@ -250,7 +250,7 @@ def _closed_form_terms(table, xs, ys):
     the K at its k_slot, then c * X^s * Y^j * bessel per monomial.  scipy's
     exponentially scaled kve = e^t K_n(t), which keeps the underflow of a
     far tail inside one exp(), gives orders k_low to 1 in one call, and the
-    higher orders come by _bessel_k's upward recurrence
+    higher orders come by _bessel_ks's upward recurrence
     K_(n+1) = K_(n-1) + (2n/t) K_n, which at orders 20-23, the highest at
     m=3, errs several times less than kve.  Terms that overflow come out inf
     or NaN.
@@ -341,78 +341,11 @@ def _bucket_sums(terms):
                                                       signed, absolute))]
 
 
-def _working_bits(bits, t_lo, t_hi) -> int:
-    """Bits after the point that carry K_n(t), t_lo <= t <= t_hi, to 2^-bits of itself.
-
-    The K series' sums (_k_series, _bessel_k) come to within 2^-wp of the
-    largest, sum (t^2/4)^k / (k!)^2 = I_0(t) < e^t, while K falls like e^-t,
-    so K needs 2 t log2(e) more bits, plus 20 for the rounding of t, ln(t/2)
-    and the recurrence's divisions, plus log2(1/t) for t < 1, which keeps t
-    itself, and so every power of it, to 2^-bits.  Rounded up to a multiple
-    of 32, so that the cached logs of _half_log_gamma serve many calls.
-    """
-    bits += math.ceil(2 * t_hi * math.log2(math.e)) + 20 + max(0, math.ceil(-math.log2(t_lo)))
-    return -(-bits // 32) * 32
-
-
 @lru_cache(maxsize=None)
 def _half_log_gamma(n: int, wp: int) -> int:
     """ln(n) / 2 + Euler's gamma, in units of 2^-wp."""
     with mp.workprec(wp + 20):
         return int(mp.ldexp(mp.log(n) / 2 + mp.euler, wp))
-
-
-class _KSeries(NamedTuple):
-    """One point's K_0/K_1 series, shared by its every Bessel argument.
-
-    At t = 2 sqrt(n XY), t^2/4 = n XY, so with c_k = (XY)^k / (k!)^2 and
-    H_k the k-th harmonic number the four sums of _bessel_k are polynomials
-    in n with the coefficients below, each in units of 2^-w.
-    """
-
-    w: int          # the coefficients' bits after the point
-    c: list         # c_k, k = 0, ..., k_max
-    ch: list        # c_k H_k
-    b: list         # c_k / (k+1)
-    bh: list        # c_k / (k+1) (H_k + H_(k+1))
-
-
-def _k_series(xy, shift, n_top, t_top, wp) -> _KSeries:
-    """The K series at XY = xy 2^-shift, for arguments 2 sqrt(n XY), n <= n_top.
-
-    t_top = 2 sqrt(n_top XY).  The series runs to the first k_max past t_top/2
-    whose term at n_top falls 2^-wp below the largest before it, a rule taken
-    in log2, as 2^-wp underflows above 1074 bits; at a smaller n each term
-    past the largest falls further, so k_max serves it too.  c_k comes from
-    c_(k-1) XY / k^2 in one floor, ch, b and bh from c_k in one floor each,
-    H_k in k floors; carried back through the recurrence and times n^k in
-    the exact Horner sums of _bessel_k, those floors cost each of the four
-    sums less than 4 (k_max + 2)^2 n_top^k_max I_0(t) units of 2^-w.  The
-    coefficients so carry g = ceil(k_max log2(n_top)) + 2 ceil(log2(k_max + 2))
-    + 2 guard bits over wp, and every sum is within I_0(t) 2^-wp, the bound
-    _working_bits counts on.
-    """
-    log_q = math.log2(n_top) + math.log2(xy) - shift  # log2 of t_top^2/4
-    k_max, term, top = 0, 0.0, 0.0  # log2 of the k_max-th term and of the largest
-    while k_max < t_top / 2 or term >= top - wp:
-        k_max += 1
-        term += log_q - 2 * math.log2(k_max)
-        top = max(top, term)
-    w = (wp + math.ceil(k_max * math.log2(n_top))
-         + 2 * math.ceil(math.log2(k_max + 2)) + 2)
-    one = 1 << w
-    c, h = one, 0
-    series = _KSeries(w, [], [], [], [])
-    for k in range(1, k_max + 2):
-        b = c // k
-        h_next = h + one // k
-        series.c.append(c)
-        series.ch.append(c * h >> w)
-        series.b.append(b)
-        series.bh.append(b * (h + h_next) >> w)
-        c = c * xy // (k * k << shift)
-        h = h_next
-    return series
 
 
 def _horner(coefs, n):
@@ -423,29 +356,79 @@ def _horner(coefs, n):
     return total
 
 
-def _bessel_k(series, n, t, ell, wp, low, top):
-    """[K_low(t), ..., K_top(t)] in units of 2^-wp at t = 2 sqrt(n XY), from the
-    point's _k_series, t and ell = ln(t/2) + gamma, with K_0 None if low is 1.
+def _bessel_ks(x, y, ns, tops, low, bits):
+    """(wp, [(r, [K_low(2r), ..., K_top(2r)])]) for n, top in zip(ns, tops), at X = x
+    and Y = y: every K the exact pass needs, in units of 2^-wp, to 2^-bits of itself.
 
-    t and ell are integers in units of 2^-wp.  With H_k the k-th harmonic
-    number (DLMF 10.31.1 at n = 0 and 1),
+    ns ascend, r = sqrt(n X Y) is floored in units of 2^-wp, and K_0 is None
+    if low is 1, which the recurrence allows only where top is 1 too, as the
+    table's k_low is.  With t = 2r, ell = ln(t/2) + gamma and H_k the k-th
+    harmonic number (DLMF 10.31.1 at n = 0 and 1),
         K_0(t) = sum_k (t^2/4)^k / (k!)^2 (H_k - ell),
         K_1(t) = 1/t + (t/2) sum_k (t^2/4)^k / (k! (k+1)!) (ell - (H_k + H_(k+1))/2),
-    and each of the four sums is an exact Horner evaluation of the series'
-    coefficients at n, K_0's two only where low is 0.  Orders above 1 come by
-    the upward recurrence K_(n+1) = K_(n-1) + (2n/t) K_n (DLMF 10.29.1),
-    which needs K_0, so low may be 1 only where top is, as the table's k_low
-    is; its terms are all positive, so it loses no digits.  _working_bits
-    says how large wp must be for a given accuracy.
+    and as t^2/4 = n X Y, the four sums are polynomials in n with coefficients
+    c_k = (XY)^k / (k!)^2, c_k H_k, c_k / (k+1) and c_k / (k+1) (H_k + H_(k+1)),
+    built once and summed exactly by Horner's rule at each n, K_0's two only
+    where low is 0.  Orders above 1 come by the upward recurrence
+    K_(n+1) = K_(n-1) + (2n/t) K_n (DLMF 10.29.1), whose terms are all
+    positive, so it loses no digits.
+
+    The sums come to within 2^-wp of the largest, I_0(t) < e^t, while K falls
+    like e^-t, so wp is bits plus 2 t log2(e) at the largest t, t_hi, plus 20
+    for the rounding of t, ell and the recurrence's divisions, plus log2(1/t)
+    at the smallest t if below 1, which keeps t itself, and so every power of
+    it, to 2^-bits; rounded up to a multiple of 32, so that the cached logs
+    of _half_log_gamma serve many calls.  The series runs to the first k_max
+    past t_hi/2 whose term at n_top = ns[-1] falls 2^-wp below the largest
+    before it, a rule taken in log2, as 2^-wp underflows above 1074 bits; at
+    a smaller n each term past the largest falls further.  c_k comes from
+    c_(k-1) XY / k^2 in one floor, the other three from c_k in one floor
+    each, H_k in k floors; carried back through the recurrence and times n^k
+    in the Horner sums, those floors cost each sum less than
+    4 (k_max + 2)^2 n_top^k_max I_0(t) units of 2^-w.  The coefficients so
+    carry w - wp = ceil(k_max log2(n_top)) + 2 ceil(log2(k_max + 2)) + 2
+    guard bits, and every sum is within I_0(t) 2^-wp.
     """
-    w = series.w
-    i1, s1 = _horner(series.b, n), _horner(series.bh, n)
-    # ell * i1 and s1 << wp - 1 are in units of 2^-(w + wp)
-    kv = [None if low else (_horner(series.ch, n) << wp) - ell * _horner(series.c, n) >> w,
-          (1 << 2 * wp) // t + (t * (ell * i1 - (s1 << wp - 1)) >> (w + wp + 1))]
-    for order in range(1, top):
-        kv.append(kv[order - 1] + (2 * order * kv[order] << wp) // t)
-    return kv
+    (ax, dx), (ay, dy) = x.as_integer_ratio(), y.as_integer_ratio()
+    xy, shift = ax * ay, dx.bit_length() + dy.bit_length() - 2  # X Y = xy 2^-shift
+    t_lo, t_hi = (2 * math.sqrt(n) * math.sqrt(x) * math.sqrt(y) for n in (ns[0], ns[-1]))
+    wp = bits + math.ceil(2 * t_hi * math.log2(math.e)) + 20 + max(0, math.ceil(-math.log2(t_lo)))
+    wp = -(-wp // 32) * 32
+    with mp.workprec(wp + 20):
+        half_log_xy = int(mp.ldexp(mp.log(mp.mpf(x) * y), wp - 1))
+    log_q = math.log2(ns[-1]) + math.log2(xy) - shift  # log2 of t_hi^2/4
+    k_max, term, largest = 0, 0.0, 0.0  # log2 of the k_max-th term and of the largest
+    while k_max < t_hi / 2 or term >= largest - wp:
+        k_max += 1
+        term += log_q - 2 * math.log2(k_max)
+        largest = max(largest, term)
+    w = (wp + math.ceil(k_max * math.log2(ns[-1]))
+         + 2 * math.ceil(math.log2(k_max + 2)) + 2)
+    one = 1 << w
+    c, h = one, 0
+    cs, chs, bs, bhs = [], [], [], []
+    for k in range(1, k_max + 2):
+        b = c // k
+        h_next = h + one // k
+        cs.append(c)
+        chs.append(c * h >> w)
+        bs.append(b)
+        bhs.append(b * (h + h_next) >> w)
+        c = c * xy // (k * k << shift)
+        h = h_next
+    r2_shift = 2 * wp - shift  # r^2 = n xy 2^-shift, in units of 2^-2wp
+    out = []
+    for n, top in zip(ns, tops):
+        r = math.isqrt(n * xy << r2_shift if r2_shift >= 0 else n * xy >> -r2_shift)
+        t, ell = 2 * r, half_log_xy + _half_log_gamma(n, wp)
+        i1, s1 = _horner(bs, n), _horner(bhs, n)
+        # ell * i1 and s1 << wp - 1 are in units of 2^-(w + wp)
+        kv = [None if low else (_horner(chs, n) << wp) - ell * _horner(cs, n) >> w,
+              (1 << 2 * wp) // t + (t * (ell * i1 - (s1 << wp - 1)) >> (w + wp + 1))]
+        for order in range(1, top):
+            kv.append(kv[order - 1] + (2 * order * kv[order] << wp) // t)
+        out.append((r, kv))
+    return wp, out
 
 
 def _exact_sum(table, x, y, bits):
@@ -457,27 +440,17 @@ def _exact_sum(table, x, y, bits):
     factor (p X / r)^nu e^(-(1+u) Y) K_nu(2r) is
         (p X)^a ((1+u) Y)^h * r^o K_nu(2r) e^(-(1+u) Y),   a = -h - o,
     where only r and K_nu(2r) (in fixed point, per distinct p (1+u) at the
-    table's orders, from one _k_series, with ln r = (ln XY + ln(p (1+u))) / 2)
-    and e^(-(1+u) Y) (a power of one mpf e^-Y, as mantissa and exponent) are
-    not exact.  Each row is then one integer product and one floor division
-    into units of 2^-wp, with its exponents read from the table.
+    table's orders, all from one _bessel_ks) and e^(-(1+u) Y) (a power of one
+    mpf e^-Y, as mantissa and exponent) are not exact.  Each row is then one
+    integer product and one floor division into units of 2^-wp, with its
+    exponents read from the table.
     """
     ax, dx = x.as_integer_ratio()
     ay, dy = y.as_integer_ratio()
     ex, ey = dx.bit_length() - 1, dy.bit_length() - 1
-    pus = table.pu.tolist()
-    t_lo, t_hi = (2 * math.sqrt(n) * math.sqrt(x) * math.sqrt(y) for n in (pus[0], pus[-1]))
-    wp = _working_bits(bits, t_lo, t_hi)
+    wp, bessel = _bessel_ks(x, y, table.pu.tolist(), table.pu_top.tolist(), table.k_low, bits)
     with mp.workprec(wp + 20):
-        half_log_xy = int(mp.ldexp(mp.log(mp.mpf(x) * y), wp - 1))
         e_man, e_exp = mp.exp(-mp.mpf(y)).man_exp
-    series = _k_series(ax * ay, ex + ey, pus[-1], t_hi, wp)
-    shift = 2 * wp - ex - ey  # r^2 = p (1+u) ax ay 2^-(ex+ey), in units of 2^-2wp
-    bessel = []  # per distinct p (1+u): (1, r) and K_k_low(2r), ..., K_top(2r)
-    for pu, top in zip(pus, table.pu_top.tolist()):
-        r = math.isqrt(pu * ax * ay << shift if shift >= 0 else pu * ax * ay >> -shift)
-        ell = half_log_xy + _half_log_gamma(pu, wp)
-        bessel.append(((1, r), _bessel_k(series, pu, 2 * r, ell, wp, table.k_low, top)))
     groups = [(p * ax, one_u * ay, e_man**one_u, one_u * e_exp, *bessel[i])
               for p, one_u, i in zip(table.p.tolist(), table.one_u.tolist(),
                                       table.group_pu.tolist())]
@@ -495,7 +468,7 @@ def _exact_sum(table, x, y, bits):
             table.px_num.tolist(), table.px_den.tolist(), table.uy_num.tolist(),
             table.uy_den.tolist(), shifts):
         p_ax, u_ay, e_pow, e_shift, r, kv = groups[g]
-        num = poly * kv[n] * e_pow * r[o] * p_ax**px_num * u_ay**uy_num
+        num = poly * kv[n] * e_pow * (r if o else 1) * p_ax**px_num * u_ay**uy_num
         den = table.den * p_ax**px_den * u_ay**uy_den
         shift = e_shift - fixed
         term = (num << shift) // den if shift >= 0 else num // (den << -shift)

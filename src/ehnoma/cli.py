@@ -4,10 +4,11 @@ The analytic engine (`ehnoma.analysis`, which loads scipy.special and
 mpmath) is imported only where an analytic result is asked for, so that
 `simulate` and a Monte Carlo sweep start without it.  The analytic names
 this module offers (`op_closed_form`, `find_snr_for_op` and
-`find_optimal_w`, for callers that still reach them here) resolve through
-the module `__getattr__` to analysis's own functions on first access and
-are then bound here, so a caller that binds one pays the import then, and
-each call goes straight to the engine.
+`find_optimal_w`, whose only caller here is the benchmark in `perfbench/`,
+until it takes them from `analysis`; ROADMAP item 9) resolve through the
+module `__getattr__` to analysis's own functions on first access and are
+then bound here, so a caller that binds one pays the import then, and each
+call goes straight to the engine.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ from fractions import Fraction
 from functools import partial
 
 import numpy as np
-from scipy import special
+from scipy import integrate, optimize, special
 
 from ehnoma.analysis import _TermTable
 from ehnoma.fading import MAJORITY_RANK_COEFFS, expanded_power
+from ehnoma.link import tau_star
 
 
 def sinr(l, k, g_sr, g_ru_k, config):
@@ -109,6 +110,53 @@ def rank_cdf(m, omega, k, n_u, x):
     sum_q MAJORITY_RANK_COEFFS[k][q] G^q with G = gammainc(m, m x / omega)^n_u."""
     g = special.gammainc(m, m / omega * np.asarray(x, dtype=float)) ** n_u
     return sum(float(e) * g**q for q, e in sorted(MAJORITY_RANK_COEFFS[k].items()))
+
+
+def rank_expectation(m, omega, k, n_u, a, d):
+    """E[(1 + a/Y_k)^d] for the rank-k user's gain Y_k, from its power-form CDF F.
+
+    By parts, 1 + the integral over y > 0 of F(y) d a (1 + a/y)^(d-1) / y^2,
+    taken over t = ln y with breakpoints at ln a and ln omega, from 40 below
+    the smaller to 40 above the larger: near 0 F falls as y^d_Y, d_Y the
+    smallest power of the rank's CDF polynomial times m n_u, so the
+    expectation is finite only where d_Y > d, and there the two cut tails
+    hold under d e^-40 of it.
+    """
+    def integrand(t):
+        y = math.exp(t)
+        return rank_cdf(m, omega, k, n_u, y) * d * a * (1 + a / y) ** (d - 1) / y
+
+    ends = sorted((math.log(a), math.log(omega)))
+    tail, _ = integrate.quad(integrand, ends[0] - 40, ends[1] + 40, points=ends,
+                             epsabs=0, epsrel=1e-12, limit=200)
+    return 1 + tail
+
+
+def first_hop_asymptote(k, config):
+    """The rank-k OP's leading term where the first hop limits it (d_Y > d_X),
+    (b_sr^m_sr / m_sr!)^N tau*^d_X E[(1 + c2/(c1 Y_k))^d_X], d_X = m_sr N:
+    the first-hop CDF P(m_sr, b_sr x)^N at x = tau* (1 + c2/(c1 Y_k)), to
+    its leading power of x, averaged over Y_k."""
+    m_sr, n = int(config.m_sr), config.n_s * config.n_rr
+    b_sr = m_sr / config.omega_sr
+    expect = rank_expectation(config.m_ru, config.omega_ru, k, config.n_u,
+                              config.c2 / config.c1, m_sr * n)
+    return (b_sr**m_sr / math.factorial(m_sr)) ** n * tau_star(k, config) ** (m_sr * n) * expect
+
+
+def w_star_limit(k, config):
+    """The power-splitting ratio that first_hop_asymptote's OP takes at its least
+    as the SNR grows: tau* = c1 T, T free of w, so w minimizes
+    (1 - w)^-d_X E[(1 + (1 - w)/(zeta w Y_k))^d_X], which depends on neither
+    the SNR, xi nor the thresholds."""
+    d = int(config.m_sr) * config.n_s * config.n_rr
+
+    def scaled_op(w):
+        a = (1 - w) / (config.zeta * w)
+        return rank_expectation(config.m_ru, config.omega_ru, k, config.n_u, a, d) / (1 - w) ** d
+
+    return optimize.minimize_scalar(scaled_op, bounds=(0.05, 0.95), method="bounded",
+                                    options={"xatol": 1e-7}).x
 
 
 def expanded_sum(m, bx, weighted_powers):

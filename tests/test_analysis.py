@@ -22,8 +22,8 @@ from ehnoma import (
     op_numerical,
 )
 from ehnoma.analysis import closed_form_side
-from ehnoma.link import tau_star
-from oracles import bessel_groups
+from ehnoma.link import SearchError, tau_star
+from oracles import bessel_groups, first_hop_asymptote, w_star_limit
 
 # Frozen outputs of the adaptive-quadrature oracle, which integrates the
 # unexpanded power-form CDFs and shares no series machinery with the closed
@@ -278,23 +278,6 @@ def float_sums(k, config):
     return total, abs_total
 
 
-def series_bessel(ns, x, y, wp, low, tops):
-    """[(t, [K_low(t), ..., K_top(t)])] at each t = 2 sqrt(n X Y), n in ns ascending,
-    from one _k_series, with t in fixed point and ell as _exact_sum makes them, and
-    low the same for every t, as _exact_sum hands its table's k_low; t is returned
-    as the mpf it stands for, X Y being the exact product of the doubles."""
-    (ax, dx), (ay, dy) = x.as_integer_ratio(), y.as_integer_ratio()
-    xy, shift = ax * ay, dx.bit_length() + dy.bit_length() - 2
-    series = analysis._k_series(xy, shift, ns[-1], 2 * math.sqrt(ns[-1] * x * y), wp)
-    out = []
-    with mp.workprec(wp + 20):
-        for n, top in zip(ns, tops):
-            t = 2 * math.isqrt(n * xy << 2 * wp - shift)
-            ell = int(mp.ldexp(mp.log(n * mp.mpf(xy) / 2**shift) / 2 + mp.euler, wp))
-            out.append((mp.ldexp(t, -wp), analysis._bessel_k(series, n, t, ell, wp, low, top)))
-    return out
-
-
 class TestClosedForm:
     @pytest.mark.parametrize("kwargs,k,expect", ORACLE_VALUES)
     def test_matches_oracle(self, kwargs, k, expect):
@@ -344,7 +327,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("kwargs,k", [(dict(snr_db=60), 2),
                                           (dict(m_sr=2, m_ru=2, snr_db=60), 3)])
-    def test_deep_point_takes_one_mp_pass(self, monkeypatch, kwargs, k):
+    def test_deep_point_takes_one_exact_pass(self, monkeypatch, kwargs, k):
         # the float sum is unresolved here; sum|t| / F_sr(tau*)^N must give
         # the exact pass enough digits the first time
         passes = []
@@ -470,9 +453,11 @@ class TestClosedForm:
     def test_smallest_subnormal_op_resolved(self, m, k, snr_db):
         # the OP rounds to 2^-1074: at its most bits the exact pass's noise
         # is 2^-57 of that, which decides the rounding although the sum is
-        # not 2^57 times its noise
+        # not 2^57 times its noise.  The quadrature's integrand underflows
+        # there, and its 0.0 is as near as the doubles allow
         c = SystemConfig(m_sr=m, m_ru=m, snr_db=snr_db)
         assert op_closed_form(k, c) == 2.0**-1074
+        assert abs(op_numerical(k, c) - 2.0**-1074) <= 2.0**-1074
 
     @pytest.mark.parametrize("kwargs,k", [(dict(m_sr=2, m_ru=2, snr_db=600), 1),
                                           (dict(m_sr=1, m_ru=4, snr_db=200), 3),
@@ -560,30 +545,28 @@ class TestClosedForm:
                                                 (dict(m_sr=3, m_ru=3, snr_db=60), 3, 29)])
     def test_exact_pass_evaluates_bessel_once_per_argument(self, monkeypatch, kwargs, k,
                                                            count):
-        # one _k_series per pass, shared by one _bessel_k per distinct
-        # p (1+u) up to the largest order of any group sharing it, in place
-        # of one per (p, u) group (44 or 48); K_0 only at the p (1+u) with a
-        # row of order 0 or above 1, none at m=1
+        # one _bessel_ks per pass, over each distinct p (1+u) up to the
+        # largest order of any group sharing it, in place of one per (p, u)
+        # group (44 or 48); K_0 only at the p (1+u) with a row of order 0 or
+        # above 1, none at m=1
         c = SystemConfig(**kwargs)
         table, x, y = table_point(k, c)
-        series, calls = [], []
-        for name, log in (("_k_series", series), ("_bessel_k", calls)):
-            def counting(*args, real=getattr(analysis, name), log=log):
-                log.append((args, real(*args)))
-                return log[-1][1]
+        calls = []
 
-            monkeypatch.setattr(analysis, name, counting)
+        def counting(*args, real=analysis._bessel_ks):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(analysis, "_bessel_ks", counting)
         analysis._exact_sum(table, x, y, 133)
         pus = sorted(set((table.p * table.one_u).tolist()))
         orders = [{n for n, g in zip(table.abs_nu.tolist(), table.group.tolist())
                    if table.p[g] * table.one_u[g] == pu} for pu in pus]
-        assert len(series) == 1
-        assert len(calls) == count == len(pus)
-        assert all(args[0] is series[0][1] for args, _ in calls)
-        assert [args[1] for args, _ in calls] == pus
-        assert [args[-1] for args, _ in calls] == [max(o) for o in orders]
-        assert [kv[0] is None for _, kv in calls] == [o == {1} for o in orders]
-        assert (c.m_sr == 1) == all(kv[0] is None for _, kv in calls)
+        ((args, (_, kvs)),) = calls
+        assert args[2] == pus and len(pus) == len(kvs) == count
+        assert args[3] == [max(o) for o in orders]
+        assert [kv[0] is None for _, kv in kvs] == [o == {1} for o in orders]
+        assert (c.m_sr == 1) == all(kv[0] is None for _, kv in kvs)
 
     @pytest.mark.parametrize("key", [(3, 2, 2, 4, 2), (3, 3, 3, 4, 2)])
     def test_bessel_recurrence_matches_besselk(self, key):
@@ -595,14 +578,13 @@ class TestClosedForm:
         x = c.m_ru / c.omega_ru * c.c2 / c.c1
         y = c.m_sr / c.omega_sr * tau_star(key[0], c)
         pus = table.pu.tolist()
-        wp = analysis._working_bits(133, *(2 * math.sqrt(n * x * y) for n in (pus[0], pus[-1])))
-        kvs = series_bessel(pus, x, y, wp, table.k_low, table.pu_top.tolist())
+        wp, kvs = analysis._bessel_ks(x, y, pus, table.pu_top.tolist(), table.k_low, 133)
         with mp.workprec(wp + 20):
-            for pu, (t, kv) in zip(pus, kvs):
+            for pu, (r, kv) in zip(pus, kvs):
                 orders = {n for n, g in zip(table.abs_nu.tolist(), table.group.tolist())
                           if table.p[g] * table.one_u[g] == pu}
                 for n in orders:
-                    exact = mp.besselk(n, t)
+                    exact = mp.besselk(n, mp.ldexp(2 * r, -wp))
                     assert abs(mp.ldexp(kv[n], -wp) - exact) <= 1e-40 * exact, (pu, n)
 
     @pytest.mark.parametrize("dps", [20, 40, 60, 100])
@@ -616,10 +598,10 @@ class TestClosedForm:
         bits = math.ceil(dps * math.log2(10))
         for i in range(40):
             t = 1e-4 * 6e5 ** (i / 39)
-            wp = analysis._working_bits(bits, t, t)
             # t = 2 sqrt(X Y) with X Y = (t/2)^2 rounded to a double
-            ((t, kv),) = series_bessel([1], (t / 2) ** 2, 1.0, wp, 0, [1])
+            wp, ((r, kv),) = analysis._bessel_ks((t / 2) ** 2, 1.0, [1], [1], 0, bits)
             with mp.workprec(bits + 20):
+                t = mp.ldexp(2 * r, -wp)
                 for n in (0, 1):
                     exact = mp.besselk(n, t)
                     assert abs(mp.ldexp(kv[n], -wp) - exact) <= tol * exact, (n, t)
@@ -929,3 +911,37 @@ class TestMethodRelationships:
         slope = (math.log10(op_closed_form(1, c_lo))
                  - math.log10(op_closed_form(1, c_hi)))
         assert 0.8 < slope < 1.1
+
+
+class TestHighSnrLimit:
+    """Ranks 2 and 3 are first-hop limited (d_X = m_sr N < d_Y, the smallest
+    power of the rank's CDF polynomial times m_ru n_u), and rank 1 at m = 1
+    and 2 is second-hop limited."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_optimal_w_approaches_its_limit(self, m):
+        # the paper's design claim with the SNR gone: the users with better
+        # channels take the smaller w, and find-w's default grid at 60 dB
+        # already gives each limit, at either xi
+        grid = np.linspace(0.05, 0.95, 91)
+        limits = {}
+        for k in (2, 3):
+            limits[k] = w_star_limit(k, SystemConfig(m_sr=m, m_ru=m))
+            for xi in (0.0, 0.02):
+                c = SystemConfig(m_sr=m, m_ru=m, snr_db=60, xi=xi)
+                w, _ = analysis.find_optimal_w(k, c, grid)
+                assert w == pytest.approx(limits[k], abs=2e-3), (k, xi)
+        assert limits[2] > limits[3]
+        # rank 1's leading term falls in w, so its lowest grid OP is at w = 0.95
+        with pytest.raises(SearchError, match="at its end w=0.95"):
+            analysis.find_optimal_w(1, SystemConfig(m_sr=m, m_ru=m, snr_db=60), grid)
+
+    @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_first_hop_limited_asymptote(self, m, k):
+        # both analytic legs against the leading term, which shares only
+        # tau* and the rank's CDF coefficients with them; what is left is
+        # O(tau*), about 1e-6 of it at 80 dB
+        c = SystemConfig(m_sr=m, m_ru=m, snr_db=80)
+        asymptote = first_hop_asymptote(k, c)
+        assert op_closed_form(k, c) == pytest.approx(asymptote, rel=1e-5)
+        assert op_numerical(k, c) == pytest.approx(asymptote, rel=1e-5)

@@ -113,7 +113,7 @@ def as_rows(lines):
     return [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines]
 
 
-class TestSweepSpec:
+class TestSweepGridFlags:
     """A sweep's values from the CLI's grid flags; the sweeps run_sweep rejects."""
 
     def grid_values(self, tmp_path, capsys, *flags):
