@@ -58,11 +58,12 @@ _QUAD_ABOVE = np.arange(8) / 8
 # keeps a table near 300 MB.
 _MAX_MONOMIALS = 1_000_000
 # The float pass sums a table of at least this many monomials by binary
-# exponent (_bucket_sums), and a smaller one with math.fsum alone.  On one
-# point fsum took 10.8, 38.8, 57.6 and 219 us at 154, 585, 820 and 2,700
-# monomials, bucketing 33.1, 35.9, 40.3 and 57 (2-core Xeon, medians of 15
-# alternating rounds of 200 calls).
-_BUCKET_MIN_TERMS = 700
+# exponent (_bucket_sums), and a smaller one with math.fsum alone.  Past its
+# terms, one point took 11.3, 18.9, 34.7, 41.0, 48.1 and 122 us with fsum at
+# 154, 340, 672, 820, 984 and 2,700 monomials, and 32.1, 35.2, 41.0, 40.7,
+# 41.3 and 56.1 bucketed (2-core Xeon, medians of 15 alternating rounds of
+# 200 calls); in processes about 1.6 times slower the two met at 820-984.
+_BUCKET_MIN_TERMS = 900
 # Veltkamp's splitter for a 53-bit double: t * _SPLITTER - (t * _SPLITTER - t)
 # is t rounded to 26 significant bits.  It holds while t * _SPLITTER does not
 # overflow, which _SPLIT_GUARD keeps far off.
@@ -228,15 +229,19 @@ def _bessel_groups(k: int, m_sr: int, m_ru: int, n: int, n_u: int) -> _TermTable
 def _closed_form_sums(table, xs, ys):
     """[(sum t, sum |t|)] over the closed form's terms at each point (xs[i], ys[i]).
 
-    The sums are the correctly rounded ones, math.fsum's, which _bucket_sums
-    makes from far fewer numbers on tables of at least _BUCKET_MIN_TERMS
-    monomials.  A point whose terms overflow gives a sum|t| and a sum that
-    are not finite.
+    sum t is correctly rounded: math.fsum of 1 and the point's terms or, on
+    tables of at least _BUCKET_MIN_TERMS monomials, of 1 and their far fewer
+    exact bucket sums (_bucket_sums), which gives the same double.  sum |t|
+    only bounds errors and conditions, against thresholds far coarser than
+    its rounding, so it is numpy's row sum.  A point whose sum |t| is not
+    finite, as its terms overflow, gives a NaN sum.
     """
     terms = _closed_form_terms(table, xs, ys)
-    if len(table.s) >= _BUCKET_MIN_TERMS:
-        return _bucket_sums(terms)
-    return list(map(_fsums, terms.tolist(), np.abs(terms).tolist()))
+    with np.errstate(over="ignore"):
+        abs_totals = (np.abs(terms).sum(axis=1) + 1.0).tolist()
+    parts = _bucket_sums(terms) if len(table.s) >= _BUCKET_MIN_TERMS else terms.tolist()
+    return [(math.fsum([1.0, *part]) if math.isfinite(abs_total) else math.nan, abs_total)
+            for part, abs_total in zip(parts, abs_totals)]
 
 
 def _closed_form_terms(table, xs, ys):
@@ -276,15 +281,6 @@ def _closed_form_terms(table, xs, ys):
     return terms.reshape(len(xs), -1)
 
 
-def _fsums(terms, magnitudes):
-    """(fsum([1, *terms]), fsum([1, *magnitudes])), the first NaN if the second is not
-    finite."""
-    abs_total = math.fsum([1.0, *magnitudes])
-    if not math.isfinite(abs_total):
-        return math.nan, abs_total
-    return math.fsum([1.0, *terms]), abs_total
-
-
 def _split(terms):
     """(head, tail) of each term by Veltkamp's splitter: head + tail = t exactly.
 
@@ -298,47 +294,35 @@ def _split(terms):
 
 
 def _bucket_sums(terms):
-    """[_fsums(row, |row|) for row in terms], from one sum per binary exponent.
+    """Per row of terms, far fewer numbers of the same exact sum: the row's
+    bucket sums, per binary exponent.
 
     _split cuts each t exactly into a head of 26 significant bits and a
     tail.  For t of binary exponent e, the head is a multiple of 2^(e-26) of
     size at most 2^e and the tail a multiple of t's unit in the last place
     of size at most 2^(e-27), so each of the two is at most 2^26 of its
-    unit.  np.bincount sums the heads and the tails per (row, sign, e) in
-    double precision, and each partial sum stays a multiple of its unit
-    below 2^53 of it, so it is exact while a bucket holds fewer than 2^27
-    terms (a table holds at most _MAX_MONOMIALS).  math.fsum of 1 and a row's bucket sums, the
-    negative ones negated for sum |t|, is then the correctly rounded sum of
-    its terms, the same double as math.fsum of the terms themselves.  A row
-    with a term at or above _SPLIT_GUARD, where t * _SPLITTER could
-    overflow, or one not finite (NaN fails the comparison too), keeps
-    math.fsum of its terms.
+    unit.  np.bincount sums the heads and the tails per (row, e) in double
+    precision, and each partial sum stays a multiple of its unit below 2^53
+    of it, so it is exact while a bucket holds fewer than 2^27 terms (a
+    table holds at most _MAX_MONOMIALS).  math.fsum of a row's bucket sums
+    is then the correctly rounded sum of its terms, the same double as
+    math.fsum of the terms themselves.  A row with a term at or above
+    _SPLIT_GUARD, where t * _SPLITTER could overflow, or one not finite
+    (NaN fails the comparison too), keeps its terms.
     """
     rows = len(terms)
     head, tail = _split(terms)
     exponent = np.frexp(terms)[1]
     low = exponent.min()
     width = int(exponent.max() - low) + 1
-    # bucket (row, sign, e): a row's negative terms after its positive ones
-    bucket = width * np.signbit(terms)
-    bucket += exponent - low
-    bucket += 2 * width * np.arange(rows)[:, None]
-    size, shape = 2 * width * rows, (rows, 2, width)
-    # per row: the heads of its positive terms, of its negative ones, then
-    # the same of the tails
-    sums = np.concatenate([np.bincount(bucket.ravel(), head.ravel(), size).reshape(shape),
-                           np.bincount(bucket.ravel(), tail.ravel(), size).reshape(shape)],
-                          axis=1)
+    bucket = exponent - low + width * np.arange(rows)[:, None]
+    # per row: the heads per exponent, then the tails
+    sums = np.concatenate([np.bincount(bucket.ravel(), part.ravel(), width * rows)
+                           .reshape(rows, width) for part in (head, tail)], axis=1)
     # the exponents span far more buckets than the terms fill
-    used = np.flatnonzero(sums.any(axis=0))
-    flat = sums.reshape(rows, -1)
-    signed = flat.take(used, axis=1).tolist()
-    sums[:, 1::2] *= -1
-    absolute = flat.take(used, axis=1).tolist()
-    return [(math.fsum([1.0, *plus]), math.fsum([1.0, *both])) if top < _SPLIT_GUARD
-            else _fsums(terms[i].tolist(), np.abs(terms[i]).tolist())
-            for i, (top, plus, both) in enumerate(zip(np.abs(terms).max(axis=1).tolist(),
-                                                      signed, absolute))]
+    used = sums.take(np.flatnonzero(sums.any(axis=0)), axis=1).tolist()
+    return [part if top < _SPLIT_GUARD else terms[i].tolist()
+            for i, (top, part) in enumerate(zip(np.abs(terms).max(axis=1).tolist(), used))]
 
 
 @lru_cache(maxsize=None)

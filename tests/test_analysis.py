@@ -4,7 +4,9 @@ import itertools
 import math
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -701,19 +703,19 @@ def hexes(pairs):
     return [tuple(float.hex(v) for v in pair) for pair in pairs]
 
 
-def fsum_pairs(terms):
-    """(fsum([1, *t]), fsum([1, *|t|])) of each row."""
-    return [(math.fsum([1.0, *row]), math.fsum([1.0, *map(abs, row)]))
-            for row in terms.tolist()]
+def fsums(rows):
+    """fsum([1, *row]) of each row as a hex string, so that NaNs compare equal."""
+    return [math.fsum([1.0, *row]).hex() for row in rows]
 
 
 def check_bucket_sums(terms):
     terms = np.atleast_2d(np.asarray(terms, dtype=float))
-    assert hexes(analysis._bucket_sums(terms)) == hexes(fsum_pairs(terms))
+    assert fsums(analysis._bucket_sums(terms)) == fsums(terms.tolist())
 
 
 class TestBucketSums:
-    """_bucket_sums against math.fsum, which it must match bit for bit."""
+    """math.fsum of _bucket_sums against math.fsum of the terms, which it must
+    match bit for bit."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_real_term_arrays(self, m):
@@ -728,6 +730,13 @@ class TestBucketSums:
             assert np.isfinite(terms).all()
             assert np.abs(terms).max() < analysis._SPLIT_GUARD
             check_bucket_sums(terms)
+            # the float pass's sum t is fsum's, and its sum|t|, numpy's,
+            # lies within pairwise summation's bound of fsum's
+            sums = analysis._closed_form_sums(table, xs, ys)
+            assert [s.hex() for s, _ in sums] == fsums(terms.tolist())
+            rel = sys.float_info.epsilon * math.log2(terms.shape[1])
+            for (_, abs_total), row in zip(sums, np.abs(terms).tolist()):
+                assert abs_total == pytest.approx(math.fsum([1.0, *row]), rel=rel, abs=0)
 
     def test_random_mixed_sign_arrays(self):
         # full 53-bit mantissas of both signs over 1e-300 to 1e300, each array
@@ -762,7 +771,7 @@ class TestBucketSums:
         rng = np.random.default_rng(11)
         t = rng.standard_normal(3000) * 10.0 ** rng.uniform(-30, 30, 3000)
         both = rng.permutation(np.concatenate([t, -t]))
-        assert analysis._bucket_sums(np.atleast_2d(both))[0][0] == 1.0
+        assert math.fsum([1.0, *analysis._bucket_sums(np.atleast_2d(both))[0]]) == 1.0
         check_bucket_sums(both)
         check_bucket_sums([0.0, -0.0, 0.0])
         check_bucket_sums([-0.0] * 7)
@@ -780,21 +789,30 @@ class TestBucketSums:
             assert len(set(np.frexp(t)[1].tolist())) == 1
             check_bucket_sums(t)
 
-    def test_overflow_guard(self):
+    def test_overflow_guard(self, monkeypatch):
         guard = analysis._SPLIT_GUARD
         below = math.nextafter(guard, 0)
         big = sys.float_info.max
-        # below the guard the buckets sum, at or above it math.fsum does
+        # below the guard the buckets sum, at or above it the row's terms do
         for t in ([below, -1.0, 3.5], [below] * 1000, [below, -below, 1e-300],
                   [guard, 1.0], [guard, -below, 2.5], [2 * guard, -guard],
-                  [big / 2, -big / 2, 7.0], [big / 2, big / 2]):
+                  [big / 2, -big / 2, 7.0], [big / 2, big / 2], [big, -big, 7.0]):
             check_bucket_sums(t)
         # an exact sum past the largest double raises, as in math.fsum
-        for t in ([big, big], [big, -big, 7.0], [big, below, big / 2]):
+        rows = [[big, big, 0.0], [big, below, big / 2]]
+        for t in rows:
             with pytest.raises(OverflowError):
-                fsum_pairs(np.array([t]))
+                fsums([t])
             with pytest.raises(OverflowError):
-                analysis._bucket_sums(np.array([t]))
+                fsums(analysis._bucket_sums(np.array([t])))
+        # the float pass never sums them: their sum|t| overflows, as does
+        # [big, -big, 7.0]'s alone, so on either route each point's pair is
+        # not finite
+        terms = np.array([*rows, [big, -big, 7.0]])
+        monkeypatch.setattr(analysis, "_closed_form_terms", lambda table, xs, ys: terms)
+        for size in (1, analysis._BUCKET_MIN_TERMS):
+            sums = analysis._closed_form_sums(SimpleNamespace(s=range(size)), [1.0] * 3, [1.0] * 3)
+            assert hexes(sums) == hexes([(math.nan, math.inf)] * 3)
 
     def test_split_is_exact_with_26_bit_heads(self):
         # the bucket sums are exact because each head and tail has at most
@@ -936,12 +954,39 @@ class TestHighSnrLimit:
         with pytest.raises(SearchError, match="at its end w=0.95"):
             analysis.find_optimal_w(1, SystemConfig(m_sr=m, m_ru=m, snr_db=60), grid)
 
-    @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (2, 3)])
+    def test_optimal_w_orders_the_users(self):
+        # the paper's design claim below the limit: the users with better
+        # channels take the smaller w, and rank 1's w* rises with the SNR;
+        # find-w's default grid gives each w*, at either xi, and quadrature
+        # finds no lower OP 0.01 to either side of it
+        grid = np.linspace(0.05, 0.95, 91)
+        for xi in (0.0, 0.02):
+            rank_one = []
+            for m, snr in ((1, 20), (1, 30), (1, 40), (2, 20)):
+                c = SystemConfig(m_sr=m, m_ru=m, snr_db=snr, xi=xi)
+                ws = [analysis.find_optimal_w(k, c, grid)[0] for k in (1, 2, 3)]
+                assert ws[0] > ws[1] > ws[2], (m, snr, xi)
+                for k, w in zip((1, 2, 3), ws):
+                    op = op_numerical(k, replace(c, w=w))
+                    for side in (w - 0.01, w + 0.01):
+                        assert op <= op_numerical(k, replace(c, w=side)), (m, snr, xi, k)
+                if m == 1:
+                    rank_one.append(ws[0])
+            assert rank_one[0] < rank_one[1] < rank_one[2], xi
+
+    @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
     def test_first_hop_limited_asymptote(self, m, k):
         # both analytic legs against the leading term, which shares only
         # tau* and the rank's CDF coefficients with them; what is left is
-        # O(tau*), about 1e-6 of it at 80 dB
+        # O(tau*), about 1e-6 of it at 80 dB, and so falls 100-fold per 20 dB
+        def gap(op, snr):
+            c = SystemConfig(m_sr=m, m_ru=m, snr_db=snr)
+            return op(k, c) / first_hop_asymptote(k, c) - 1
+
         c = SystemConfig(m_sr=m, m_ru=m, snr_db=80)
         asymptote = first_hop_asymptote(k, c)
         assert op_closed_form(k, c) == pytest.approx(asymptote, rel=1e-5)
         assert op_numerical(k, c) == pytest.approx(asymptote, rel=1e-5)
+        for op, (lo, hi) in itertools.product((op_closed_form, op_numerical),
+                                              ((40, 60), (100, 120))):
+            assert gap(op, lo) / gap(op, hi) == pytest.approx(100, rel=0.1), (op, lo)
