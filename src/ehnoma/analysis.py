@@ -62,7 +62,7 @@ _MAX_MONOMIALS = 1_000_000
 # terms, one point took 11.3, 18.9, 34.7, 41.0, 48.1 and 122 us with fsum at
 # 154, 340, 672, 820, 984 and 2,700 monomials, and 32.1, 35.2, 41.0, 40.7,
 # 41.3 and 56.1 bucketed (2-core Xeon, medians of 15 alternating rounds of
-# 200 calls); in processes about 1.6 times slower the two met at 820-984.
+# 200 calls); in processes about 1.6 times slower the two met at 820-1,080.
 _BUCKET_MIN_TERMS = 900
 # Veltkamp's splitter for a 53-bit double: t * _SPLITTER - (t * _SPLITTER - t)
 # is t rounded to 26 significant bits.  It holds while t * _SPLITTER does not
